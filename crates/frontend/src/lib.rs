@@ -216,24 +216,24 @@ pub fn compile_to_h_with_recovery(
 /// take every caller down with it. Stubs have no formals and no effects —
 /// [`ipa`] propagation treats them as pure no-ops.
 fn stub_undefined_callees(modules: &mut [Module], diags: &mut Vec<Error>) {
-    let defined: BTreeSet<String> = modules
+    // Defined procedures plus the stubs added so far, so a callee missing
+    // from several modules is stubbed once.
+    let mut defined: BTreeSet<String> = modules
         .iter()
         .flat_map(|m| m.procs.iter().map(|p| p.name.clone()))
         .collect();
-    for mi in 0..modules.len() {
+    for m in modules.iter_mut() {
         let mut missing: Vec<(String, support::Pos)> = Vec::new();
-        for p in &modules[mi].procs {
+        for p in &m.procs {
             collect_missing_callees(&p.body, &defined, &mut missing);
         }
         for (name, pos) in missing {
-            if modules.iter().any(|m| m.procs.iter().any(|p| p.name == name)) {
-                continue; // already defined or stubbed by an earlier caller
-            }
+            defined.insert(name.clone());
             diags.push(Error::semantic_at(
                 pos,
                 format!("call to undefined procedure `{name}`; replaced by an empty stub"),
             ));
-            modules[mi].procs.push(ProcDecl {
+            m.procs.push(ProcDecl {
                 name,
                 formals: Vec::new(),
                 decls: Vec::new(),
@@ -460,6 +460,18 @@ end
         .unwrap();
         assert!(program.find_procedure("helper").is_some());
         assert!(diags.iter().any(|d| d.to_string().contains("empty stub")), "{diags:?}");
+    }
+
+    #[test]
+    fn recovery_stubs_a_callee_missing_from_two_files_once() {
+        let (program, diags) = compile_with_recovery(&[
+            SourceFile::new("a.f", "program main\n  call gone\n  call b\nend\n", Lang::Fortran),
+            SourceFile::new("b.f", "subroutine b\n  call gone\nend\n", Lang::Fortran),
+        ])
+        .unwrap();
+        assert_eq!(program.procedure_count(), 3, "main, b and one stub");
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert!(diags[0].to_string().contains("empty stub"), "{diags:?}");
     }
 
     #[test]

@@ -43,10 +43,10 @@ pub fn lower_modules(
     let mut program = Program::new();
 
     // Global symbols first (shared by every procedure).
-    let mut global_sts: BTreeMap<String, StIdx> = BTreeMap::new();
+    let mut globals: BTreeMap<String, (StIdx, VarInfo)> = BTreeMap::new();
     for (name, info) in &env.globals {
         let st = add_symbol(&mut program, name, info, StClass::Global);
-        global_sts.insert(name.clone(), st);
+        globals.insert(name.clone(), (st, info.clone()));
     }
 
     // Procedure symbols next so calls resolve in any order.
@@ -62,7 +62,7 @@ pub fn lower_modules(
 
     for (m, &lang) in modules.iter().zip(langs) {
         for p in &m.procs {
-            let proc = lower_proc(&mut program, m, p, env, lang, &global_sts, &proc_sts)?;
+            let proc = lower_proc(&mut program, m, p, env, lang, &globals, &proc_sts)?;
             program.add_procedure(proc);
         }
     }
@@ -90,8 +90,11 @@ fn add_symbol(
 struct LowerCtx<'a> {
     program: &'a mut Program,
     b: TreeBuilder,
-    /// name → (StIdx, VarInfo) for everything visible in this procedure.
+    /// name → (StIdx, VarInfo) for this procedure's own declarations,
+    /// formals and implicit scalars.
     vars: BTreeMap<String, (StIdx, VarInfo)>,
+    /// The shared global symbols, consulted after `vars`.
+    globals: &'a BTreeMap<String, (StIdx, VarInfo)>,
     proc_sts: &'a BTreeMap<String, StIdx>,
     proc_name: String,
 }
@@ -102,7 +105,7 @@ fn lower_proc(
     p: &ProcDecl,
     env: &ProgramEnv,
     lang: Lang,
-    global_sts: &BTreeMap<String, StIdx>,
+    globals: &BTreeMap<String, (StIdx, VarInfo)>,
     proc_sts: &BTreeMap<String, StIdx>,
 ) -> Result<Procedure> {
     let penv = env
@@ -110,25 +113,19 @@ fn lower_proc(
         .get(&p.name)
         .ok_or_else(|| Error::Lower(format!("no environment for `{}`", p.name)))?;
 
+    // A unit-level COMMON redeclaration resolves to the shared global
+    // symbol with the unit's own shape; locals and formals get fresh
+    // symbols, in name order.
     let mut vars: BTreeMap<String, (StIdx, VarInfo)> = BTreeMap::new();
-    // Visible globals resolve to the shared global symbols.
-    for (name, st) in global_sts {
-        if let Some(info) = penv.get(name) {
-            if info.scope == VarScope::Global {
-                vars.insert(name.clone(), (*st, info.clone()));
-            }
-        }
-    }
-    // Locals and formals get fresh symbols.
     for (name, info) in penv.iter() {
-        if info.scope == VarScope::Global {
-            continue;
-        }
-        let class = match info.scope {
-            VarScope::Formal => StClass::Formal,
-            _ => StClass::Local,
+        let st = match info.scope {
+            VarScope::Global => globals
+                .get(name)
+                .map(|&(st, _)| st)
+                .ok_or_else(|| Error::Lower(format!("no global symbol for `{name}`")))?,
+            VarScope::Formal => add_symbol(program, name, info, StClass::Formal),
+            VarScope::Local => add_symbol(program, name, info, StClass::Local),
         };
-        let st = add_symbol(program, name, info, class);
         vars.insert(name.clone(), (st, info.clone()));
     }
 
@@ -137,6 +134,7 @@ fn lower_proc(
         program,
         b: TreeBuilder::new(),
         vars,
+        globals,
         proc_sts,
         proc_name: p.name.clone(),
     };
@@ -186,7 +184,7 @@ impl CopiedPair for Option<&(StIdx, VarInfo)> {
 
 impl<'a> LowerCtx<'a> {
     fn lookup(&mut self, name: &str) -> Result<(StIdx, VarInfo)> {
-        if let Some(pair) = self.vars.get(name).copied_pair() {
+        if let Some(pair) = self.vars.get(name).or_else(|| self.globals.get(name)).copied_pair() {
             return Ok(pair);
         }
         // Sema allowed it ⇒ implicit scalar: materialize lazily.
@@ -476,6 +474,28 @@ end
             })
             .collect();
         assert_eq!(sts[0], sts[1], "COMMON array must resolve to one symbol");
+    }
+
+    #[test]
+    fn undeclared_formal_is_not_aliased_to_a_global() {
+        let p = compile_f("\
+program main
+  integer n
+  common /c/ n
+  real a(10)
+  call s(a, 3)
+end
+subroutine s(x, n)
+  real x(10)
+  x(n) = 0.0
+end
+");
+        let proc = p.procedure(p.find_procedure("s").unwrap());
+        let n = proc.formals[1];
+        assert_eq!(p.symbols.get(n).class, StClass::Formal);
+        let global_n = p.symbols.find(p.interner.get("n").unwrap()).unwrap();
+        assert_eq!(p.symbols.get(global_n).class, StClass::Global);
+        assert_ne!(n, global_n, "the dummy argument must not alias COMMON `n`");
     }
 
     #[test]

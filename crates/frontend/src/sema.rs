@@ -1,8 +1,9 @@
 //! Semantic analysis: name resolution and subset checks.
 //!
 //! Merges COMMON/file-scope globals across modules, builds per-procedure
-//! symbol environments (formal < local < global precedence), applies the
-//! Fortran implicit-typing rule for undeclared scalars, and rejects the
+//! environments of each unit's own declarations and formals (every other
+//! name resolves through [`ProgramEnv::lookup`]), applies the Fortran
+//! implicit-typing rule for undeclared scalars, and rejects the
 //! constructs the analysis subset cannot express (expression-position calls,
 //! indexing non-arrays, subscript-count mismatches, unknown callees).
 
@@ -41,19 +42,16 @@ impl VarInfo {
     }
 }
 
-/// Per-procedure environment.
+/// Per-procedure environment: the unit's own declarations and formals only.
+/// Globals the unit does not redeclare live once, in
+/// [`ProgramEnv::globals`]; resolve names with [`ProgramEnv::lookup`].
 #[derive(Debug, Default)]
 pub struct ProcEnv {
     vars: BTreeMap<String, VarInfo>,
 }
 
 impl ProcEnv {
-    /// Looks up a name.
-    pub fn get(&self, name: &str) -> Option<&VarInfo> {
-        self.vars.get(name)
-    }
-
-    /// Iterates all resolved variables.
+    /// Iterates the unit's own entries in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&String, &VarInfo)> {
         self.vars.iter()
     }
@@ -68,6 +66,15 @@ pub struct ProgramEnv {
     pub proc_names: BTreeSet<String>,
     /// Per-procedure environments, keyed by procedure name.
     pub proc_envs: BTreeMap<String, ProcEnv>,
+}
+
+impl ProgramEnv {
+    /// Resolves `name` inside a procedure: its own declarations and formals
+    /// first, then the shared globals. `None` leaves the name to implicit
+    /// typing.
+    pub fn lookup<'a>(&'a self, penv: &'a ProcEnv, name: &str) -> Option<&'a VarInfo> {
+        penv.vars.get(name).or_else(|| self.globals.get(name))
+    }
 }
 
 /// Fortran implicit typing: names starting `i`–`n` are integer, others real.
@@ -156,19 +163,8 @@ pub fn analyze(modules: &[Module]) -> Result<ProgramEnv> {
 
 fn build_proc_env(p: &ProcDecl, env: &ProgramEnv) -> Result<ProcEnv> {
     let mut vars: BTreeMap<String, VarInfo> = BTreeMap::new();
-    // Globals are visible unless shadowed.
-    for (name, info) in &env.globals {
-        vars.insert(name.clone(), info.clone());
-    }
     // Declarations (locals and formals).
-    let mut declared = BTreeSet::new();
     for d in &p.decls {
-        if !declared.insert(d.name.clone()) {
-            return Err(Error::semantic_at(
-                d.pos,
-                format!("`{}` declared twice in `{}`", d.name, p.name),
-            ));
-        }
         let scope = if p.formals.contains(&d.name) {
             VarScope::Formal
         } else if env.globals.contains_key(&d.name) {
@@ -178,12 +174,16 @@ fn build_proc_env(p: &ProcDecl, env: &ProgramEnv) -> Result<ProcEnv> {
         } else {
             VarScope::Local
         };
-        vars.insert(
-            d.name.clone(),
-            VarInfo { ty: d.ty, dims: d.dims.clone(), scope, coarray: d.coarray },
-        );
+        let info = VarInfo { ty: d.ty, dims: d.dims.clone(), scope, coarray: d.coarray };
+        if vars.insert(d.name.clone(), info).is_some() {
+            return Err(Error::semantic_at(
+                d.pos,
+                format!("`{}` declared twice in `{}`", d.name, p.name),
+            ));
+        }
     }
-    // Undeclared formals get implicit scalar types (F77).
+    // Undeclared formals get implicit scalar types (F77), even when a
+    // global has the same name: a dummy argument shadows it.
     for f in &p.formals {
         vars.entry(f.clone()).or_insert_with(|| VarInfo {
             ty: implicit_type(f),
@@ -214,7 +214,7 @@ fn check_stmt(
         Stmt::Assign(lv, rhs, _) => {
             match lv {
                 LValue::Var(name, pos) => {
-                    ensure_scalar(p, name, *pos, penv, implicit)?;
+                    ensure_scalar(p, name, *pos, penv, env, implicit)?;
                 }
                 LValue::Elem(name, subs, pos) => {
                     ensure_array(p, name, subs.len(), *pos, penv, env)?;
@@ -224,7 +224,7 @@ fn check_stmt(
                 }
                 LValue::CoElem(name, subs, image, pos) => {
                     ensure_array(p, name, subs.len(), *pos, penv, env)?;
-                    ensure_coarray(p, name, *pos, penv)?;
+                    ensure_coarray(p, name, *pos, penv, env)?;
                     for sub in subs {
                         check_expr(p, sub, penv, env, implicit)?;
                     }
@@ -246,7 +246,7 @@ fn check_stmt(
             Ok(())
         }
         Stmt::Do { var, lo, hi, body, pos, .. } => {
-            ensure_scalar(p, var, *pos, penv, implicit)?;
+            ensure_scalar(p, var, *pos, penv, env, implicit)?;
             check_expr(p, lo, penv, env, implicit)?;
             check_expr(p, hi, penv, env, implicit)?;
             for s in body {
@@ -277,7 +277,7 @@ fn check_expr(
         Expr::Var(name, pos) => {
             // Scalars and whole-array references are both fine here; an
             // unknown name becomes an implicit scalar.
-            if penv.get(name).is_none() && !implicit.contains_key(name) {
+            if env.lookup(penv, name).is_none() && !implicit.contains_key(name) {
                 if env.proc_names.contains(name) {
                     return Err(Error::semantic_at(
                         *pos,
@@ -305,7 +305,7 @@ fn check_expr(
         }
         Expr::CoIndex(name, subs, image, pos) => {
             ensure_array(p, name, subs.len(), *pos, penv, env)?;
-            ensure_coarray(p, name, *pos, penv)?;
+            ensure_coarray(p, name, *pos, penv, env)?;
             for s in subs {
                 check_expr(p, s, penv, env, implicit)?;
             }
@@ -328,9 +328,10 @@ fn ensure_scalar(
     name: &str,
     pos: support::Pos,
     penv: &ProcEnv,
+    env: &ProgramEnv,
     implicit: &mut BTreeMap<String, VarInfo>,
 ) -> Result<()> {
-    if let Some(info) = penv.get(name) {
+    if let Some(info) = env.lookup(penv, name) {
         if info.is_array() {
             return Err(Error::semantic_at(
                 pos,
@@ -353,8 +354,9 @@ fn ensure_coarray(
     name: &str,
     pos: support::Pos,
     penv: &ProcEnv,
+    env: &ProgramEnv,
 ) -> Result<()> {
-    match penv.get(name) {
+    match env.lookup(penv, name) {
         Some(info) if info.coarray => Ok(()),
         _ => Err(Error::semantic_at(
             pos,
@@ -371,7 +373,7 @@ fn ensure_array(
     penv: &ProcEnv,
     env: &ProgramEnv,
 ) -> Result<()> {
-    match penv.get(name) {
+    match env.lookup(penv, name) {
         Some(info) if info.is_array() => {
             if info.dims.len() != nsubs {
                 return Err(Error::semantic_at(
@@ -435,11 +437,11 @@ end
 ")
         .unwrap();
         let add = &env.proc_envs["add"];
-        assert!(add.get("a").unwrap().is_array());
-        assert_eq!(add.get("a").unwrap().scope, VarScope::Local);
+        assert!(env.lookup(add, "a").unwrap().is_array());
+        assert_eq!(env.lookup(add, "a").unwrap().scope, VarScope::Local);
         let p1 = &env.proc_envs["p1"];
-        assert_eq!(p1.get("x").unwrap().scope, VarScope::Formal);
-        assert_eq!(p1.get("k").unwrap().scope, VarScope::Formal);
+        assert_eq!(env.lookup(p1, "x").unwrap().scope, VarScope::Formal);
+        assert_eq!(env.lookup(p1, "k").unwrap().scope, VarScope::Formal);
     }
 
     #[test]
@@ -458,7 +460,44 @@ end
 ")
         .unwrap();
         assert_eq!(env.globals["u"].dims.len(), 2);
-        assert_eq!(env.proc_envs["b"].get("u").unwrap().scope, VarScope::Global);
+        assert_eq!(env.lookup(&env.proc_envs["b"], "u").unwrap().scope, VarScope::Global);
+    }
+
+    #[test]
+    fn proc_envs_do_not_grow_with_global_count() {
+        for g in [3, 64] {
+            let mut src = String::from("subroutine a\n");
+            for i in 0..g {
+                src += &format!("  real g{i}(4)\n  common /c{i}/ g{i}\n");
+            }
+            src += "  g0(1) = 0.0\nend\n";
+            src += "\
+subroutine b(f)
+  real f(4)
+  integer k
+  k = 1
+  f(k) = 0.0
+end
+subroutine c(g1, g2)
+  real g1
+  real g0(4)
+  common /c0/ g0
+  g0(1) = g1 + g2
+end
+";
+            let env = f(&src).unwrap();
+            let b = &env.proc_envs["b"];
+            assert_eq!(b.iter().count(), 2, "g = {g}");
+            for i in 0..g {
+                assert_eq!(env.lookup(b, &format!("g{i}")).unwrap().scope, VarScope::Global);
+            }
+            let c = &env.proc_envs["c"];
+            let scope = |name| env.lookup(c, name).unwrap().scope;
+            assert_eq!(scope("g0"), VarScope::Global, "COMMON redeclaration");
+            assert_eq!(scope("g1"), VarScope::Formal, "declared formal");
+            assert_eq!(scope("g2"), VarScope::Formal, "undeclared formal");
+            assert!(env.lookup(c, "x").is_none(), "unknown names are left to implicit typing");
+        }
     }
 
     #[test]
