@@ -1,11 +1,18 @@
 //! Ablation: parallel IPL summarization — per-procedure summaries are
-//! independent, so the phase scales with worker threads (crossbeam scoped
-//! threads over a shared work index).
+//! independent, so the phase scales with worker threads. Times the
+//! session's own IPL path (`summarize_subset_isolated` over every
+//! procedure, on `support::par` workers).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ipa::parallel::summarize_all_parallel;
+use ipa::isolate::summarize_subset_isolated;
 use std::hint::black_box;
+use support::budget::BudgetConfig;
+use whirl::{ProcId, Program};
 use workloads::synthetic::{generate, SynthConfig};
+
+fn summarize_all(program: &Program, ids: &[ProcId], threads: usize) {
+    black_box(summarize_subset_isolated(program, ids, threads, BudgetConfig::default()));
+}
 
 fn bench_thread_sweep(c: &mut Criterion) {
     let cfg = SynthConfig {
@@ -20,6 +27,7 @@ fn bench_thread_sweep(c: &mut Criterion) {
     let program =
         frontend::compile_to_h(std::slice::from_ref(&file), frontend::DEFAULT_LAYOUT_BASE)
             .unwrap();
+    let ids: Vec<ProcId> = program.procedures.indices().collect();
 
     let mut group = c.benchmark_group("ipl/threads_48procs");
     group.sample_size(10);
@@ -28,7 +36,7 @@ fn bench_thread_sweep(c: &mut Criterion) {
             BenchmarkId::from_parameter(threads),
             &threads,
             |b, &threads| {
-                b.iter(|| black_box(summarize_all_parallel(black_box(&program), threads)))
+                b.iter(|| summarize_all(black_box(&program), &ids, threads))
             },
         );
     }
@@ -42,13 +50,14 @@ fn bench_lu_threads(c: &mut Criterion) {
         .map(|g| frontend::SourceFile::new(&g.name, &g.text, whirl::Lang::Fortran))
         .collect();
     let program = frontend::compile_to_h(&files, frontend::DEFAULT_LAYOUT_BASE).unwrap();
+    let ids: Vec<ProcId> = program.procedures.indices().collect();
     let mut group = c.benchmark_group("ipl/threads_lu");
     for &threads in &[1usize, 4] {
         group.bench_with_input(
             BenchmarkId::from_parameter(threads),
             &threads,
             |b, &threads| {
-                b.iter(|| black_box(summarize_all_parallel(black_box(&program), threads)))
+                b.iter(|| summarize_all(black_box(&program), &ids, threads))
             },
         );
     }

@@ -140,21 +140,6 @@ fn manual_report(path: &std::path::Path) {
         "session_warm/mini_lu",
         &[cold, warm_edit, warm_edit_obs, warm_noop],
     );
-
-    // Interval-fallback overhead on an affine-only workload: mini_lu has
-    // no non-affine subscripts, so the fallback's entire cost here is the
-    // (inline) work-list bookkeeping and the defines-index-array scan.
-    // CI computes the with/without ratio from this section and fails
-    // above 5%.
-    let with_fallback = time("with_fallback", iters, || {
-        black_box(Analysis::analyze(&vars[0], AnalysisOptions::default()).unwrap());
-    });
-    ipa::local::set_interval_fallback(false);
-    let without_fallback = time("without_fallback", iters, || {
-        black_box(Analysis::analyze(&vars[0], AnalysisOptions::default()).unwrap());
-    });
-    ipa::local::set_interval_fallback(true);
-    merge_section(path, "interval_pass/affine_only", &[with_fallback, without_fallback]);
 }
 
 fn main() {

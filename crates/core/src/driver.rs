@@ -220,12 +220,6 @@ impl Analysis {
             .ok_or_else(|| Error::Analysis("analysis session kept no result".to_string()))
     }
 
-    /// Runs the pipeline on a slice of source files.
-    #[deprecated(since = "0.2.0", note = "use `Analysis::analyze`")]
-    pub fn run(sources: &[SourceFile], opts: AnalysisOptions) -> Result<Analysis> {
-        Self::analyze(sources, opts)
-    }
-
     /// True when any stage degraded during the run.
     pub fn degraded(&self) -> bool {
         !self.degradations.is_empty()
@@ -240,15 +234,6 @@ impl Analysis {
             out.push('\n');
         }
         out
-    }
-
-    /// Convenience: analyze generated workloads.
-    #[deprecated(since = "0.2.0", note = "use `Analysis::analyze`")]
-    pub fn run_generated(
-        sources: &[workloads::GenSource],
-        opts: AnalysisOptions,
-    ) -> Result<Analysis> {
-        Self::analyze(sources, opts)
     }
 
     /// The `.rgn` document.
@@ -512,25 +497,6 @@ end
             AnalysisOptions::default(),
         );
         assert!(err.is_err());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_delegate_to_analyze() {
-        let via_shim =
-            Analysis::run_generated(&[workloads::fig10::source()], AnalysisOptions::default())
-                .unwrap();
-        let direct =
-            Analysis::analyze(&[workloads::fig10::source()], AnalysisOptions::default())
-                .unwrap();
-        assert_eq!(via_shim.rows, direct.rows);
-        let files = [SourceFile::new(
-            "t.f",
-            "subroutine s\n  real a(5)\n  common /c/ a\n  a(3) = 1.0\nend\n",
-            whirl::Lang::Fortran,
-        )];
-        let a = Analysis::run(&files, AnalysisOptions::default()).unwrap();
-        assert!(!a.rows.is_empty());
     }
 
     #[test]

@@ -60,43 +60,6 @@ pub fn extract_rows(
     rows
 }
 
-/// Like [`extract_rows`], but with per-procedure panic containment: a
-/// failure while building one procedure's rows drops only that procedure
-/// (reported in the failure list), never the whole table.
-pub fn extract_rows_isolated(
-    program: &Program,
-    cg: &CallGraph,
-    ipa: &IpaResult,
-    opts: ExtractOptions,
-) -> (Vec<RgnRow>, Vec<(Option<ProcId>, String)>) {
-    use std::panic::{catch_unwind, AssertUnwindSafe};
-    let mut failures: Vec<(Option<ProcId>, String)> = Vec::new();
-    let formal_addr = match catch_unwind(AssertUnwindSafe(|| {
-        resolve_formal_addresses(program, cg)
-    })) {
-        Ok(m) => m,
-        Err(payload) => {
-            // Addresses degrade to 0; the rows themselves are unaffected.
-            failures.push((None, ipa::isolate::panic_message(payload.as_ref())));
-            BTreeMap::new()
-        }
-    };
-    let mut rows = Vec::new();
-    for proc_id in cg.pre_order() {
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            extract_proc_rows(program, proc_id, ipa.summary(proc_id), opts, &formal_addr)
-        }));
-        match result {
-            Ok(proc_rows) => rows.extend(proc_rows),
-            Err(payload) => {
-                failures
-                    .push((Some(proc_id), ipa::isolate::panic_message(payload.as_ref())));
-            }
-        }
-    }
-    (rows, failures)
-}
-
 /// Builds the rows of one procedure's scope. Crate-visible so the
 /// incremental session can re-extract exactly the affected procedures.
 pub(crate) fn extract_proc_rows(

@@ -29,6 +29,6 @@ pub mod row;
 pub mod session;
 
 pub use driver::{Analysis, AnalysisOptions, AnalysisOptionsBuilder, Degradation};
-pub use extract::{extract_rows, extract_rows_isolated, ExtractOptions};
+pub use extract::{extract_rows, ExtractOptions};
 pub use row::RgnRow;
 pub use session::{AnalysisDelta, AnalysisSession, CacheStats, SessionStore, VerifyReport};

@@ -33,6 +33,8 @@ fn procs_with_rows(a: &Analysis) -> usize {
 }
 
 fn baseline() -> (usize, usize) {
+    // Held so this clean run cannot consume a fault another test armed.
+    let _guard = ARMED.lock().unwrap_or_else(|p| p.into_inner());
     let a = Analysis::analyze(&workloads::mini_lu::sources(), AnalysisOptions::default())
         .expect("clean baseline");
     assert!(!a.degraded());
@@ -115,20 +117,31 @@ fn unarmed_faultpoints_change_nothing() {
     assert!(!a.degraded());
 }
 
-/// Drives `ipa::parallel::summarize_all_parallel` directly: a worker panic
-/// must degrade exactly the faulted procedure's summary to the conservative
-/// whole-array fallback, leaving every other summary untouched.
+/// Drives `ipa::isolate::summarize_subset_isolated` over every procedure on
+/// four workers: a worker panic must degrade exactly the faulted
+/// procedure's summary to the conservative whole-array fallback, report it
+/// as that procedure's `ipl` failure, and leave every other summary
+/// untouched.
 #[test]
 fn parallel_worker_panic_degrades_one_summary_in_place() {
     use frontend::{compile_to_h, SourceFile, DEFAULT_LAYOUT_BASE};
+    use ipa::isolate::summarize_subset_isolated;
+    use support::budget::BudgetConfig;
     let _guard = ARMED.lock().unwrap_or_else(|p| p.into_inner());
     faultpoint::disarm_all();
     let srcs: Vec<SourceFile> =
         workloads::mini_lu::sources().iter().map(SourceFile::from).collect();
     let program = compile_to_h(&srcs, DEFAULT_LAYOUT_BASE).expect("mini_lu compiles");
-    let clean = ipa::parallel::summarize_all_parallel(&program, 4);
+    let ids: Vec<whirl::ProcId> = program.procedures.indices().collect();
+    let summarize = || {
+        summarize_subset_isolated(&program, &ids, 4, BudgetConfig::default())
+            .into_iter()
+            .map(|(_, s, f)| (s, f))
+            .unzip::<_, _, Vec<_>, Vec<_>>()
+    };
+    let (clean, _) = summarize();
     faultpoint::arm("ipl::summarize", 2);
-    let faulted = ipa::parallel::summarize_all_parallel(&program, 4);
+    let (faulted, failures) = summarize();
     faultpoint::disarm_all();
     assert_eq!(faulted.len(), program.procedure_count());
     let differing: Vec<usize> = clean
@@ -151,6 +164,9 @@ fn parallel_worker_panic_degrades_one_summary_in_place() {
         faulted[differing[0]].accesses.iter().all(|r| r.approx),
         "the faulted summary is the approximate whole-array fallback"
     );
+    let failed: Vec<usize> = (0..failures.len()).filter(|&i| failures[i].is_some()).collect();
+    assert_eq!(failed, differing, "the faulted procedure alone reports a failure");
+    assert_eq!(failures[failed[0]].as_ref().map(|f| f.stage), Some("ipl"));
 }
 
 const SESS_MAIN: &str = "\

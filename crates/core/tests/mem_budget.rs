@@ -5,6 +5,7 @@
 
 use araa::{Analysis, AnalysisOptions, AnalysisSession};
 use std::alloc::System;
+use std::sync::{Mutex, MutexGuard};
 use support::memory::{self, MemoryBudget};
 use support::obs::alloc::CountingAllocator;
 use workloads::fig10;
@@ -12,8 +13,18 @@ use workloads::fig10;
 #[global_allocator]
 static ALLOC: CountingAllocator<System> = CountingAllocator::new(System);
 
+/// The allocation counter is process-global, so an analysis on another
+/// test thread would charge its churn to a budget this test set up; the
+/// tests take turns on this lock.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|p| p.into_inner())
+}
+
 #[test]
 fn allocator_accounting_moves() {
+    let _serial = serial();
     let before = support::obs::alloc::allocated_bytes();
     let v: Vec<u8> = vec![7; 1 << 20];
     let after = support::obs::alloc::allocated_bytes();
@@ -23,6 +34,7 @@ fn allocator_accounting_moves() {
 
 #[test]
 fn unlimited_analysis_is_unaffected() {
+    let _serial = serial();
     let opts = AnalysisOptions::builder().mem_budget_mb(None).build();
     let analysis = Analysis::analyze(&[fig10::source()], opts).expect("analyze");
     assert!(
@@ -34,6 +46,7 @@ fn unlimited_analysis_is_unaffected() {
 
 #[test]
 fn generous_budget_never_trips() {
+    let _serial = serial();
     // 4 GiB of churn headroom: a few-procedure analysis stays far below.
     let opts = AnalysisOptions::builder().mem_budget_mb(Some(4096)).build();
     let analysis = Analysis::analyze(&[fig10::source()], opts).expect("analyze");
@@ -46,6 +59,7 @@ fn generous_budget_never_trips() {
 
 #[test]
 fn zero_budget_degrades_but_still_answers() {
+    let _serial = serial();
     // A 0 MiB ceiling exhausts at the first checkpoint. The analysis must
     // still return a (heavily widened) result with a structured
     // memory-stage degradation — degrade, don't die.
@@ -73,6 +87,7 @@ fn zero_budget_degrades_but_still_answers() {
 
 #[test]
 fn ambient_exhaustion_degrades_and_is_never_reused() {
+    let _serial = serial();
     // The budget comes from an *ambient* scope (the way `dragon serve`
     // bounds a request), not from the session's own options. Exhaustion
     // must still surface as a memory-stage degradation — and the poisoned
@@ -103,6 +118,7 @@ fn ambient_exhaustion_degrades_and_is_never_reused() {
 
 #[test]
 fn exhausted_failure_does_not_poison_the_parse_cache() {
+    let _serial = serial();
     // A single-unit program whose parse is truncated by a 0 MiB budget can
     // fail assembly outright (recovery keeps no units, so there is no
     // degraded result to taint). That hard failure must not keep the
@@ -134,6 +150,7 @@ fn exhausted_failure_does_not_poison_the_parse_cache() {
 
 #[test]
 fn scope_charges_are_observed_by_checkpoints() {
+    let _serial = serial();
     let budget = MemoryBudget::mb(1);
     let scope = memory::enter(budget.clone());
     assert!(memory::checkpoint(), "fresh budget has headroom");
@@ -148,6 +165,7 @@ fn scope_charges_are_observed_by_checkpoints() {
 
 #[test]
 fn step_budget_checkpoints_consult_memory() {
+    let _serial = serial();
     use support::budget;
 
     let mem = MemoryBudget::bytes(64 * 1024);

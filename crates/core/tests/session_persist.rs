@@ -3,8 +3,18 @@
 //! crash consistency at every registered persistence faultpoint.
 
 use araa::{Analysis, AnalysisOptions, AnalysisSession, SessionStore};
+use std::sync::{Mutex, MutexGuard};
 use support::testdir::TestDir;
 use workloads::GenSource;
+
+/// The faultpoint registry is process-global: under `fault-injection`, a
+/// test loading or saving a cache on another thread could consume a fault
+/// the `crashes` tests armed, so the tests take turns on this lock.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|p| p.into_inner())
+}
 
 const MAIN_F: &str = "\
 program main
@@ -92,6 +102,7 @@ fn seed(dir: &std::path::Path, sources: &[GenSource]) -> Analysis {
 
 #[test]
 fn persist_and_reload_round_trip() {
+    let _serial = serial();
     let dir = TestDir::new("persist-roundtrip");
     let sources = files(LEAF_F);
     let seeded = seed(dir.path(), &sources);
@@ -113,6 +124,7 @@ fn persist_and_reload_round_trip() {
 
 #[test]
 fn warm_from_disk_matches_cold_after_edit() {
+    let _serial = serial();
     let dir = TestDir::new("persist-edit");
     seed(dir.path(), &files(LEAF_F));
 
@@ -137,6 +149,7 @@ fn warm_from_disk_matches_cold_after_edit() {
 
 #[test]
 fn warm_from_disk_mini_lu_identical() {
+    let _serial = serial();
     let dir = TestDir::new("persist-minilu");
     let sources = workloads::mini_lu::sources();
     seed(dir.path(), &sources);
@@ -153,6 +166,7 @@ fn warm_from_disk_mini_lu_identical() {
 
 #[test]
 fn sessions_without_cache_dir_are_unaffected() {
+    let _serial = serial();
     let mut s = AnalysisSession::new(AnalysisOptions::default());
     assert!(!s.load());
     s.update(&files(LEAF_F)).expect("update");
@@ -163,6 +177,7 @@ fn sessions_without_cache_dir_are_unaffected() {
 
 #[test]
 fn empty_cache_dir_loads_cold_without_incident() {
+    let _serial = serial();
     let dir = TestDir::new("persist-empty");
     let mut s = AnalysisSession::with_cache_dir(AnalysisOptions::default(), dir.path());
     assert!(!s.load(), "nothing to load");
@@ -171,6 +186,7 @@ fn empty_cache_dir_loads_cold_without_incident() {
 
 #[test]
 fn corrupt_entry_is_quarantined_and_recomputed() {
+    let _serial = serial();
     let dir = TestDir::new("persist-badentry");
     let sources = files(LEAF_F);
     seed(dir.path(), &sources);
@@ -209,6 +225,7 @@ fn corrupt_entry_is_quarantined_and_recomputed() {
 
 #[test]
 fn corrupt_manifest_quarantines_and_starts_cold() {
+    let _serial = serial();
     let dir = TestDir::new("persist-badmanifest");
     let sources = files(LEAF_F);
     seed(dir.path(), &sources);
@@ -235,6 +252,7 @@ fn corrupt_manifest_quarantines_and_starts_cold() {
 
 #[test]
 fn truncated_manifest_is_rejected_cleanly() {
+    let _serial = serial();
     let dir = TestDir::new("persist-truncmanifest");
     let sources = files(LEAF_F);
     seed(dir.path(), &sources);
@@ -252,6 +270,7 @@ fn truncated_manifest_is_rejected_cleanly() {
 
 #[test]
 fn different_options_quarantine_the_manifest() {
+    let _serial = serial();
     let dir = TestDir::new("persist-fingerprint");
     seed(dir.path(), &files(LEAF_F));
 
@@ -267,6 +286,7 @@ fn different_options_quarantine_the_manifest() {
 
 #[test]
 fn stale_lock_is_taken_over() {
+    let _serial = serial();
     let dir = TestDir::new("persist-stalelock");
     let sources = files(LEAF_F);
     seed(dir.path(), &sources);
@@ -282,6 +302,7 @@ fn stale_lock_is_taken_over() {
 
 #[test]
 fn two_sessions_share_a_cache_dir_without_cross_talk() {
+    let _serial = serial();
     let dir = TestDir::new("persist-shared");
     let v1 = files(LEAF_F);
     let v2 = files(LEAF_F_EDITED);
@@ -311,6 +332,7 @@ fn two_sessions_share_a_cache_dir_without_cross_talk() {
 
 #[test]
 fn store_stats_verify_and_clear() {
+    let _serial = serial();
     let dir = TestDir::new("persist-store-ops");
     let sources = files(LEAF_F);
     seed(dir.path(), &sources);
@@ -347,6 +369,7 @@ fn store_stats_verify_and_clear() {
 
 #[test]
 fn gc_drops_entries_the_new_manifest_does_not_reference() {
+    let _serial = serial();
     let dir = TestDir::new("persist-gc");
     let v1 = files(LEAF_F);
     let v2 = files(LEAF_F_EDITED);
@@ -376,11 +399,8 @@ fn gc_drops_entries_the_new_manifest_does_not_reference() {
 mod crashes {
     use super::*;
     use std::panic::{catch_unwind, AssertUnwindSafe};
-    use std::sync::Mutex;
     use support::faultpoint;
     use support::persist::{READ_FAULTPOINTS, WRITE_FAULTPOINTS};
-
-    static SERIAL: Mutex<()> = Mutex::new(());
 
     /// Every faultpoint a save can crash at: the four inside
     /// `atomic_write` plus the four in `SessionStore`'s commit protocol.
@@ -449,7 +469,7 @@ mod crashes {
 
     #[test]
     fn crash_at_every_write_faultpoint_leaves_old_or_new_cache() {
-        let _guard = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
+        let _serial = serial();
         for point in SAVE_FAULTPOINTS {
             // First hit, over a seeded (old) cache.
             let dir = TestDir::new("crash-seeded");
@@ -475,7 +495,7 @@ mod crashes {
 
     #[test]
     fn short_read_and_bit_flip_quarantine_and_recompute() {
-        let _guard = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
+        let _serial = serial();
         for &point in READ_FAULTPOINTS {
             // Fault the manifest read: cold start, nothing breaks.
             let sources = files(LEAF_F);

@@ -713,7 +713,7 @@ fn main() {
             let mut it = args[2..].iter();
             while let Some(a) = it.next() {
                 match a.as_str() {
-                    "--find" => find = it.next().cloned(),
+                    "--find" => find = Some(it.next().cloned().unwrap_or_else(|| usage())),
                     "--expand-dims" => expand = true,
                     other => srcs.push(other.to_string()),
                 }
@@ -775,7 +775,9 @@ fn main() {
             let mut it = args[1..].iter();
             while let Some(a) = it.next() {
                 match a.as_str() {
-                    "--sarif" => sarif_out = it.next().cloned(),
+                    "--sarif" => {
+                        sarif_out = Some(it.next().cloned().unwrap_or_else(|| usage()))
+                    }
                     "--threads" => {
                         threads = it
                             .next()
@@ -1026,7 +1028,9 @@ fn main() {
                         project = Some(it.next().cloned().unwrap_or_else(|| usage()))
                     }
                     "--deadline-ms" => {
-                        deadline_ms = it.next().and_then(|v| v.parse().ok())
+                        deadline_ms = Some(
+                            it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage()),
+                        )
                     }
                     "--trace" => {
                         trace_id = Some(it.next().cloned().unwrap_or_else(|| usage()))
@@ -1034,8 +1038,16 @@ fn main() {
                     "--format" => {
                         format = Some(it.next().cloned().unwrap_or_else(|| usage()))
                     }
-                    "--limit" => limit = it.next().and_then(|v| v.parse().ok()),
-                    "--top" => top = it.next().and_then(|v| v.parse().ok()),
+                    "--limit" => {
+                        limit = Some(
+                            it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage()),
+                        )
+                    }
+                    "--top" => {
+                        top = Some(
+                            it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage()),
+                        )
+                    }
                     "--retries" => {
                         copts.retries = it
                             .next()

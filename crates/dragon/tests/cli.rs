@@ -313,6 +313,28 @@ fn no_args_prints_usage() {
     assert!(stderr.contains("usage:"), "{stderr}");
 }
 
+#[test]
+fn missing_or_malformed_flag_values_are_usage_errors() {
+    let src = write_temp("flag_values.f", LINT_CLEAN_SRC);
+    let src = src.to_str().unwrap();
+    // The client parses its flags before it connects, so a socket nobody
+    // listens on must never be reached.
+    let socket = std::env::temp_dir().join("dragon_cli_tests/nobody-listens.sock");
+    let socket = socket.to_str().unwrap();
+    for args in [
+        vec!["lint", src, "--sarif"],
+        vec!["view", "@", src, "--find"],
+        vec!["client", "--socket", socket, "stats", "--limit", "abc"],
+        vec!["client", "--socket", socket, "profile", "--top", "abc"],
+        vec!["client", "--socket", socket, "stats", "--deadline-ms", "soon"],
+    ] {
+        let out = dragon().args(&args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Observability (--trace-out / --metrics / profile)
 // ---------------------------------------------------------------------------

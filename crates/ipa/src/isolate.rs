@@ -10,10 +10,8 @@
 //! degradation report instead of dying.
 
 use crate::local::{summarize_procedure, whole_array_record, ProcSummary};
-use parking_lot::Mutex;
 use regions::access::{AccessMode, Precision};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use support::budget::{self, BudgetConfig};
 use whirl::{ProcId, Program, StClass, TyKind};
 
@@ -133,91 +131,19 @@ pub fn summarize_all_isolated(program: &Program, config: BudgetConfig) -> IplOut
 }
 
 /// Isolated IPL over an arbitrary subset of procedures — the incremental
-/// session's dirty set. Results come back in `ids` order, one entry per
-/// requested procedure. Uses the same worker structure as the full parallel
-/// path; with one thread (or one id) it runs serially.
+/// session's dirty set — fanned out over up to `threads` workers
+/// ([`support::par::map`]). Results come back in `ids` order, one entry per
+/// requested procedure.
 pub fn summarize_subset_isolated(
     program: &Program,
     ids: &[ProcId],
     threads: usize,
     config: BudgetConfig,
 ) -> Vec<(ProcId, ProcSummary, Option<IplFailure>)> {
-    let n = ids.len();
-    if threads <= 1 || n <= 1 {
-        return ids
-            .iter()
-            .map(|&id| {
-                let (s, f) = summarize_proc_guarded(program, id, config);
-                (id, s, f)
-            })
-            .collect();
-    }
-    let threads = threads.min(n);
-    let next = AtomicUsize::new(0);
-    type Slot = (usize, ProcSummary, Option<IplFailure>);
-    let merged: Mutex<Vec<Slot>> = Mutex::new(Vec::with_capacity(n));
-    // Observability, deadline, and memory-budget contexts are
-    // thread-scoped (like budgets); capture the spawning thread's so worker
-    // spans land in the same trace and workers observe the same request
-    // deadline and charge the same allocation pool.
-    let obs_ctx = support::obs::current();
-    let deadline_ctx = support::deadline::current();
-    let memory_ctx = support::memory::current();
-
-    let joined = crossbeam::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|_| {
-                let _obs = obs_ctx.clone().map(support::obs::attach);
-                let _deadline = deadline_ctx.clone().map(support::deadline::enter);
-                let _memory = memory_ctx.clone().map(support::memory::enter);
-                let mut local: Vec<Slot> = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let (s, f) = summarize_proc_guarded(program, ids[i], config);
-                    local.push((i, s, f));
-                }
-                merged.lock().extend(local);
-            });
-        }
-    });
-    if let Err(payload) = joined {
-        // Only infrastructure panics (not analysis ones — those are caught
-        // per procedure) can reach here; surface them unchanged.
-        std::panic::resume_unwind(payload);
-    }
-
-    let mut indexed = merged.into_inner();
-    indexed.sort_by_key(|(i, _, _)| *i);
-    indexed
-        .into_iter()
-        .map(|(i, s, f)| (ids[i], s, f))
-        .collect()
-}
-
-/// Parallel isolated IPL: the worker structure of
-/// [`crate::parallel::summarize_all_parallel`] with per-procedure budget
-/// scopes (budgets are thread-local, so each worker enters its own) and
-/// panic containment.
-pub fn summarize_all_parallel_isolated(
-    program: &Program,
-    threads: usize,
-    config: BudgetConfig,
-) -> IplOutcome {
-    let n = program.procedure_count();
-    if threads <= 1 || n <= 1 {
-        return summarize_all_isolated(program, config);
-    }
-    let ids: Vec<ProcId> = program.procedures.indices().collect();
-    let mut summaries = Vec::with_capacity(n);
-    let mut failures = Vec::new();
-    for (_, s, f) in summarize_subset_isolated(program, &ids, threads, config) {
-        summaries.push(s);
-        failures.extend(f);
-    }
-    IplOutcome { summaries, failures }
+    support::par::map(ids, threads, |&id| {
+        let (s, f) = summarize_proc_guarded(program, id, config);
+        (id, s, f)
+    })
 }
 
 #[cfg(test)]
@@ -273,12 +199,15 @@ end
     fn parallel_isolated_matches_serial() {
         let p = program();
         let serial = summarize_all_isolated(&p, BudgetConfig::default());
-        let par = summarize_all_parallel_isolated(&p, 4, BudgetConfig::default());
-        assert_eq!(serial.summaries.len(), par.summaries.len());
-        for (a, b) in serial.summaries.iter().zip(&par.summaries) {
+        let ids: Vec<ProcId> = p.procedures.indices().collect();
+        let par = summarize_subset_isolated(&p, &ids, 4, BudgetConfig::default());
+        assert_eq!(serial.summaries.len(), par.len());
+        for ((a, id), (par_id, b, f)) in serial.summaries.iter().zip(&ids).zip(&par) {
+            assert_eq!(id, par_id);
             assert_eq!(a.accesses.len(), b.accesses.len());
+            assert!(f.is_none());
         }
-        assert_eq!(serial.failures.len(), par.failures.len());
+        assert!(serial.failures.is_empty());
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //!   translation;
 //! - [`sideeffect`] — call-site effect sets and the Fig. 1 parallelization
 //!   independence test;
-//! - [`parallel`] — crossbeam-parallel IPL driver;
-//! - [`isolate`] — budget-bounded, panic-contained IPL used by robust
-//!   drivers (one failure degrades one procedure, not the run);
+//! - [`isolate`] — budget-bounded, panic-contained IPL, fanned out over
+//!   `support::par` workers (one failure degrades one procedure, not the
+//!   run);
 //! - [`rebase`] — rewrites cached summaries onto a re-parsed program (the
 //!   incremental session's cache-hit path).
 
@@ -24,7 +24,6 @@ pub mod interval_ai;
 pub mod isolate;
 pub mod local;
 pub mod loop_parallel;
-pub mod parallel;
 pub mod persist;
 pub mod propagate;
 pub mod rebase;

@@ -281,13 +281,16 @@ pub fn summarize_procedure(program: &Program, proc_id: ProcId) -> ProcSummary {
     // candidate). The interval fixpoint — the expensive part — runs only
     // for consumers, so affine-only procedures pay nothing there.
     let mut facts = BTreeMap::new();
-    if (!w.pending.is_empty() || w.defines_index_array)
-        && !support::budget::exhausted()
-        && interval_fallback_enabled()
-    {
-        facts = index_facts::derive(program, proc_id);
+    if (!w.pending.is_empty() || w.defines_index_array) && !support::budget::exhausted() {
+        facts = {
+            let _span = obs::span("ipa.index_facts");
+            index_facts::derive(program, proc_id)
+        };
         if !w.pending.is_empty() {
-            let recovered = interval_ai::analyze_proc(program, proc_id, &facts);
+            let recovered = {
+                let _span = obs::span("ipa.interval");
+                interval_ai::analyze_proc(program, proc_id, &facts)
+            };
             let pending = std::mem::take(&mut w.pending);
             for (idx, wn, bad_dims) in pending {
                 patch_record(&mut w.out[idx], wn, &bad_dims, &recovered);
@@ -331,23 +334,6 @@ fn patch_record(
     if all_bounded {
         rec.precision = rec.precision.min(Precision::Interval);
     }
-}
-
-/// Ablation kill switch for the interval fallback (facts + fixpoint +
-/// record patching), process-global, default on. Exists for the
-/// `session_warm` bench's overhead measurement on affine-only workloads —
-/// production paths never touch it, and flipping it mid-analysis gives
-/// whichever procedures run afterwards the no-fallback behavior.
-static INTERVAL_FALLBACK: std::sync::atomic::AtomicBool =
-    std::sync::atomic::AtomicBool::new(true);
-
-/// Enables or disables the interval fallback (ablation/bench only).
-pub fn set_interval_fallback(enabled: bool) {
-    INTERVAL_FALLBACK.store(enabled, std::sync::atomic::Ordering::Relaxed);
-}
-
-fn interval_fallback_enabled() -> bool {
-    INTERVAL_FALLBACK.load(std::sync::atomic::Ordering::Relaxed)
 }
 
 /// Collects every scalar symbol assigned in `root`'s subtree: direct

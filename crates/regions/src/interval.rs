@@ -196,8 +196,8 @@ impl Interval {
             ah as i128 * bl as i128,
             ah as i128 * bh as i128,
         ];
-        let lo = corners.iter().copied().min().unwrap();
-        let hi = corners.iter().copied().max().unwrap();
+        let lo = corners.into_iter().fold(i128::MAX, i128::min);
+        let hi = corners.into_iter().fold(i128::MIN, i128::max);
         Interval { lo: clamp(lo), hi: clamp(hi) }
     }
 

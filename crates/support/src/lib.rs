@@ -4,7 +4,8 @@
 //! crate leans on: a string interner ([`intern::Interner`]), strongly-typed
 //! index newtypes ([`idx`]), a CSV reader/writer pair used for the `.rgn`
 //! exchange format ([`csv`]), an ASCII table renderer used by the Dragon
-//! text UI ([`table`]), and the workspace-wide error type ([`error`]).
+//! text UI ([`table`]), the worker pool every per-procedure fan-out runs
+//! on ([`par`]), and the workspace-wide error type ([`error`]).
 
 pub mod budget;
 pub mod csv;
@@ -17,6 +18,7 @@ pub mod intern;
 pub mod json;
 pub mod memory;
 pub mod obs;
+pub mod par;
 pub mod persist;
 pub mod table;
 pub mod testdir;

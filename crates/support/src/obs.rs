@@ -25,8 +25,8 @@
 //! Thread-scoped attachment (rather than a single global) keeps parallel
 //! test binaries honest: each test observes only its own session. Worker
 //! pools must re-attach the spawning thread's collector inside each worker
-//! (see `ipa::isolate::summarize_subset_isolated`), mirroring how budget
-//! scopes are thread-local.
+//! (as [`crate::par::map`] does), mirroring how budget scopes are
+//! thread-local.
 //!
 //! # Determinism
 //!
@@ -547,7 +547,7 @@ impl Collector {
 // ---------------------------------------------------------------------------
 
 /// Fixed-bound log-linear histograms: each power-of-two octave is split
-/// into [`SUB_BUCKETS`] linear sub-buckets, giving ≤ 25% relative bucket
+/// into [`hist::SUB_BUCKETS`] linear sub-buckets, giving ≤ 25% relative bucket
 /// error across the full `u64` range with a small constant bucket count.
 /// Bounds are process-invariant constants, so bucket-count vectors from
 /// different shards, runs, or machines merge by plain elementwise

@@ -23,6 +23,14 @@ fn opts_serial() -> AnalysisOptions {
     AnalysisOptions::builder().threads(1).build()
 }
 
+fn corpus_source(name: &str) -> workloads::GenSource {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../workloads/irregular_corpus")
+        .join(name);
+    let text = std::fs::read_to_string(&path).expect("corpus file");
+    workloads::GenSource { name: name.into(), text, fortran: true }
+}
+
 fn edit_rhs(sources: &mut [workloads::GenSource]) {
     let rhs = sources.iter_mut().find(|s| s.name == "rhs.f").expect("rhs.f");
     rhs.text = rhs.text.replace("do k = 1, 10", "do k = 1, 7");
@@ -159,11 +167,7 @@ fn interval_pass_counters_are_thread_count_invariant() {
     // how the work was scheduled: analyzing the same irregular program at
     // 1 and 8 threads must count the same FM bail-outs, the same interval
     // recoveries, and the same index-array facts.
-    let corpus = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../../workloads/irregular_corpus/ss_inj_ok.f");
-    let text = std::fs::read_to_string(&corpus).expect("corpus file");
-    let sources =
-        vec![workloads::GenSource { name: "ss_inj_ok.f".into(), text, fortran: true }];
+    let sources = vec![corpus_source("ss_inj_ok.f")];
     let run = |threads: usize| {
         let c = Collector::new(ClockKind::Logical);
         {
@@ -183,6 +187,22 @@ fn interval_pass_counters_are_thread_count_invariant() {
     assert!(serial.1 > 0, "the interval pass must recover bounds");
     assert!(serial.2 > 0, "the defining loop must yield index-array facts");
     assert_eq!(serial, parallel, "counters must not depend on thread count");
+}
+
+#[test]
+fn interval_fixpoint_spans_only_where_fm_gave_up() {
+    // The fixpoint is the fallback's expensive part: affine mini-LU must
+    // never enter it, while the subscripted-subscript gather must.
+    let interval_spans = |sources: Vec<workloads::GenSource>| {
+        let c = Collector::new(ClockKind::Logical);
+        {
+            let _g = obs::attach(c.clone());
+            Analysis::analyze(&sources, opts_serial()).expect("analysis succeeds");
+        }
+        c.events().iter().filter(|e| e.name == "ipa.interval").count()
+    };
+    assert_eq!(interval_spans(workloads::mini_lu::sources()), 0);
+    assert!(interval_spans(vec![corpus_source("ss_gather.f")]) >= 1);
 }
 
 #[test]
