@@ -119,6 +119,13 @@ struct SessionState {
     /// The source set itself, retained so the state can be persisted (the
     /// on-disk cache stores sources and re-derives the program from them).
     sources: Vec<SourceFile>,
+    /// Per procedure, the content address `(fnv1a, len)` of an on-disk
+    /// entry container holding exactly this state's entry bytes for it, so
+    /// a save can reference that file instead of re-encoding. Set by
+    /// `load` for every validated entry and by a successful `persist` for
+    /// every entry; `update` carries it only where the entry's inputs were
+    /// moved verbatim.
+    entry_addr: Vec<Option<(u64, u64)>>,
 }
 
 /// A verified cache hit: the old procedure it corresponds to, the symbol
@@ -522,6 +529,7 @@ impl AnalysisSession {
         }));
         let exhausted = budget::exhaustion();
         drop(scope);
+        let propagated_ok = outcome.is_ok();
         let mut prop_degr: Vec<Degradation> = match (prev.as_ref(), affected.iter().all(|&a| a))
         {
             // Partial recompute: degradations attached to still-cached
@@ -692,6 +700,18 @@ impl AnalysisSession {
             .enumerate()
             .map(|(i, &fp)| (fp, ProcId::from_usize(i)))
             .collect();
+        // An entry address survives only where every input of the entry was
+        // moved verbatim: local and propagated summaries (identity clean,
+        // not propagation-affected, propagation did not fall back to local
+        // summaries), rows reused, and both failure records replayed.
+        let entry_addr = (0..n)
+            .map(|i| match (&clean[i], prev.as_ref()) {
+                (Some(c), Some(p)) if c.identity && reused_procs[i] && propagated_ok => {
+                    p.entry_addr[c.old.as_usize()]
+                }
+                _ => None,
+            })
+            .collect();
         self.state = Some(SessionState {
             analysis: Analysis { program, callgraph: cg, ipa, rows, degradations },
             local: locals,
@@ -705,6 +725,7 @@ impl AnalysisSession {
             file_keys: keys,
             sources,
             tainted,
+            entry_addr,
         });
         // Ship the displaced state to the dropper thread; if that fails
         // (thread gone, or it never spawned) just drop inline.

@@ -21,6 +21,13 @@
 //! either the old manifest with all of its entries, or the new manifest
 //! with all of its entries — never a mix.
 //!
+//! The session remembers each procedure's entry address (checksum and
+//! length) from the last load or save, and keeps it across an update only
+//! where that procedure's summaries, rows and failure records were moved
+//! over verbatim. A save references such an entry by name, if the file is
+//! still there, instead of encoding it again, so a steady-state save
+//! encodes only what the update changed.
+//!
 //! # Load = prime, `update` = recompute
 //!
 //! [`AnalysisSession::load`] does no analysis. It re-parses the manifest's
@@ -53,9 +60,9 @@ use support::faultpoint;
 use support::hash::{fnv1a, StableHasher};
 use support::idx::Idx;
 use support::persist::{
-    atomic_write, quarantine_file, quarantine_suffix, read_container, read_container_loose,
-    read_file_raw, toolchain_fingerprint, write_container, ByteReader, ByteWriter, DirLock,
-    Persist,
+    atomic_write, quarantine_file, quarantine_suffix, read_container, read_container_addressed,
+    read_container_loose, read_file_raw, toolchain_fingerprint, write_container,
+    write_container_addressed, ByteReader, ByteWriter, DirLock, Persist,
 };
 use support::{Error, Result};
 use whirl::hash::{budget_salt, proc_fingerprint};
@@ -245,6 +252,22 @@ fn decode<T: Persist>(payload: &[u8]) -> Result<T> {
     Ok(v)
 }
 
+/// Encodes procedure `i` of `state` as an [`Entry`] payload, straight from
+/// the state's slices (no intermediate `Entry` is built).
+fn encode_entry(state: &SessionState, i: usize) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    state.local[i].save(&mut w);
+    state.analysis.ipa.summaries[i].save(&mut w);
+    let rows = &state.analysis.rows[state.proc_rows[i].clone()];
+    w.usize(rows.len());
+    for row in rows {
+        row.save(&mut w);
+    }
+    state.ipl_fail[i].save(&mut w);
+    state.extract_fail[i].save(&mut w);
+    w.into_bytes()
+}
+
 // ---------------------------------------------------------------------------
 // SessionStore
 // ---------------------------------------------------------------------------
@@ -417,10 +440,13 @@ impl SessionStore {
             stats.entry_files += 1;
             stats.bytes += std::fs::metadata(&entry).map(|m| m.len()).unwrap_or(0);
         }
-        if let Ok(rd) = std::fs::read_dir(self.dir.join("quarantine")) {
-            stats.quarantined = rd.count();
-        }
+        stats.quarantined = self.quarantined();
         Ok(stats)
+    }
+
+    /// Files sitting in `quarantine/`.
+    fn quarantined(&self) -> usize {
+        std::fs::read_dir(self.dir.join("quarantine")).map_or(0, |rd| rd.count())
     }
 
     /// Validates every file: manifest structure, per-entry container
@@ -529,61 +555,81 @@ impl SessionStore {
     }
 
     fn entry_files(&self) -> Result<Vec<PathBuf>> {
+        Ok(self.entry_names()?.iter().map(|name| self.dir.join(name)).collect())
+    }
+
+    /// Names of the entry files in the directory, from one listing.
+    fn entry_names(&self) -> Result<BTreeSet<String>> {
         let rd = match std::fs::read_dir(&self.dir) {
             Ok(rd) => rd,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(BTreeSet::new()),
             Err(e) => return Err(Error::io(format!("reading {}", self.dir.display()), e)),
         };
-        let mut out: Vec<PathBuf> = rd
+        Ok(rd
             .flatten()
-            .filter(|e| {
-                e.file_name().to_str().map(is_entry_name).unwrap_or(false)
-            })
-            .map(|e| e.path())
-            .collect();
-        out.sort();
-        Ok(out)
+            .filter_map(|e| e.file_name().into_string().ok())
+            .filter(|name| is_entry_name(name))
+            .collect())
     }
 
     /// Writes `state` to disk under the crash-safe protocol: entry files
     /// first (content-addressed, immutable, skipped when already present),
     /// then the manifest via atomic rename, then garbage collection of
-    /// entries the new manifest no longer references. Faultpoints
-    /// `persist::entry_write`, `persist::pre_manifest`,
-    /// `persist::post_manifest` and `persist::gc` (plus the ones inside
-    /// [`atomic_write`]) simulate a crash at each stage.
-    fn save_state(&self, state: &SessionState) -> Result<()> {
+    /// entries the new manifest no longer references. Returns every
+    /// procedure's entry address `(fnv1a, len)`. Faultpoints
+    /// `persist::entry_write` (once per procedure, in order),
+    /// `persist::pre_manifest`, `persist::post_manifest` and `persist::gc`
+    /// (plus the ones inside [`atomic_write`]) simulate a crash at each
+    /// stage.
+    ///
+    /// An entry whose carried address names a file in the directory is
+    /// referenced without being encoded; every other entry is encoded and
+    /// hashed in one pass. The directory is listed once, under the lock:
+    /// that listing answers the existence checks, drives GC and, with the
+    /// sizes just written, yields the stats snapshot.
+    fn save_state(&self, state: &SessionState) -> Result<Vec<(u64, u64)>> {
         let _span = support::obs::span("store.save");
         std::fs::create_dir_all(&self.dir)
             .map_err(|e| Error::io(format!("creating {}", self.dir.display()), e))?;
         let _lock = self.lock()?;
+        let on_disk = self.entry_names()?;
         let n = state.fps.len();
         let mut entries = Vec::with_capacity(n);
-        let mut referenced = BTreeSet::new();
+        let mut addrs = Vec::with_capacity(n);
+        // Referenced entry name → container length.
+        let mut referenced: BTreeMap<String, u64> = BTreeMap::new();
         for i in 0..n {
-            let mut w = ByteWriter::new();
-            state.local[i].save(&mut w);
-            state.analysis.ipa.summaries[i].save(&mut w);
-            let rows = &state.analysis.rows[state.proc_rows[i].clone()];
-            w.usize(rows.len());
-            for row in rows {
-                row.save(&mut w);
-            }
-            state.ipl_fail[i].save(&mut w);
-            state.extract_fail[i].save(&mut w);
-            let container = write_container(KIND_ENTRY, self.fingerprint, &w.into_bytes());
-            let checksum = fnv1a(&container);
-            let name = entry_name(checksum);
+            let carried =
+                state.entry_addr[i].filter(|&(sum, _)| on_disk.contains(&entry_name(sum)));
+            let (addr, container) = match carried {
+                Some(addr) => {
+                    support::obs::incr(support::obs::Counter::StoreCarried);
+                    (addr, None)
+                }
+                None => {
+                    support::obs::incr(support::obs::Counter::StoreEncoded);
+                    let (container, sum) = write_container_addressed(
+                        KIND_ENTRY,
+                        self.fingerprint,
+                        &encode_entry(state, i),
+                    );
+                    ((sum, container.len() as u64), Some(container))
+                }
+            };
+            let name = entry_name(addr.0);
             faultpoint::hit("persist::entry_write");
-            let path = self.dir.join(&name);
-            if referenced.insert(name) && !path.exists() {
-                atomic_write(&path, &container)?;
+            if let Some(container) = container {
+                if !on_disk.contains(&name) && !referenced.contains_key(&name) {
+                    atomic_write(&self.dir.join(&name), &container)?;
+                }
             }
+            referenced.insert(name, addr.1);
             entries.push(ManifestEntry {
                 proc: raw_name(&state.analysis.program, ProcId::from_usize(i)),
                 fp: state.fps[i],
-                checksum,
+                checksum: addr.0,
             });
+            addrs.push(addr);
         }
         let manifest = Manifest {
             sources: state.sources.clone(),
@@ -595,21 +641,18 @@ impl SessionStore {
         };
         let mut w = ByteWriter::new();
         manifest.save(&mut w);
-        let container = write_container(KIND_MANIFEST, self.fingerprint, &w.into_bytes());
+        let (container, manifest_sum) =
+            write_container_addressed(KIND_MANIFEST, self.fingerprint, &w.into_bytes());
         faultpoint::hit("persist::pre_manifest");
         atomic_write(&self.dir.join(MANIFEST_FILE), &container)?;
         faultpoint::hit("persist::post_manifest");
         // GC entries the committed manifest no longer references. A crash
         // anywhere in here leaves only unreferenced litter, swept next save.
         faultpoint::hit("persist::gc");
-        for path in self.entry_files()? {
-            let keep = path
-                .file_name()
-                .and_then(|f| f.to_str())
-                .map(|f| referenced.contains(f))
-                .unwrap_or(true);
-            if !keep {
-                let _ = std::fs::remove_file(&path);
+        let mut gc_failed = false;
+        for name in on_disk.iter().filter(|name| !referenced.contains_key(*name)) {
+            if let Err(e) = std::fs::remove_file(self.dir.join(name)) {
+                gc_failed |= e.kind() != std::io::ErrorKind::NotFound;
             }
         }
         support::obs::set_gauge(
@@ -620,20 +663,43 @@ impl SessionStore {
         // so `stats` can skip the directory scan. Written last: a crash
         // before this point simply leaves the next `stats` call on the
         // live-scan path (or an older snapshot that fails its binding).
-        let _ = self.write_stats_snapshot(&container);
-        Ok(())
+        // After a clean GC the directory holds exactly the referenced
+        // entries, so the snapshot is derived from what this save wrote;
+        // a failed unlink leaves an extra file only a live scan counts.
+        let stats = if gc_failed {
+            self.live_stats()
+        } else {
+            Ok(CacheStats {
+                manifest: true,
+                procedures: n,
+                sources: manifest.sources.len(),
+                entry_files: referenced.len(),
+                bytes: container.len() as u64 + referenced.values().sum::<u64>(),
+                quarantined: self.quarantined(),
+                from_snapshot: false,
+            })
+        };
+        if let Ok(stats) = stats {
+            let _ = self.write_stats_snapshot(manifest_sum, &stats);
+        }
+        Ok(addrs)
     }
 
-    /// Writes the [`STATS_FILE`] snapshot describing the directory as it
-    /// stands after a save, keyed to `manifest_container` (the committed
-    /// manifest's bytes).
-    fn write_stats_snapshot(&self, manifest_container: &[u8]) -> Result<()> {
-        let stats = self.live_stats()?;
+    /// Writes the [`STATS_FILE`] snapshot `stats`, keyed to the committed
+    /// manifest's content address `manifest_sum`.
+    fn write_stats_snapshot(&self, manifest_sum: u64, stats: &CacheStats) -> Result<()> {
         let mut w = ByteWriter::new();
-        w.u64(fnv1a(manifest_container));
+        w.u64(manifest_sum);
         stats.save(&mut w);
         let container = write_container(KIND_STATS, self.fingerprint, &w.into_bytes());
         atomic_write(&self.dir.join(STATS_FILE), &container)
+    }
+
+    /// Removes the stats snapshot, so the next [`stats`](Self::stats) scans
+    /// live. Called whenever a load moves a file into quarantine: the
+    /// manifest is unchanged, so the snapshot would otherwise still bind.
+    fn drop_stats_snapshot(&self) {
+        let _ = std::fs::remove_file(self.dir.join(STATS_FILE));
     }
 }
 
@@ -721,6 +787,7 @@ impl AnalysisSession {
                 let dest = quarantine_file(&mpath, suffix)
                     .map(|p| p.display().to_string())
                     .unwrap_or_else(|qe| format!("(quarantine failed: {qe})"));
+                store.drop_stats_snapshot();
                 incidents.push(cache_incident(format!(
                     "manifest rejected ({e}); moved to {dest}; starting cold"
                 )));
@@ -760,7 +827,7 @@ impl AnalysisSession {
         let mut per_rows: Vec<Vec<RgnRow>> = (0..n).map(|_| Vec::new()).collect();
         let mut ipl_fail: Vec<Option<(String, String)>> = (0..n).map(|_| None).collect();
         let mut extract_fail: Vec<Option<String>> = (0..n).map(|_| None).collect();
-        let mut valid = vec![false; n];
+        let mut entry_addr: Vec<Option<(u64, u64)>> = vec![None; n];
         for i in 0..n {
             let name = raw_name(&program, ProcId::from_usize(i));
             // The span records only when the procedure actually primes;
@@ -805,16 +872,17 @@ impl AnalysisSession {
             };
             // Bind the file to the manifest record, then validate and
             // decode the container.
-            let entry = if fnv1a(&bytes) != me.checksum {
-                Err((Error::Format("contents do not match manifest record".into()), "checksum"))
-            } else {
-                match read_container(&bytes, KIND_ENTRY, store.fingerprint) {
-                    Err(cerr) => {
-                        let suffix = quarantine_suffix(&cerr);
-                        Err((Error::from(cerr), suffix))
-                    }
-                    Ok(payload) => decode::<Entry>(&payload).map_err(|e| (e, "malformed")),
+            let entry = match read_container_addressed(
+                &bytes,
+                KIND_ENTRY,
+                store.fingerprint,
+                me.checksum,
+            ) {
+                Err(cerr) => {
+                    let suffix = quarantine_suffix(&cerr);
+                    Err((Error::from(cerr), suffix))
                 }
+                Ok(payload) => decode::<Entry>(payload).map_err(|e| (e, "malformed")),
             };
             match entry {
                 Ok(entry) => {
@@ -823,7 +891,7 @@ impl AnalysisSession {
                     per_rows[i] = entry.rows;
                     ipl_fail[i] = entry.ipl_fail;
                     extract_fail[i] = entry.extract_fail;
-                    valid[i] = true;
+                    entry_addr[i] = Some((me.checksum, bytes.len() as u64));
                     support::obs::incr(support::obs::Counter::StorePrimed);
                 }
                 Err((e, suffix)) => {
@@ -832,6 +900,7 @@ impl AnalysisSession {
                     let dest = quarantine_file(&path, suffix)
                         .map(|p| p.display().to_string())
                         .unwrap_or_else(|qe| format!("(quarantine failed: {qe})"));
+                    store.drop_stats_snapshot();
                     incidents.push(cache_incident(format!(
                         "cache entry for `{name}` rejected ({e}); moved to {dest}; \
                          recomputing it"
@@ -849,9 +918,9 @@ impl AnalysisSession {
             rows.append(&mut per_rows[i]);
             proc_rows[i] = start..rows.len();
         }
-        let all_valid = valid.iter().all(|&v| v);
+        let all_valid = entry_addr.iter().all(Option::is_some);
         let by_hash = (0..n)
-            .filter(|&i| valid[i])
+            .filter(|&i| entry_addr[i].is_some())
             .map(|i| (fps[i], ProcId::from_usize(i)))
             .collect();
         // Only a fully-validated state may satisfy the identical-input fast
@@ -893,6 +962,7 @@ impl AnalysisSession {
             // their own; tainted states are never persisted in the first
             // place (see `persist`).
             tainted: false,
+            entry_addr,
         };
         if let Some(old) = self.state.replace(state) {
             if let Some(tx) = &self.graveyard {
@@ -912,7 +982,7 @@ impl AnalysisSession {
     /// run its warm start, never this run its results.
     pub fn persist(&mut self) -> bool {
         let Some(store) = self.store.clone() else { return false };
-        let Some(state) = &self.state else { return false };
+        let Some(state) = self.state.as_mut() else { return false };
         // Memory-exhausted results are environmentally widened; writing
         // them out would replace a good on-disk state with conservative
         // junk that outlives the exhaustion.
@@ -920,7 +990,10 @@ impl AnalysisSession {
             return false;
         }
         match store.save_state(state) {
-            Ok(()) => true,
+            Ok(addrs) => {
+                state.entry_addr = addrs.into_iter().map(Some).collect();
+                true
+            }
             Err(e) => {
                 self.cache_incidents
                     .push(cache_incident(format!("cache save failed: {e}")));
@@ -934,6 +1007,190 @@ impl AnalysisSession {
 mod tests {
     use super::*;
     use support::budget::BudgetConfig;
+    use support::obs::{ClockKind, Collector, Counter};
+    use support::testdir::TestDir;
+    use whirl::Lang;
+
+    const MAIN_F: &str = "\
+program main
+  real a(20)
+  common /g/ a
+  integer i
+  do i = 1, 10
+    a(i) = 0.0
+  end do
+  call mid
+  call side
+end
+";
+    const MID_F: &str = "\
+subroutine mid
+  real a(20)
+  common /g/ a
+  a(11) = 1.0
+  call leaf
+end
+";
+    const LEAF_F: &str = "\
+subroutine leaf
+  real a(20)
+  common /g/ a
+  integer i
+  do i = 12, 20
+    a(i) = 2.0
+  end do
+end
+";
+    const SIDE_F: &str = "\
+subroutine side
+  real a(20)
+  common /g/ a
+  real t(5)
+  integer i
+  do i = 1, 5
+    t(i) = a(i)
+  end do
+end
+";
+
+    /// The four-file program with `edits` applied as (file, from, to)
+    /// text substitutions.
+    fn program(edits: &[(&str, &str, &str)]) -> Vec<SourceFile> {
+        [("main.f", MAIN_F), ("mid.f", MID_F), ("leaf.f", LEAF_F), ("side.f", SIDE_F)]
+            .iter()
+            .map(|&(name, text)| {
+                let text = edits
+                    .iter()
+                    .filter(|e| e.0 == name)
+                    .fold(text.to_string(), |t, e| t.replace(e.1, e.2));
+                assert!(edits.iter().all(|e| e.0 != name || text != *e.1), "edit missed {name}");
+                SourceFile::new(name, text, Lang::Fortran)
+            })
+            .collect()
+    }
+
+    fn manifest_on_disk(store: &SessionStore) -> Manifest {
+        let bytes = std::fs::read(store.dir.join(MANIFEST_FILE)).expect("manifest");
+        let payload = read_container(&bytes, KIND_MANIFEST, store.fingerprint).expect("valid");
+        decode(&payload).expect("decodes")
+    }
+
+    /// Persists `s` and checks the oracle: every manifest address is the
+    /// address of re-encoding that procedure's current state, the store
+    /// verifies clean with no orphans, and a fresh load primes every
+    /// procedure and reproduces a cold run's rows. Returns the save's
+    /// `(store.encoded, store.carried)`.
+    fn persist_and_check(s: &mut AnalysisSession, sources: &[SourceFile]) -> (u64, u64) {
+        let c = Collector::new(ClockKind::Logical);
+        {
+            let _g = support::obs::attach(c.clone());
+            assert!(s.persist(), "{:?}", s.cache_incidents());
+        }
+        let encoded = c.counter(Counter::StoreEncoded);
+        let carried = c.counter(Counter::StoreCarried);
+        let store = s.store().expect("store").clone();
+        let state = s.state.as_ref().expect("state");
+        let n = state.fps.len();
+        assert_eq!(encoded + carried, n as u64, "every procedure is encoded or carried");
+        let manifest = manifest_on_disk(&store);
+        assert_eq!(manifest.entries.len(), n);
+        for (i, e) in manifest.entries.iter().enumerate() {
+            let (container, sum) =
+                write_container_addressed(KIND_ENTRY, store.fingerprint, &encode_entry(state, i));
+            assert_eq!(e.checksum, sum, "manifest address of `{}` is stale", e.proc);
+            assert_eq!(state.entry_addr[i], Some((sum, container.len() as u64)), "{}", e.proc);
+        }
+        let report = store.verify().expect("verify");
+        assert!(report.clean(), "{:?}", report.problems);
+        assert_eq!(report.orphans, 0);
+        let counts = |s: &CacheStats| {
+            (s.manifest, s.procedures, s.sources, s.entry_files, s.bytes, s.quarantined)
+        };
+        let snapshot = store.read_stats_snapshot().expect("the save left a bound snapshot");
+        assert_eq!(counts(&snapshot), counts(&store.live_stats().expect("live scan")));
+
+        let fresh_obs = Collector::new(ClockKind::Logical);
+        let mut fresh = AnalysisSession::with_cache_dir(*s.options(), store.dir());
+        {
+            let _g = support::obs::attach(fresh_obs.clone());
+            assert!(fresh.load());
+        }
+        assert!(fresh.cache_incidents().is_empty(), "{:?}", fresh.cache_incidents());
+        assert_eq!(fresh_obs.counter(Counter::StorePrimed), n as u64, "every procedure primes");
+        let delta = fresh.update(sources).expect("warm update");
+        assert_eq!(delta.summary_cache_misses, 0, "{delta:?}");
+        let cold = Analysis::analyze(sources, *s.options()).expect("cold");
+        assert_eq!(fresh.analysis().expect("analysis").rows, cold.rows);
+        (encoded, carried)
+    }
+
+    #[test]
+    fn carried_addresses_name_exactly_the_current_entry_bytes() {
+        let dir = TestDir::new("store-carried");
+        let opts = AnalysisOptions::default();
+        let mut s = AnalysisSession::with_cache_dir(opts, dir.path());
+        let leaf_edit = ("leaf.f", "do i = 12, 20", "do i = 12, 18");
+        let main_edit = ("main.f", "do i = 1, 10", "do i = 1, 9");
+        let layout_edit = ("side.f", "real t(5)", "real t(8)");
+
+        let v = program(&[]);
+        s.update(&v).expect("cold");
+        assert_eq!(persist_and_check(&mut s, &v), (4, 0), "cold: every entry is new");
+
+        // A leaf edit re-propagates its ancestor chain; `side` is untouched.
+        let v = program(&[leaf_edit]);
+        let d = s.update(&v).expect("leaf edit");
+        assert_eq!(d.propagation_recomputed.len(), 3, "{d:?}");
+        assert_eq!(persist_and_check(&mut s, &v), (3, 1));
+
+        // A caller-only edit: only `main` changes.
+        let v = program(&[leaf_edit, main_edit]);
+        let d = s.update(&v).expect("caller edit");
+        assert_eq!(d.propagation_recomputed, vec!["main".to_string()], "{d:?}");
+        assert_eq!(persist_and_check(&mut s, &v), (1, 3));
+
+        // A reorder rebases every summary: nothing is carried, yet the
+        // re-encoded entries are the same bytes.
+        let mut v = program(&[leaf_edit, main_edit]);
+        v.reverse();
+        let d = s.update(&v).expect("reorder");
+        assert_eq!(d.summary_cache_misses, 0, "{d:?}");
+        assert_eq!(persist_and_check(&mut s, &v), (4, 0));
+
+        // A layout-shifting edit changes the extraction environment, so
+        // every row is re-extracted and nothing is carried.
+        let env_before = s.state.as_ref().expect("state").extract_env;
+        let mut v = program(&[leaf_edit, main_edit, layout_edit]);
+        v.reverse();
+        s.update(&v).expect("layout edit");
+        assert_ne!(s.state.as_ref().expect("state").extract_env, env_before);
+        assert_eq!(persist_and_check(&mut s, &v), (4, 0));
+
+        // A fresh load sets every address; an edit then carries the rest.
+        let mut s = AnalysisSession::with_cache_dir(opts, dir.path());
+        assert!(s.load());
+        s.update(&v).expect("warm start");
+        let mut v = program(&[main_edit, layout_edit]);
+        v.reverse();
+        s.update(&v).expect("leaf edit after load");
+        assert_eq!(persist_and_check(&mut s, &v), (3, 1));
+
+        // An entry file deleted behind the session's back: its carried
+        // address no longer names a file, so it is re-encoded and written.
+        let store = s.store().expect("store").clone();
+        let side = manifest_on_disk(&store)
+            .entries
+            .into_iter()
+            .find(|e| e.proc == "side")
+            .expect("side entry");
+        let side_path = dir.path().join(entry_name(side.checksum));
+        std::fs::remove_file(&side_path).expect("delete side entry");
+        let mut v = program(&[layout_edit]);
+        v.reverse();
+        s.update(&v).expect("caller edit");
+        assert_eq!(persist_and_check(&mut s, &v), (2, 2));
+        assert!(side_path.exists(), "the vanished entry is rewritten");
+    }
 
     #[test]
     fn entry_names_are_stable_and_recognizable() {

@@ -368,6 +368,61 @@ fn store_stats_verify_and_clear() {
 }
 
 #[test]
+fn cache_stats_after_a_quarantining_load_scan_live() {
+    let _serial = serial();
+    let dir = TestDir::new("persist-stats-quarantine");
+    let sources = workloads::mini_lu::sources();
+    seed(dir.path(), &sources);
+    let store = SessionStore::new(dir.path(), &AnalysisOptions::default());
+    let before = store.stats().expect("stats");
+    assert!(before.from_snapshot, "a fresh save leaves a snapshot");
+    assert_eq!(before.quarantined, 0);
+    let victim = &entry_paths(dir.path())[0];
+    let victim_len = std::fs::metadata(victim).expect("entry").len();
+    flip_byte(victim, 0);
+
+    let mut warm = AnalysisSession::with_cache_dir(AnalysisOptions::default(), dir.path());
+    assert!(warm.load());
+    assert!(
+        warm.cache_incidents().iter().any(|d| d.detail.contains("quarantine")),
+        "{:?}",
+        warm.cache_incidents()
+    );
+    // The manifest did not change, but the directory did: the snapshot
+    // must not describe the pre-quarantine cache.
+    let after = store.stats().expect("stats");
+    assert!(!after.from_snapshot, "a quarantining load must retire the snapshot");
+    assert_eq!(after.entry_files, before.entry_files - 1);
+    assert_eq!(after.bytes, before.bytes - victim_len);
+    assert_eq!(after.quarantined, 1);
+}
+
+#[test]
+fn stats_snapshot_scans_live_when_gc_cannot_unlink() {
+    let _serial = serial();
+    let dir = TestDir::new("persist-gc-unlink");
+    seed(dir.path(), &files(LEAF_F));
+    // A directory under an entry name: the save's GC cannot unlink it, so
+    // the directory holds more than the entries the save referenced.
+    std::fs::create_dir(dir.path().join("e0000000000000000.araa")).expect("mkdir");
+    let mut s = AnalysisSession::with_cache_dir(AnalysisOptions::default(), dir.path());
+    assert!(s.load());
+    s.update(files(LEAF_F_EDITED)).expect("update");
+    assert!(s.persist(), "{:?}", s.cache_incidents());
+
+    let store = SessionStore::new(dir.path(), &AnalysisOptions::default());
+    let snapshot = store.stats().expect("stats");
+    assert!(snapshot.from_snapshot);
+    std::fs::remove_file(dir.path().join("stats.araa")).expect("drop snapshot");
+    let live = store.stats().expect("live stats");
+    assert_eq!(snapshot.entry_files, 4, "three entries and the directory");
+    assert_eq!(
+        (snapshot.entry_files, snapshot.bytes, snapshot.procedures),
+        (live.entry_files, live.bytes, live.procedures)
+    );
+}
+
+#[test]
 fn gc_drops_entries_the_new_manifest_does_not_reference() {
     let _serial = serial();
     let dir = TestDir::new("persist-gc");
@@ -400,7 +455,7 @@ mod crashes {
     use super::*;
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use support::faultpoint;
-    use support::persist::{READ_FAULTPOINTS, WRITE_FAULTPOINTS};
+    use support::persist::{ByteWriter, Persist, READ_FAULTPOINTS, WRITE_FAULTPOINTS};
 
     /// Every faultpoint a save can crash at: the four inside
     /// `atomic_write` plus the four in `SessionStore`'s commit protocol.
@@ -415,6 +470,14 @@ mod crashes {
         "persist::gc",
     ];
 
+    /// The program with only the caller `main` edited: `mid` and `leaf`
+    /// keep their entries.
+    fn caller_edited() -> Vec<GenSource> {
+        let mut v = files(LEAF_F);
+        v[0] = GenSource::fortran("main.f", MAIN_F.replace("do i = 1, 10", "do i = 1, 9"));
+        v
+    }
+
     #[test]
     fn save_faultpoint_list_matches_the_registered_ones() {
         for fp in WRITE_FAULTPOINTS {
@@ -422,20 +485,30 @@ mod crashes {
         }
     }
 
-    /// Kills a save at `point` (the `nth` hit) and asserts the cache is
-    /// afterwards *fully old or fully new*: a fresh session loads without
-    /// quarantining anything and reproduces the cold analysis of whichever
-    /// source set survives.
-    fn crash_save_then_recover(dir: &std::path::Path, point: &str, nth: u64) {
-        let v2 = files(LEAF_F_EDITED);
+    /// Loads the cache in `dir`, updates to `v2` and kills the save at
+    /// `point` (the `nth` hit). Returns the session whose save crashed.
+    fn crash_save(
+        dir: &std::path::Path,
+        point: &str,
+        nth: u64,
+        v2: &[GenSource],
+    ) -> AnalysisSession {
         let mut s = AnalysisSession::with_cache_dir(AnalysisOptions::default(), dir);
         s.load();
-        s.update(&v2).expect("update");
+        s.update(v2).expect("update");
         faultpoint::arm(point, nth);
         let crashed = catch_unwind(AssertUnwindSafe(|| s.persist()));
         faultpoint::disarm_all();
         assert!(crashed.is_err(), "{point}:{nth} must fire during persist");
-        drop(s);
+        s
+    }
+
+    /// Kills a save at `point` (the `nth` hit) and asserts the cache is
+    /// afterwards *fully old or fully new*: a fresh session loads without
+    /// quarantining anything and reproduces the cold analysis of whichever
+    /// source set survives.
+    fn crash_save_then_recover(dir: &std::path::Path, point: &str, nth: u64, v2: &[GenSource]) {
+        drop(crash_save(dir, point, nth, v2));
 
         // Nothing on disk may be corrupt: old-or-new, never torn.
         let store = SessionStore::new(dir, &AnalysisOptions::default());
@@ -454,8 +527,8 @@ mod crashes {
             "{point}:{nth} forced a quarantine: {:?}",
             r.cache_incidents()
         );
-        let oracle = cold(&v2);
-        r.update(&v2).expect("recovery update");
+        let oracle = cold(v2);
+        r.update(v2).expect("recovery update");
         assert_eq!(
             r.analysis().expect("analysis").rows,
             oracle.rows,
@@ -467,19 +540,38 @@ mod crashes {
         assert!(report.clean(), "{point}:{nth}: {:?}", report.problems);
     }
 
+    /// Kills a save at `point`, then saves again from the same session:
+    /// the retry must leave a complete cache (clean, no orphans) from which
+    /// a fresh session primes every procedure.
+    fn crash_save_then_persist_again(dir: &std::path::Path, point: &str, v2: &[GenSource]) {
+        let mut s = crash_save(dir, point, 1, v2);
+        assert!(s.persist(), "{point}: retry failed: {:?}", s.cache_incidents());
+        let store = SessionStore::new(dir, &AnalysisOptions::default());
+        let report = store.verify().expect("verify");
+        assert!(report.clean(), "{point}: {:?}", report.problems);
+        assert_eq!(report.orphans, 0, "{point}: the retry's GC left orphans");
+        let mut r = AnalysisSession::with_cache_dir(AnalysisOptions::default(), dir);
+        assert!(r.load());
+        assert!(r.cache_incidents().is_empty(), "{point}: {:?}", r.cache_incidents());
+        let delta = r.update(v2).expect("warm update");
+        assert_eq!(delta.summary_cache_misses, 0, "{point}: {delta:?}");
+        assert_eq!(r.analysis().expect("analysis").rows, cold(v2).rows, "{point}");
+    }
+
     #[test]
     fn crash_at_every_write_faultpoint_leaves_old_or_new_cache() {
         let _serial = serial();
+        let leaf_edit = files(LEAF_F_EDITED);
         for point in SAVE_FAULTPOINTS {
             // First hit, over a seeded (old) cache.
             let dir = TestDir::new("crash-seeded");
             seed(dir.path(), &files(LEAF_F));
-            crash_save_then_recover(dir.path(), point, 1);
+            crash_save_then_recover(dir.path(), point, 1, &leaf_edit);
 
             // First hit, into an empty cache dir (no old state to fall
             // back to: recovery must be a clean cold start).
             let dir = TestDir::new("crash-cold");
-            crash_save_then_recover(dir.path(), point, 1);
+            crash_save_then_recover(dir.path(), point, 1, &leaf_edit);
 
             // A later hit, so earlier stages complete first (e.g. the
             // manifest's write, not an entry's). Only meaningful for
@@ -488,9 +580,71 @@ mod crashes {
             if !point.contains("manifest") && *point != "persist::gc" {
                 let dir = TestDir::new("crash-later");
                 seed(dir.path(), &files(LEAF_F));
-                crash_save_then_recover(dir.path(), point, 2);
+                crash_save_then_recover(dir.path(), point, 2, &leaf_edit);
             }
+
+            // A caller-only edit: the loaded entries of `mid` and `leaf`
+            // are carried by address, so the crash hits a steady-state
+            // save that encodes only `main`.
+            let dir = TestDir::new("crash-carried");
+            seed(dir.path(), &files(LEAF_F));
+            crash_save_then_recover(dir.path(), point, 1, &caller_edited());
+
+            // The same session saves again after its save crashed.
+            let dir = TestDir::new("crash-retry");
+            seed(dir.path(), &files(LEAF_F));
+            crash_save_then_persist_again(dir.path(), point, &caller_edited());
         }
+    }
+
+    #[test]
+    fn a_failed_propagation_is_persisted_as_held_in_memory() {
+        let _serial = serial();
+        let dir = TestDir::new("persist-prop-panic");
+        // `side` calls `tip`, so its propagated summary differs from its
+        // local one, and a leaf edit leaves both unaffected.
+        let main = MAIN_F.replace("call mid", "call mid\n  call side");
+        let side = "subroutine side\n  real a(20)\n  common /g/ a\n  call tip\nend\n";
+        let tip = "subroutine tip\n  real a(20)\n  common /g/ a\n  a(1) = 3.0\nend\n";
+        let with_leaf = |leaf: &str| {
+            let mut v = files(leaf);
+            v[0] = GenSource::fortran("main.f", main.as_str());
+            v.push(GenSource::fortran("side.f", side));
+            v.push(GenSource::fortran("tip.f", tip));
+            v
+        };
+        let mut s = AnalysisSession::with_cache_dir(AnalysisOptions::default(), dir.path());
+        s.update(with_leaf(LEAF_F)).expect("cold");
+        assert!(s.persist());
+
+        // The propagation the leaf edit triggers panics, so every summary
+        // falls back to its local one, `side`'s included.
+        faultpoint::arm("ipa::translate", 1);
+        let updated = s.update(with_leaf(LEAF_F_EDITED));
+        faultpoint::disarm_all();
+        updated.expect("a propagation panic degrades, never fails");
+        let degradations = &s.analysis().expect("analysis").degradations;
+        assert!(degradations.iter().any(|d| d.proc == "(propagation)"), "{degradations:?}");
+        assert!(s.persist(), "{:?}", s.cache_incidents());
+
+        // The cache must hold those summaries, not the entries saved before.
+        let mut r = AnalysisSession::with_cache_dir(AnalysisOptions::default(), dir.path());
+        assert!(r.load());
+        let encoded = |a: &Analysis| -> Vec<Vec<u8>> {
+            a.ipa
+                .summaries
+                .iter()
+                .map(|summary| {
+                    let mut w = ByteWriter::new();
+                    summary.save(&mut w);
+                    w.into_bytes()
+                })
+                .collect()
+        };
+        assert_eq!(
+            encoded(r.analysis().expect("loaded")),
+            encoded(s.analysis().expect("analysis"))
+        );
     }
 
     #[test]

@@ -128,6 +128,13 @@ catalog! {
         /// On-disk cache entries rejected during load (stale, missing,
         /// corrupt — each leaves the procedure cold).
         StoreRejected => "store.rejected",
+        /// Per-procedure entries a save serialized and hashed (new or
+        /// changed since the entry on disk, or with no entry on disk).
+        StoreEncoded => "store.encoded",
+        /// Per-procedure entries a save referenced by their carried
+        /// address without serializing them. Each save counts every
+        /// procedure once: `encoded + carried == procedures`.
+        StoreCarried => "store.carried",
         /// Files moved into `quarantine/`.
         QuarantineEvents => "quarantine.events",
         /// Quarantined files evicted by the oldest-first cap GC.

@@ -17,6 +17,9 @@
 //!   the whole preceding byte stream. Any torn write, truncation, bit
 //!   flip, version skew, or foreign file fails validation with a typed
 //!   [`ContainerError`] — never a panic, never silently-wrong data.
+//!   Stores that name files by content use [`write_container_addressed`] /
+//!   [`read_container_addressed`], which get the content address (FNV-1a
+//!   of the whole container) from the same pass that computes the footer.
 //! - **Cross-process exclusion** ([`DirLock`]): an advisory lock file with
 //!   the owner's pid, stale-lock detection (dead owner ⇒ takeover), and
 //!   bounded waiting, so concurrent invocations sharing a cache directory
@@ -370,6 +373,9 @@ pub enum ContainerError {
     BadFingerprint { expected: u64, found: u64 },
     /// The checksum over the byte stream does not match the footer.
     BadChecksum,
+    /// The container's FNV-1a over all of its bytes differs from the content
+    /// address recorded for it (see [`read_container_addressed`]).
+    BadAddress,
     /// Structurally invalid header fields.
     Malformed(String),
 }
@@ -388,6 +394,9 @@ impl std::fmt::Display for ContainerError {
                 "toolchain/options fingerprint mismatch (want {expected:016x}, found {found:016x})"
             ),
             ContainerError::BadChecksum => write!(f, "checksum mismatch (corrupt container)"),
+            ContainerError::BadAddress => {
+                write!(f, "contents do not match their recorded content address")
+            }
             ContainerError::Malformed(m) => write!(f, "malformed container: {m}"),
         }
     }
@@ -407,14 +416,26 @@ pub fn quarantine_suffix(e: &ContainerError) -> &'static str {
         ContainerError::BadVersion(_) => "version",
         ContainerError::BadKind(_) => "kind",
         ContainerError::BadFingerprint { .. } => "fingerprint",
-        ContainerError::BadChecksum => "checksum",
+        ContainerError::BadChecksum | ContainerError::BadAddress => "checksum",
         ContainerError::Malformed(_) => "malformed",
     }
 }
 
+/// Fixed container overhead: magic(8) + version(4) + kind len(8) + fp(8) +
+/// payload len(8) + checksum(8).
+const MIN_CONTAINER_LEN: usize = 44;
+
 /// Wraps `payload` in the versioned, checksummed container format:
 /// magic, version, kind, fingerprint, length, payload, FNV-1a footer.
 pub fn write_container(kind: &str, fingerprint: u64, payload: &[u8]) -> Vec<u8> {
+    write_container_addressed(kind, fingerprint, payload).0
+}
+
+/// [`write_container`], also returning the container's content address:
+/// `fnv1a` over all of its bytes, footer included. FNV-1a streams, so the
+/// footer's hasher continued over the 8 footer bytes is that address and
+/// every byte is hashed once.
+pub fn write_container_addressed(kind: &str, fingerprint: u64, payload: &[u8]) -> (Vec<u8>, u64) {
     let mut w = ByteWriter::new();
     w.bytes(MAGIC);
     w.u32(FORMAT_VERSION);
@@ -422,30 +443,32 @@ pub fn write_container(kind: &str, fingerprint: u64, payload: &[u8]) -> Vec<u8> 
     w.u64(fingerprint);
     w.usize(payload.len());
     w.bytes(payload);
-    let checksum = fnv1a(&w.buf);
+    let mut h = StableHasher::new();
+    h.write_bytes(&w.buf);
+    let checksum = h.finish();
     w.u64(checksum);
-    w.into_bytes()
+    h.write_u64(checksum);
+    (w.into_bytes(), h.finish())
 }
 
-/// Validates a container's structural integrity — minimum length, trailing
-/// checksum, magic, version, payload length — and returns its `(kind,
-/// fingerprint, payload)` *without* checking kind or fingerprint. The tool
-/// for inspection paths (`dragon cache verify`) that must classify any
-/// valid container regardless of who wrote it.
-pub fn read_container_loose(
-    bytes: &[u8],
-) -> std::result::Result<(String, u64, Vec<u8>), ContainerError> {
-    // Fixed overhead: magic(8) + version(4) + kind len(8) + fp(8) +
-    // payload len(8) + checksum(8).
-    if bytes.len() < 44 {
+/// The footer-checked body (everything before the checksum) of a
+/// container whose byte stream FNV-1a-hashes to `body_sum`.
+fn checked_body(bytes: &[u8], body_sum: u64) -> std::result::Result<&[u8], ContainerError> {
+    if bytes.len() < MIN_CONTAINER_LEN {
         return Err(ContainerError::Truncated);
     }
     let (body, footer) = bytes.split_at(bytes.len() - 8);
     let mut fb = [0u8; 8];
     fb.copy_from_slice(footer);
-    if fnv1a(body) != u64::from_le_bytes(fb) {
+    if body_sum != u64::from_le_bytes(fb) {
         return Err(ContainerError::BadChecksum);
     }
+    Ok(body)
+}
+
+/// Parses a footer-checked body: magic, version, kind, fingerprint and
+/// payload length, in that order. Returns `(kind, fingerprint, payload)`.
+fn parse_body(body: &[u8]) -> std::result::Result<(String, u64, &[u8]), ContainerError> {
     let mut r = ByteReader::new(body);
     let magic = r.take(8).map_err(|_| ContainerError::Truncated)?;
     if magic != MAGIC {
@@ -471,7 +494,37 @@ pub fn read_container_loose(
     let payload = r
         .take(len)
         .map_err(|_| ContainerError::Truncated)?;
-    Ok((found_kind, found_fp, payload.to_vec()))
+    Ok((found_kind, found_fp, payload))
+}
+
+/// The kind and fingerprint checks [`read_container`] applies after
+/// structural validation.
+fn expect_kind_and_fingerprint(
+    found_kind: String,
+    found_fp: u64,
+    kind: &str,
+    fingerprint: u64,
+) -> std::result::Result<(), ContainerError> {
+    if found_kind != kind {
+        return Err(ContainerError::BadKind(found_kind));
+    }
+    if found_fp != fingerprint {
+        return Err(ContainerError::BadFingerprint { expected: fingerprint, found: found_fp });
+    }
+    Ok(())
+}
+
+/// Validates a container's structural integrity — minimum length, trailing
+/// checksum, magic, version, payload length — and returns its `(kind,
+/// fingerprint, payload)` *without* checking kind or fingerprint. The tool
+/// for inspection paths (`dragon cache verify`) that must classify any
+/// valid container regardless of who wrote it.
+pub fn read_container_loose(
+    bytes: &[u8],
+) -> std::result::Result<(String, u64, Vec<u8>), ContainerError> {
+    let body_sum = fnv1a(&bytes[..bytes.len().saturating_sub(8)]);
+    let (kind, fp, payload) = parse_body(checked_body(bytes, body_sum)?)?;
+    Ok((kind, fp, payload.to_vec()))
 }
 
 /// Validates a container byte-for-byte and returns its payload. Checks, in
@@ -483,12 +536,32 @@ pub fn read_container(
     fingerprint: u64,
 ) -> std::result::Result<Vec<u8>, ContainerError> {
     let (found_kind, found_fp, payload) = read_container_loose(bytes)?;
-    if found_kind != kind {
-        return Err(ContainerError::BadKind(found_kind));
+    expect_kind_and_fingerprint(found_kind, found_fp, kind, fingerprint)?;
+    Ok(payload)
+}
+
+/// Validates a container recorded under the content `address` that
+/// [`write_container_addressed`] returned for it, and borrows its payload.
+/// Checks the address first ([`ContainerError::BadAddress`]), then exactly
+/// what [`read_container`] checks, in the same order with the same errors.
+/// One pass hashes every byte once: the hasher's state 8 bytes before the
+/// end is the footer checksum.
+pub fn read_container_addressed<'a>(
+    bytes: &'a [u8],
+    kind: &str,
+    fingerprint: u64,
+    address: u64,
+) -> std::result::Result<&'a [u8], ContainerError> {
+    let (body, footer) = bytes.split_at(bytes.len().saturating_sub(8));
+    let mut h = StableHasher::new();
+    h.write_bytes(body);
+    let body_sum = h.finish();
+    h.write_bytes(footer);
+    if h.finish() != address {
+        return Err(ContainerError::BadAddress);
     }
-    if found_fp != fingerprint {
-        return Err(ContainerError::BadFingerprint { expected: fingerprint, found: found_fp });
-    }
+    let (found_kind, found_fp, payload) = parse_body(checked_body(bytes, body_sum)?)?;
+    expect_kind_and_fingerprint(found_kind, found_fp, kind, fingerprint)?;
     Ok(payload)
 }
 
@@ -977,6 +1050,43 @@ mod tests {
         appended.extend_from_slice(b"junk");
         assert!(read_container(&appended, "test", 7).is_err());
         assert_eq!(read_container(&[], "test", 7), Err(ContainerError::Truncated));
+    }
+
+    #[test]
+    fn addressed_writer_returns_the_content_address() {
+        let (bytes, address) = write_container_addressed("test", 7, b"payload");
+        assert_eq!(bytes, write_container("test", 7, b"payload"));
+        assert_eq!(address, fnv1a(&bytes));
+    }
+
+    #[test]
+    fn addressed_reader_checks_the_address_then_agrees_with_read_container() {
+        let (bytes, address) = write_container_addressed("test", 7, b"payload bytes here");
+        assert_eq!(
+            read_container_addressed(&bytes, "test", 7, address).unwrap(),
+            b"payload bytes here"
+        );
+        assert_eq!(
+            read_container_addressed(&bytes, "test", 7, address ^ 1),
+            Err(ContainerError::BadAddress)
+        );
+        // Given each damaged file's own address, the addressed reader must
+        // fail exactly where and how `read_container` does.
+        let mut damaged: Vec<Vec<u8>> = (0..bytes.len()).map(|cut| bytes[..cut].to_vec()).collect();
+        for i in 0..bytes.len() {
+            let mut m = bytes.clone();
+            m[i] ^= 0x01;
+            damaged.push(m);
+        }
+        damaged.push(write_container("other", 7, b"x"));
+        damaged.push(write_container("test", 8, b"x"));
+        for m in &damaged {
+            assert_eq!(
+                read_container_addressed(m, "test", 7, fnv1a(m)).map(<[u8]>::to_vec),
+                read_container(m, "test", 7),
+                "{m:?}"
+            );
+        }
     }
 
     #[test]

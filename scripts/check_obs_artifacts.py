@@ -12,7 +12,10 @@ Checks, stdlib only (CI runners install nothing):
      schemas/obs_metrics.schema.json selected by its `type`;
   4. the cache-accounting invariant holds:
      cache.hits + cache.recomputes == session.procedures;
-  5. counter lines cover the full catalog exactly once (zeros included).
+  5. the save-accounting invariant holds: store.encoded + store.carried
+     is 0 (the run saved nothing) or session.procedures (one save encodes
+     or carries every procedure once);
+  6. counter lines cover the full catalog exactly once (zeros included).
 
 Exit 0 on success; prints the first failure and exits 1 otherwise.
 """
@@ -126,7 +129,13 @@ def check_metrics(path: Path, schemas: Path) -> None:
         elif ty == "gauge":
             gauges[rec["name"]] = rec["value"]
 
-    for needed in ("cache.hits", "cache.recomputes", "faultpoint.trips"):
+    for needed in (
+        "cache.hits",
+        "cache.recomputes",
+        "faultpoint.trips",
+        "store.encoded",
+        "store.carried",
+    ):
         if needed not in counters:
             fail(f"{path}: counter `{needed}` missing from the catalog dump")
     procs = gauges.get("session.procedures")
@@ -140,6 +149,12 @@ def check_metrics(path: Path, schemas: Path) -> None:
         )
     if counters.get("cache.rejects", 0) > recomputes:
         fail(f"{path}: rejects exceed recomputes")
+    saved = counters["store.encoded"] + counters["store.carried"]
+    if saved not in (0, procs):
+        fail(
+            f"{path}: save accounting broken: encoded {counters['store.encoded']} + "
+            f"carried {counters['store.carried']} is neither 0 nor procedures {procs}"
+        )
     print(
         f"{path.name}: {len(counters)} counters, invariant "
         f"{hits}+{recomputes}=={procs} ok"

@@ -10,7 +10,9 @@
 //! - under the logical clock, both exporters are byte-deterministic and
 //!   carry valid `#checksum` trailers;
 //! - a warm-from-disk run profiles every procedure as primed, none as
-//!   recomputed.
+//!   recomputed;
+//! - every save counts each procedure once, encoded or carried:
+//!   `store.encoded + store.carried == session.procedures`.
 
 use araa::{Analysis, AnalysisOptions, AnalysisSession, SessionStore};
 use support::budget::BudgetConfig;
@@ -159,6 +161,39 @@ fn warm_from_disk_profiles_primed_procedures() {
         assert!(p.primed, "{} must be primed from disk", p.proc);
         assert!(!p.recomputed, "{} must not recompute on a warm disk run", p.proc);
     }
+}
+
+#[test]
+fn saves_count_every_procedure_encoded_or_carried() {
+    let dir = TestDir::new("obs-store-carried");
+    let mut sources = workloads::mini_lu::sources();
+    let mut session = AnalysisSession::with_cache_dir(opts_serial(), dir.path());
+    session.update(sources.clone()).expect("cold update");
+    let procs = session.analysis().expect("analysis").program.procedure_count() as u64;
+    let save = |session: &mut AnalysisSession| {
+        let c = Collector::new(ClockKind::Logical);
+        {
+            let _g = obs::attach(c.clone());
+            assert!(session.persist(), "{:?}", session.cache_incidents());
+        }
+        let counts = (c.counter(Counter::StoreEncoded), c.counter(Counter::StoreCarried));
+        assert_eq!(counts.0 + counts.1, procs, "each procedure is encoded or carried");
+        counts
+    };
+    assert_eq!(save(&mut session), (procs, 0), "a first save encodes every entry");
+    assert_eq!(save(&mut session), (0, procs), "an unchanged state is carried whole");
+
+    // A one-procedure leaf edit: only the re-propagated chain is encoded.
+    edit_rhs(&mut sources);
+    let delta = session.update(sources).expect("leaf edit");
+    assert_eq!(delta.summaries_recomputed, vec!["rhs".to_string()], "{delta:?}");
+    let (encoded, carried) = save(&mut session);
+    assert!(
+        encoded <= delta.propagation_recomputed.len() as u64,
+        "encoded {encoded} entries for {:?}",
+        delta.propagation_recomputed
+    );
+    assert!(carried > 0);
 }
 
 #[test]
