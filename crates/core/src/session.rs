@@ -43,7 +43,7 @@ use ipa::rebase::rebase_summary;
 use ipa::{IpaResult, ProcSummary};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use support::budget;
+use support::budget::{self, BudgetConfig};
 use support::hash::StableHasher;
 use support::idx::Idx;
 use support::Result;
@@ -112,10 +112,17 @@ struct SessionState {
     extract_env: Option<u64>,
     /// Ordered content keys of the source set this state was built from.
     file_keys: Vec<u64>,
-    /// Built while the effective memory budget was exhausted: the answer
-    /// is sound but environmentally widened. Served once, never reused by
-    /// the fast path, never persisted; the next update recomputes cold.
+    /// Built while the effective memory budget was exhausted or the
+    /// update's deadline had expired: the answer is sound but
+    /// environmentally widened. Served once, never reused by the fast path,
+    /// never persisted; the next update recomputes cold.
     tainted: bool,
+    /// The propagated summaries are not a function of `local`: a load found
+    /// a propagation degradation on record, or its own propagation panicked
+    /// or ran out of budget, and installed the local summaries instead. The
+    /// next update skips the fast path and re-propagates and re-extracts
+    /// every procedure; IPL stays cached.
+    stale_propagation: bool,
     /// The source set itself, retained so the state can be persisted (the
     /// on-disk cache stores sources and re-derives the program from them).
     sources: Vec<SourceFile>,
@@ -225,7 +232,7 @@ impl AnalysisSession {
         // same order, same text) reassembles to a bit-identical program, so
         // the retained state already *is* the answer.
         if let Some(p) = &self.state {
-            if keys == p.file_keys && !p.tainted {
+            if keys == p.file_keys && !p.tainted && !p.stale_propagation {
                 delta.files_cached = sources.len();
                 delta.summary_cache_hits = p.analysis.program.procedure_count();
                 delta.rows_reused = p.analysis.rows.len();
@@ -241,9 +248,9 @@ impl AnalysisSession {
             }
         }
 
-        // A previous update that ran out of memory budget left widened
-        // summaries and possibly truncated parses behind. Sound to serve,
-        // wrong to build on: drop the state *and* the parse cache it
+        // A previous update that ran out of memory budget or time left
+        // widened summaries and possibly truncated parses behind. Sound to
+        // serve, wrong to build on: drop the state *and* the parse cache it
         // poisoned so this update recomputes from scratch.
         if self.state.as_ref().is_some_and(|p| p.tainted) {
             if let Some(old) = self.state.take() {
@@ -266,13 +273,12 @@ impl AnalysisSession {
 
         // 1. Parse, reusing cached per-file parses for unchanged text.
         let parse_span = support::obs::span("session.parse");
-        let mut parsed = Vec::with_capacity(sources.len());
         let mut next_cache = BTreeMap::new();
         // File name → served-from-cache, ambiguous duplicates demoted.
         let mut hit_names: BTreeMap<&str, bool> = BTreeMap::new();
         for (s, &key) in sources.iter().zip(&keys) {
-            // Move the cached parse out (the cache is rebuilt below anyway)
-            // so a hit costs one clone, same as a miss.
+            // Move the cached parse into the next cache (rebuilt here so it
+            // evicts files no longer in the source set).
             let (p, hit) = match self.file_cache.remove(&key) {
                 Some(hit) => {
                     delta.files_cached += 1;
@@ -287,9 +293,10 @@ impl AnalysisSession {
                 .entry(s.name.as_str())
                 .and_modify(|h| *h = false)
                 .or_insert(hit);
-            next_cache.insert(key, p.clone());
-            parsed.push(p);
+            next_cache.insert(key, p);
         }
+        // Assembly borrows the cached parses, in source order.
+        let parsed = keys.iter().filter_map(|k| next_cache.get(k));
         let (program, diags) =
             match frontend::assemble_to_h_with_recovery(parsed, self.opts.layout_base) {
                 Ok(out) => out,
@@ -463,11 +470,16 @@ impl AnalysisSession {
         // 4. Propagation is invalidated for ancestors of dirty procedures;
         // everyone else reuses a rebased cached propagated summary. A
         // summary that fails its rebase joins the recompute set (and so do
-        // its ancestors) — looped until the set is stable.
+        // its ancestors) — looped until the set is stable. A state whose
+        // propagated summaries are stale re-propagates everything.
         let prop_span = support::obs::span("session.propagate");
         let mut seeds = dirty.clone();
         let mut prop_rebased: Vec<Option<ProcSummary>> = (0..n).map(|_| None).collect();
-        let mut affected = cg.ancestor_closure(seeds.iter().copied());
+        let mut affected = if prev.as_ref().is_some_and(|p| p.stale_propagation) {
+            vec![true; n]
+        } else {
+            cg.ancestor_closure(seeds.iter().copied())
+        };
         loop {
             let mut grew = false;
             for i in 0..n {
@@ -521,15 +533,8 @@ impl AnalysisSession {
                 }
             }
         }
-        let scope = budget::enter(self.opts.budget);
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let mut s = summaries;
-            let cut = propagate_subset(&program, &cg, &mut s, &affected);
-            (s, cut)
-        }));
-        let exhausted = budget::exhaustion();
-        drop(scope);
-        let propagated_ok = outcome.is_ok();
+        let (ipa, raised) =
+            propagate_contained(&program, &cg, summaries, &affected, &locals, self.opts.budget);
         let mut prop_degr: Vec<Degradation> = match (prev.as_ref(), affected.iter().all(|&a| a))
         {
             // Partial recompute: degradations attached to still-cached
@@ -538,32 +543,9 @@ impl AnalysisSession {
             // Full recompute (or cold start): this run is authoritative.
             _ => Vec::new(),
         };
-        let ipa = match outcome {
-            Ok((summaries, recursion_cut)) => {
-                if let Some(label) = exhausted {
-                    push_unique(&mut prop_degr, Degradation {
-                        proc: "(propagation)".to_string(),
-                        stage: "budget".to_string(),
-                        detail: format!(
-                            "{label} budget exhausted; some propagated regions widened"
-                        ),
-                    });
-                }
-                IpaResult { index_facts: ipa::validated_index_facts(&summaries), summaries, recursion_cut }
-            }
-            Err(payload) => {
-                push_unique(&mut prop_degr, Degradation {
-                    proc: "(propagation)".to_string(),
-                    stage: "ipa".to_string(),
-                    detail: panic_message(payload.as_ref()),
-                });
-                IpaResult {
-                    index_facts: ipa::validated_index_facts(&locals),
-                    summaries: locals.clone(),
-                    recursion_cut: cg.is_recursive(),
-                }
-            }
-        };
+        if let Some(d) = raised {
+            push_unique(&mut prop_degr, d);
+        }
         degradations.extend(prop_degr.iter().cloned());
         drop(prop_span);
 
@@ -672,9 +654,12 @@ impl AnalysisSession {
         // ambient scope entered by the caller (e.g. a serve request): both
         // widen at the same checkpoints, so exhaustion of either must show
         // up as a structured degradation — and taint the retained state so
-        // nothing widened-by-circumstance is ever reused or persisted.
+        // nothing widened-by-circumstance is ever reused or persisted. An
+        // expired deadline widens at the same checkpoints and taints alike
+        // (its degradations are already on record, one per widened phase).
         let effective_mem = mem.clone().or_else(support::memory::current);
-        let tainted = effective_mem.as_ref().is_some_and(|b| b.exhausted());
+        let tainted = effective_mem.as_ref().is_some_and(|b| b.exhausted())
+            || support::deadline::expired();
         if let Some(b) = effective_mem.filter(|b| b.exhausted()) {
             degradations.push(Degradation {
                 proc: "(session)".to_string(),
@@ -701,12 +686,11 @@ impl AnalysisSession {
             .map(|(i, &fp)| (fp, ProcId::from_usize(i)))
             .collect();
         // An entry address survives only where every input of the entry was
-        // moved verbatim: local and propagated summaries (identity clean,
-        // not propagation-affected, propagation did not fall back to local
-        // summaries), rows reused, and both failure records replayed.
+        // moved verbatim: the local summary (identity clean), the rows
+        // (reused) and both failure records (replayed with them).
         let entry_addr = (0..n)
             .map(|i| match (&clean[i], prev.as_ref()) {
-                (Some(c), Some(p)) if c.identity && reused_procs[i] && propagated_ok => {
+                (Some(c), Some(p)) if c.identity && reused_procs[i] => {
                     p.entry_addr[c.old.as_usize()]
                 }
                 _ => None,
@@ -725,6 +709,7 @@ impl AnalysisSession {
             file_keys: keys,
             sources,
             tainted,
+            stale_propagation: false,
             entry_addr,
         });
         // Ship the displaced state to the dropper thread; if that fails
@@ -806,6 +791,59 @@ pub(crate) fn raw_name(program: &Program, id: ProcId) -> String {
 fn push_unique(list: &mut Vec<Degradation>, d: Degradation) {
     if !list.contains(&d) {
         list.push(d);
+    }
+}
+
+/// One contained propagation run, shared by `update` and `load`:
+/// [`propagate_subset`] over `summaries` (local summaries in `affected`
+/// slots, full propagated ones elsewhere) under a fresh step budget, with
+/// a panic caught. Returns the result and the degradation the run raised:
+/// its budget ran out (the result holds widened summaries), or it panicked
+/// (the result holds [`fallback_ipa`] of `locals`).
+fn propagate_contained(
+    program: &Program,
+    cg: &CallGraph,
+    summaries: Vec<ProcSummary>,
+    affected: &[bool],
+    locals: &[ProcSummary],
+    budget: BudgetConfig,
+) -> (IpaResult, Option<Degradation>) {
+    let scope = budget::enter(budget);
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        let mut s = summaries;
+        let cut = propagate_subset(program, cg, &mut s, affected);
+        (s, cut)
+    }));
+    let exhausted = budget::exhaustion();
+    drop(scope);
+    match outcome {
+        Ok((summaries, recursion_cut)) => {
+            let raised = exhausted.map(|label| Degradation {
+                proc: "(propagation)".to_string(),
+                stage: "budget".to_string(),
+                detail: format!("{label} budget exhausted; some propagated regions widened"),
+            });
+            let index_facts = ipa::validated_index_facts(&summaries);
+            (IpaResult { summaries, recursion_cut, index_facts }, raised)
+        }
+        Err(payload) => {
+            let raised = Degradation {
+                proc: "(propagation)".to_string(),
+                stage: "ipa".to_string(),
+                detail: panic_message(payload.as_ref()),
+            };
+            (fallback_ipa(cg, locals), Some(raised))
+        }
+    }
+}
+
+/// What a failed propagation leaves: every procedure holds its local
+/// summary.
+fn fallback_ipa(cg: &CallGraph, locals: &[ProcSummary]) -> IpaResult {
+    IpaResult {
+        index_facts: ipa::validated_index_facts(locals),
+        summaries: locals.to_vec(),
+        recursion_cut: cg.is_recursive(),
     }
 }
 

@@ -21,38 +21,54 @@
 //! either the old manifest with all of its entries, or the new manifest
 //! with all of its entries — never a mix.
 //!
+//! An entry holds what is cheaper to load than to recompute: the
+//! procedure's local (IPL) summary, its `.rgn` rows and its failure
+//! records. Propagated summaries are not stored. As in OpenUH's split,
+//! they are re-derived from the local summaries whenever they are needed.
+//!
 //! The session remembers each procedure's entry address (checksum and
 //! length) from the last load or save, and keeps it across an update only
-//! where that procedure's summaries, rows and failure records were moved
-//! over verbatim. A save references such an entry by name, if the file is
-//! still there, instead of encoding it again, so a steady-state save
-//! encodes only what the update changed.
+//! where that procedure's local summary, rows and failure records were
+//! moved over verbatim. A save references such an entry by name, if the
+//! file is still there, instead of encoding it again, so a steady-state
+//! save encodes only what the update changed.
 //!
-//! # Load = prime, `update` = recompute
+//! # Load = prime + propagate, `update` = recompute
 //!
-//! [`AnalysisSession::load`] does no analysis. It re-parses the manifest's
-//! stored sources (deterministic — the rebuilt `Program` is bit-identical
-//! to the one the cache was saved against), validates every per-procedure
-//! entry (fingerprint, container checksum, manifest binding), and installs
-//! a session state holding the validated subset. The next
-//! [`AnalysisSession::update`] then runs the ordinary incremental
+//! [`AnalysisSession::load`] re-parses the manifest's stored sources
+//! (deterministic — the rebuilt `Program` is bit-identical to the one the
+//! cache was saved against), validates every per-procedure entry
+//! (fingerprint, container checksum, manifest binding), installs the
+//! validated local summaries, rows and failure records, and re-runs
+//! propagation over the local summaries, with the step budget and panic
+//! containment `update` uses. Two cases install the local summaries
+//! instead, as a failed propagation holds them, and mark the state so the
+//! next update skips its fast path and re-propagates and re-extracts every
+//! procedure (IPL stays cached): the manifest records a propagation
+//! degradation (the saved summaries were not a function of the locals), or
+//! the load's own propagation panics or runs out of budget.
+//!
+//! The next [`AnalysisSession::update`] then runs the ordinary incremental
 //! machinery: procedures with a validated entry are verified cache hits,
-//! anything rejected is simply *dirty* and recomputed cold — exactly the
-//! affected procedures, nothing else. Warm-from-disk results are thereby
-//! byte-identical to cold runs by construction, because both go through the
-//! same (oracle-tested) update path.
+//! anything rejected is simply *dirty* and recomputed cold, and its
+//! call-graph ancestors re-propagate — exactly the affected procedures,
+//! nothing else. Warm-from-disk results are thereby byte-identical to cold
+//! runs by construction, because both go through the same (oracle-tested)
+//! update path.
 //!
 //! Any rejected file is moved into `quarantine/` (suffixed with the failure
 //! class) and recorded as a cache [`Degradation`] retrievable via
 //! [`AnalysisSession::cache_incidents`] — corruption degrades precision of
 //! nothing and costs only recomputation, and the evidence stays on disk.
 
-use super::{file_key, raw_name, AnalysisSession, SessionState};
+use super::{
+    fallback_ipa, file_key, propagate_contained, raw_name, AnalysisSession, SessionState,
+};
 use crate::driver::{Analysis, AnalysisOptions, Degradation};
 use crate::row::RgnRow;
 use frontend::{parse_source_with_recovery, SourceFile};
 use ipa::callgraph::CallGraph;
-use ipa::{IpaResult, ProcSummary};
+use ipa::ProcSummary;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -190,7 +206,6 @@ struct Manifest {
     sources: Vec<SourceFile>,
     entries: Vec<ManifestEntry>,
     extract_env: Option<u64>,
-    recursion_cut: bool,
     prop_degr: Vec<Degradation>,
     degradations: Vec<Degradation>,
 }
@@ -200,7 +215,6 @@ impl Persist for Manifest {
         self.sources.save(w);
         self.entries.save(w);
         self.extract_env.save(w);
-        w.bool(self.recursion_cut);
         self.prop_degr.save(w);
         self.degradations.save(w);
     }
@@ -209,18 +223,17 @@ impl Persist for Manifest {
             sources: Vec::load(r)?,
             entries: Vec::load(r)?,
             extract_env: Persist::load(r)?,
-            recursion_cut: r.bool()?,
             prop_degr: Vec::load(r)?,
             degradations: Vec::load(r)?,
         })
     }
 }
 
-/// One per-procedure cache entry: everything [`SessionState`] holds for a
-/// single procedure.
+/// One per-procedure cache entry: what [`SessionState`] holds for a single
+/// procedure that is cheaper to load than to recompute. The propagated
+/// summary is not stored; `load` re-derives it from the local summaries.
 struct Entry {
     local: ProcSummary,
-    propagated: ProcSummary,
     rows: Vec<RgnRow>,
     ipl_fail: Option<(String, String)>,
     extract_fail: Option<String>,
@@ -229,7 +242,6 @@ struct Entry {
 impl Persist for Entry {
     fn save(&self, w: &mut ByteWriter) {
         self.local.save(w);
-        self.propagated.save(w);
         self.rows.save(w);
         self.ipl_fail.save(w);
         self.extract_fail.save(w);
@@ -237,7 +249,6 @@ impl Persist for Entry {
     fn load(r: &mut ByteReader<'_>) -> Result<Self> {
         Ok(Entry {
             local: Persist::load(r)?,
-            propagated: Persist::load(r)?,
             rows: Vec::load(r)?,
             ipl_fail: Persist::load(r)?,
             extract_fail: Persist::load(r)?,
@@ -257,7 +268,6 @@ fn decode<T: Persist>(payload: &[u8]) -> Result<T> {
 fn encode_entry(state: &SessionState, i: usize) -> Vec<u8> {
     let mut w = ByteWriter::new();
     state.local[i].save(&mut w);
-    state.analysis.ipa.summaries[i].save(&mut w);
     let rows = &state.analysis.rows[state.proc_rows[i].clone()];
     w.usize(rows.len());
     for row in rows {
@@ -635,7 +645,6 @@ impl SessionStore {
             sources: state.sources.clone(),
             entries,
             extract_env: state.extract_env,
-            recursion_cut: state.analysis.ipa.recursion_cut,
             prop_degr: state.prop_degr.clone(),
             degradations: state.analysis.degradations.clone(),
         };
@@ -742,6 +751,10 @@ impl AnalysisSession {
     /// manifest was rejected; rejected files are quarantined and recorded
     /// in [`cache_incidents`](Self::cache_incidents).
     ///
+    /// Propagated summaries are not stored: the load re-derives them from
+    /// the cached local summaries (see the module docs for when it holds
+    /// the local summaries instead).
+    ///
     /// Call [`update`](Self::update) with the current sources afterwards;
     /// until then [`analysis`](Self::analysis) reflects the persisted
     /// snapshot (and may be incomplete if entries were quarantined).
@@ -802,7 +815,7 @@ impl AnalysisSession {
         let parsed: Vec<_> =
             manifest.sources.iter().map(parse_source_with_recovery).collect();
         let (program, _diags) = match frontend::assemble_to_h_with_recovery(
-            parsed.clone(),
+            &parsed,
             self.opts.layout_base,
         ) {
             Ok(out) => out,
@@ -822,8 +835,6 @@ impl AnalysisSession {
             manifest.entries.iter().map(|e| (e.proc.as_str(), e)).collect();
 
         let mut local: Vec<ProcSummary> = (0..n).map(|_| ProcSummary::default()).collect();
-        let mut propagated: Vec<ProcSummary> =
-            (0..n).map(|_| ProcSummary::default()).collect();
         let mut per_rows: Vec<Vec<RgnRow>> = (0..n).map(|_| Vec::new()).collect();
         let mut ipl_fail: Vec<Option<(String, String)>> = (0..n).map(|_| None).collect();
         let mut extract_fail: Vec<Option<String>> = (0..n).map(|_| None).collect();
@@ -887,7 +898,6 @@ impl AnalysisSession {
             match entry {
                 Ok(entry) => {
                     local[i] = entry.local;
-                    propagated[i] = entry.propagated;
                     per_rows[i] = entry.rows;
                     ipl_fail[i] = entry.ipl_fail;
                     extract_fail[i] = entry.extract_fail;
@@ -918,33 +928,46 @@ impl AnalysisSession {
             rows.append(&mut per_rows[i]);
             proc_rows[i] = start..rows.len();
         }
+        // Re-derive the propagated summaries from the locals, as a full
+        // update would. A rejected procedure holds an empty local summary,
+        // so its ancestors' results are wrong here, but the next update
+        // finds it dirty and re-propagates exactly those ancestors. Where
+        // the summaries the cache was saved from were not a function of the
+        // locals (a propagation degradation is on record), or this
+        // propagation fails, hold the locals as a failed propagation does
+        // and have the next update re-propagate everything.
+        let propagated = manifest.prop_degr.is_empty().then(|| {
+            propagate_contained(
+                &program,
+                &cg,
+                local.clone(),
+                &vec![true; n],
+                &local,
+                self.opts.budget,
+            )
+        });
+        let (ipa, stale_propagation) = match propagated {
+            Some((ipa, None)) => (ipa, false),
+            _ => (fallback_ipa(&cg, &local), true),
+        };
         let all_valid = entry_addr.iter().all(Option::is_some);
         let by_hash = (0..n)
             .filter(|&i| entry_addr[i].is_some())
             .map(|i| (fps[i], ProcId::from_usize(i)))
             .collect();
+        // Prime the parse cache with the parses assembly borrowed: the next
+        // update reuses them for unchanged files.
+        let keys: Vec<u64> = manifest.sources.iter().map(file_key).collect();
+        self.file_cache.extend(keys.iter().copied().zip(parsed));
         // Only a fully-validated state may satisfy the identical-input fast
         // path; a partial one must force the next update through the full
         // classify-and-recompute machinery.
-        let file_keys = if all_valid {
-            manifest.sources.iter().map(file_key).collect()
-        } else {
-            Vec::new()
-        };
-        // Prime the parse cache: the next update reuses these parses for
-        // unchanged files.
-        for (s, p) in manifest.sources.iter().zip(parsed) {
-            self.file_cache.insert(file_key(s), p);
-        }
+        let file_keys = if all_valid { keys } else { Vec::new() };
         let state = SessionState {
             analysis: Analysis {
                 program,
                 callgraph: cg,
-                ipa: IpaResult {
-                    index_facts: ipa::validated_index_facts(&propagated),
-                    summaries: propagated,
-                    recursion_cut: manifest.recursion_cut,
-                },
+                ipa,
                 rows,
                 degradations: manifest.degradations,
             },
@@ -958,10 +981,11 @@ impl AnalysisSession {
             extract_env: manifest.extract_env,
             file_keys,
             sources: manifest.sources,
-            // Loaded states were re-derived just now, under no budget of
-            // their own; tainted states are never persisted in the first
-            // place (see `persist`).
+            // A load keeps no widened result: a propagation that ran out of
+            // budget or time is replaced by the local summaries above, and
+            // tainted states are never persisted (see `persist`).
             tainted: false,
+            stale_propagation,
             entry_addr,
         };
         if let Some(old) = self.state.replace(state) {
@@ -983,9 +1007,9 @@ impl AnalysisSession {
     pub fn persist(&mut self) -> bool {
         let Some(store) = self.store.clone() else { return false };
         let Some(state) = self.state.as_mut() else { return false };
-        // Memory-exhausted results are environmentally widened; writing
-        // them out would replace a good on-disk state with conservative
-        // junk that outlives the exhaustion.
+        // Memory- or deadline-exhausted results are environmentally
+        // widened; writing them out would replace a good on-disk state with
+        // conservative junk that outlives the exhaustion.
         if state.tainted {
             return false;
         }

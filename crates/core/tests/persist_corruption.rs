@@ -236,19 +236,35 @@ fn rgn_pre_precision_schema_is_rejected_with_version_error() {
     assert!(read_rgn(&future).is_err(), "future versions must not parse");
 }
 
+/// `container` with its format version set to `version` and its FNV footer
+/// re-sealed, so the container is structurally pristine — the *only* thing
+/// wrong with it is its age.
+fn reseal_at_version(container: &[u8], version: u32) -> Vec<u8> {
+    let mut old = container.to_vec();
+    old[8..12].copy_from_slice(&version.to_le_bytes());
+    let body_len = old.len() - 8;
+    let sum = support::hash::fnv1a(&old[..body_len]);
+    old[body_len..].copy_from_slice(&sum.to_le_bytes());
+    old
+}
+
+/// Names of the files in `dir`'s quarantine.
+fn quarantined(dir: &TestDir) -> Vec<String> {
+    std::fs::read_dir(dir.join("quarantine"))
+        .expect("quarantine dir must exist")
+        .flatten()
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .collect()
+}
+
 #[test]
 fn old_version_cache_container_quarantines_and_recomputes() {
     let (manifest, entry, name, oracle) = seeded_cache_bytes();
 
     // Rewind the manifest's format version to 2 (pre-`precision` payload
-    // layout) and re-seal the FNV footer so the container is structurally
-    // pristine — the *only* thing wrong with it is its age. This is what a
-    // cache directory written by the previous release looks like.
-    let mut old = manifest.clone();
-    old[8..12].copy_from_slice(&2u32.to_le_bytes());
-    let body_len = old.len() - 8;
-    let sum = support::hash::fnv1a(&old[..body_len]);
-    old[body_len..].copy_from_slice(&sum.to_le_bytes());
+    // layout). This is what a cache directory written by an old release
+    // looks like.
+    let old = reseal_at_version(&manifest, 2);
     assert!(
         matches!(
             support::persist::read_container_loose(&old),
@@ -267,15 +283,57 @@ fn old_version_cache_container_quarantines_and_recomputes() {
     s.load();
     s.update(&sources()).expect("update");
     assert_eq!(s.analysis().expect("analysis").rows, oracle);
-    let quarantined: Vec<String> = std::fs::read_dir(dir.join("quarantine"))
-        .expect("quarantine dir must exist")
-        .flatten()
-        .map(|e| e.file_name().to_string_lossy().into_owned())
-        .collect();
+    let quarantined = quarantined(&dir);
     assert!(
         quarantined.iter().any(|n| n.contains("version")),
         "stale entry must be quarantined with the version suffix: {quarantined:?}"
     );
+}
+
+#[test]
+fn previous_format_version_manifest_and_entry_quarantine_as_version() {
+    let (manifest, entry, name, oracle) = seeded_cache_bytes();
+    let previous = support::persist::FORMAT_VERSION - 1;
+
+    // A manifest written by the previous format version.
+    let old_manifest = reseal_at_version(&manifest, previous);
+    assert_eq!(
+        support::persist::read_container_loose(&old_manifest).err(),
+        Some(support::persist::ContainerError::BadVersion(previous))
+    );
+    let dir = TestDir::new("corrupt-previous-manifest");
+    std::fs::write(dir.join("manifest.araa"), &old_manifest).expect("write manifest");
+    std::fs::write(dir.join(&name), &entry).expect("write entry");
+    let mut s = AnalysisSession::with_cache_dir(AnalysisOptions::default(), dir.path());
+    assert!(!s.load(), "an old manifest is never loaded");
+    s.update(&sources()).expect("update");
+    assert_eq!(s.analysis().expect("analysis").rows, oracle);
+    let q = quarantined(&dir);
+    assert_eq!(q, ["manifest.araa.version"], "{q:?}");
+
+    // An entry written by the previous format version, under a current
+    // manifest that records its content address (so the address check
+    // passes and the version check is what rejects it).
+    let old_entry = reseal_at_version(&entry, previous);
+    let sum = u64::from_str_radix(&name[1..17], 16).expect("entry name is its address");
+    let old_sum = support::hash::fnv1a(&old_entry);
+    let mut m = manifest.clone();
+    let at: Vec<usize> = (0..m.len() - 8)
+        .filter(|&i| m[i..i + 8] == sum.to_le_bytes())
+        .collect();
+    assert_eq!(at.len(), 1, "the manifest records the entry's address once");
+    m[at[0]..at[0] + 8].copy_from_slice(&old_sum.to_le_bytes());
+    let m = reseal_at_version(&m, support::persist::FORMAT_VERSION);
+    let old_name = format!("e{old_sum:016x}.araa");
+    let dir = TestDir::new("corrupt-previous-entry");
+    std::fs::write(dir.join("manifest.araa"), &m).expect("write manifest");
+    std::fs::write(dir.join(&old_name), &old_entry).expect("write entry");
+    let mut s = AnalysisSession::with_cache_dir(AnalysisOptions::default(), dir.path());
+    assert!(s.load(), "the current manifest loads");
+    s.update(&sources()).expect("update");
+    assert_eq!(s.analysis().expect("analysis").rows, oracle);
+    let q = quarantined(&dir);
+    assert_eq!(q, [format!("{old_name}.version")], "{q:?}");
 }
 
 proptest! {

@@ -221,6 +221,79 @@ impl Module {
     pub fn find_proc(&self, name: &str) -> Option<&ProcDecl> {
         self.procs.iter().find(|p| p.name == name)
     }
+
+    /// Releases the spare capacity parsing leaves in every vector of the
+    /// tree, so a module kept for reuse holds no more memory than a copy of
+    /// it would, without the copy.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.globals.shrink_to_fit();
+        for g in &mut self.globals {
+            g.dims.shrink_to_fit();
+        }
+        self.procs.shrink_to_fit();
+        for p in &mut self.procs {
+            p.formals.shrink_to_fit();
+            p.decls.shrink_to_fit();
+            for d in &mut p.decls {
+                d.dims.shrink_to_fit();
+            }
+            shrink_body(&mut p.body);
+        }
+    }
+}
+
+fn shrink_body(body: &mut Vec<Stmt>) {
+    body.shrink_to_fit();
+    for s in body {
+        match s {
+            Stmt::Assign(lhs, rhs, _) => {
+                match lhs {
+                    LValue::Var(..) => {}
+                    LValue::Elem(_, subs, _) => shrink_exprs(subs),
+                    LValue::CoElem(_, subs, image, _) => {
+                        shrink_exprs(subs);
+                        shrink_expr(image);
+                    }
+                }
+                shrink_expr(rhs);
+            }
+            Stmt::Call(_, args, _) => shrink_exprs(args),
+            Stmt::Do { lo, hi, body, .. } => {
+                shrink_expr(lo);
+                shrink_expr(hi);
+                shrink_body(body);
+            }
+            Stmt::If { cond, then_body, else_body, .. } => {
+                shrink_expr(cond);
+                shrink_body(then_body);
+                shrink_body(else_body);
+            }
+            Stmt::Return(_) => {}
+        }
+    }
+}
+
+fn shrink_exprs(exprs: &mut Vec<Expr>) {
+    exprs.shrink_to_fit();
+    for e in exprs {
+        shrink_expr(e);
+    }
+}
+
+fn shrink_expr(e: &mut Expr) {
+    match e {
+        Expr::Index(_, args, _) | Expr::Call(_, args, _) => shrink_exprs(args),
+        Expr::CoIndex(_, subs, image, _) => {
+            shrink_exprs(subs);
+            shrink_expr(image);
+        }
+        Expr::Bin(_, l, r, _) => {
+            shrink_expr(l);
+            shrink_expr(r);
+        }
+        Expr::Neg(x, _) => shrink_expr(x),
+        Expr::Int(..) | Expr::Real(..) | Expr::Var(..) => {}
+    }
 }
 
 #[cfg(test)]

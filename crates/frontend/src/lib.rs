@@ -31,6 +31,7 @@ pub mod parse;
 pub mod sema;
 
 use ast::{Module, ProcDecl, Stmt};
+use std::borrow::{Borrow, Cow};
 use std::collections::BTreeSet;
 use support::{Error, Result};
 use whirl::{Lang, Program};
@@ -83,7 +84,8 @@ impl support::persist::Persist for SourceFile {
 /// One source file after recovering parsing but before cross-file assembly
 /// (stubbing, semantic analysis, lowering). This is the unit the incremental
 /// session caches per file: parsing depends only on the file itself, while
-/// everything downstream mixes files together.
+/// everything downstream mixes files together. Assembly borrows it, so a
+/// cached parse is never copied to be reused.
 #[derive(Debug, Clone)]
 pub struct ParsedSource {
     /// The (possibly partially recovered) module.
@@ -96,12 +98,14 @@ pub struct ParsedSource {
 
 /// Parses one source file with recovery. Never fails: an unparseable file
 /// yields an empty module plus the diagnostics explaining what was lost.
+/// The module is shrunk to fit: the session keeps every parse for reuse.
 pub fn parse_source_with_recovery(s: &SourceFile) -> ParsedSource {
     let _span = support::obs::span_arg("frontend.parse", || s.name.clone());
-    let (module, diags) = match s.lang {
+    let (mut module, diags) = match s.lang {
         Lang::Fortran => fortran::parse_with_recovery(&s.name, &s.text),
         Lang::C => cparse::parse_with_recovery(&s.name, &s.text),
     };
+    module.shrink_to_fit();
     ParsedSource { module, lang: s.lang, diags }
 }
 
@@ -110,13 +114,23 @@ pub fn parse_source_with_recovery(s: &SourceFile) -> ParsedSource {
 /// that fail semantic checking are gutted, and every incident is reported.
 /// Fails only when no procedure at all survived parsing, or on a structural
 /// error that cannot be pinned to one procedure.
-pub fn assemble_with_recovery(parsed: Vec<ParsedSource>) -> Result<(Program, Vec<Error>)> {
-    let mut modules = Vec::with_capacity(parsed.len());
+///
+/// Takes the parses owned or borrowed (`Vec<ParsedSource>`, `&[ParsedSource]`,
+/// an iterator of `&ParsedSource`) and never consumes a module: recovery
+/// copies only the modules it stubs a callee into or guts a unit of, so a
+/// caller that keeps its parses (the session's parse cache) pays no copy.
+pub fn assemble_with_recovery<I>(parsed: I) -> Result<(Program, Vec<Error>)>
+where
+    I: IntoIterator,
+    I::Item: Borrow<ParsedSource>,
+{
+    let parsed: Vec<I::Item> = parsed.into_iter().collect();
+    let mut modules: Vec<Cow<'_, Module>> = Vec::with_capacity(parsed.len());
     let mut langs = Vec::with_capacity(parsed.len());
     let mut diags = Vec::new();
-    for p in parsed {
-        diags.extend(p.diags);
-        modules.push(p.module);
+    for p in parsed.iter().map(Borrow::borrow) {
+        diags.extend(p.diags.iter().cloned());
+        modules.push(Cow::Borrowed(&p.module));
         langs.push(p.lang);
     }
     if modules.iter().all(|m| m.procs.is_empty()) {
@@ -149,10 +163,14 @@ pub fn assemble_with_recovery(parsed: Vec<ParsedSource>) -> Result<(Program, Vec
 
 /// Like [`assemble_with_recovery`] but also lowers to H WHIRL and assigns
 /// the static data layout.
-pub fn assemble_to_h_with_recovery(
-    parsed: Vec<ParsedSource>,
+pub fn assemble_to_h_with_recovery<I>(
+    parsed: I,
     layout_base: u64,
-) -> Result<(Program, Vec<Error>)> {
+) -> Result<(Program, Vec<Error>)>
+where
+    I: IntoIterator,
+    I::Item: Borrow<ParsedSource>,
+{
     let (mut program, diags) = assemble_with_recovery(parsed)?;
     whirl::lower::lower_program(&mut program);
     program.assign_layout(layout_base);
@@ -196,7 +214,7 @@ pub fn compile_to_h(sources: &[SourceFile], layout_base: u64) -> Result<Program>
 /// survives, or on a structural error that cannot be pinned to one
 /// procedure.
 pub fn compile_with_recovery(sources: &[SourceFile]) -> Result<(Program, Vec<Error>)> {
-    assemble_with_recovery(sources.iter().map(parse_source_with_recovery).collect())
+    assemble_with_recovery(sources.iter().map(parse_source_with_recovery))
 }
 
 /// Like [`compile_to_h`] with the recovery semantics of
@@ -215,7 +233,7 @@ pub fn compile_to_h_with_recovery(
 /// defined) with empty stub definitions, so one unparseable unit doesn't
 /// take every caller down with it. Stubs have no formals and no effects —
 /// [`ipa`] propagation treats them as pure no-ops.
-fn stub_undefined_callees(modules: &mut [Module], diags: &mut Vec<Error>) {
+fn stub_undefined_callees(modules: &mut [Cow<'_, Module>], diags: &mut Vec<Error>) {
     // Defined procedures plus the stubs added so far, so a callee missing
     // from several modules is stubbed once.
     let mut defined: BTreeSet<String> = modules
@@ -233,7 +251,7 @@ fn stub_undefined_callees(modules: &mut [Module], diags: &mut Vec<Error>) {
                 pos,
                 format!("call to undefined procedure `{name}`; replaced by an empty stub"),
             ));
-            m.procs.push(ProcDecl {
+            m.to_mut().procs.push(ProcDecl {
                 name,
                 formals: Vec::new(),
                 decls: Vec::new(),
@@ -280,7 +298,7 @@ fn quoted_name(msg: &str) -> Option<&str> {
 /// enclosing procedure to an empty shell (kept so callers still resolve).
 /// Returns `false` when the error cannot be attributed — the caller then
 /// fails hard rather than looping.
-fn degrade_offender(modules: &mut [Module], e: &Error, diags: &mut Vec<Error>) -> bool {
+fn degrade_offender(modules: &mut [Cow<'_, Module>], e: &Error, diags: &mut Vec<Error>) -> bool {
     let Some(pos) = e.pos() else { return false };
     let msg = e.to_string();
     let name = quoted_name(&msg).map(str::to_string);
@@ -292,7 +310,7 @@ fn degrade_offender(modules: &mut [Module], e: &Error, diags: &mut Vec<Error>) -
                 if let Some(i) =
                     m.procs.iter().position(|p| &p.name == name && p.pos == pos)
                 {
-                    m.procs.remove(i);
+                    m.to_mut().procs.remove(i);
                     diags.push(Error::degraded(
                         name.clone(),
                         "sema",
@@ -312,7 +330,7 @@ fn degrade_offender(modules: &mut [Module], e: &Error, diags: &mut Vec<Error>) -
                 if let Some(i) =
                     m.globals.iter().position(|g| &g.name == name && g.pos == pos)
                 {
-                    m.globals.remove(i);
+                    m.to_mut().globals.remove(i);
                     diags.push(Error::degraded(
                         name.clone(),
                         "sema",
@@ -343,7 +361,7 @@ fn degrade_offender(modules: &mut [Module], e: &Error, diags: &mut Vec<Error>) -
     }
     match best {
         Some((mi, pi, _)) => {
-            let p = &mut modules[mi].procs[pi];
+            let p = &mut modules[mi].to_mut().procs[pi];
             diags.push(Error::degraded(
                 p.name.clone(),
                 "sema",

@@ -9,6 +9,7 @@
 
 use crate::ast::{AstDim, BinOp, Expr, LValue, Module, ProcDecl, Stmt, TypeName};
 use crate::sema::{ProgramEnv, VarInfo, VarScope};
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use support::{Error, Result};
 use whirl::builder::TreeBuilder;
@@ -34,8 +35,9 @@ fn dim_bound(d: AstDim) -> DimBound {
 }
 
 /// Lowers a set of analyzed modules into one [`Program`] at VH level.
-pub fn lower_modules(
-    modules: &[Module],
+/// Takes owned or borrowed modules alike, as [`crate::sema::analyze`] does.
+pub fn lower_modules<M: Borrow<Module>>(
+    modules: &[M],
     env: &ProgramEnv,
     langs: &[Lang],
 ) -> Result<Program> {
@@ -51,7 +53,7 @@ pub fn lower_modules(
 
     // Procedure symbols next so calls resolve in any order.
     let mut proc_sts: BTreeMap<String, StIdx> = BTreeMap::new();
-    for m in modules {
+    for m in modules.iter().map(Borrow::borrow) {
         for p in &m.procs {
             let ty = program.types.add(whirl::TyKind::Proc(DataType::Void));
             let sym = program.interner.intern(&p.name);
@@ -60,7 +62,7 @@ pub fn lower_modules(
         }
     }
 
-    for (m, &lang) in modules.iter().zip(langs) {
+    for (m, &lang) in modules.iter().map(Borrow::borrow).zip(langs) {
         for p in &m.procs {
             let proc = lower_proc(&mut program, m, p, env, lang, &globals, &proc_sts)?;
             program.add_procedure(proc);

@@ -36,13 +36,17 @@ impl Cursor {
         self.toks[self.i.min(self.toks.len() - 1)].pos
     }
 
-    /// Advances and returns the consumed token.
+    /// Advances and returns the consumed token. The cursor never moves
+    /// back, so a consumed token is moved out rather than copied; the final
+    /// `Eof` stays in place.
     pub fn bump(&mut self) -> Tok {
-        let t = self.toks[self.i.min(self.toks.len() - 1)].tok.clone();
-        if self.i < self.toks.len() - 1 {
+        let last = self.toks.len() - 1;
+        if self.i < last {
             self.i += 1;
+            std::mem::replace(&mut self.toks[self.i - 1].tok, Tok::Eof)
+        } else {
+            self.toks[last].tok.clone()
         }
-        t
     }
 
     /// Consumes the current token if it equals `t`.
@@ -69,27 +73,26 @@ impl Cursor {
 
     /// Requires and returns an identifier.
     pub fn ident(&mut self, what: &str) -> Result<String> {
-        match self.peek().clone() {
-            Tok::Ident(s) => {
-                self.bump();
-                Ok(s)
+        if matches!(self.peek(), Tok::Ident(_)) {
+            if let Tok::Ident(s) = self.bump() {
+                return Ok(s);
             }
-            other => Err(Error::parse(
-                self.pos(),
-                format!("expected {what}, found {other:?}"),
-            )),
         }
+        Err(Error::parse(
+            self.pos(),
+            format!("expected {what}, found {:?}", self.peek()),
+        ))
     }
 
     /// Requires and returns an integer literal, allowing a leading minus.
     pub fn int(&mut self, what: &str) -> Result<i64> {
         let neg = self.eat(&Tok::Minus);
-        match self.peek().clone() {
+        match *self.peek() {
             Tok::Int(v) => {
                 self.bump();
                 Ok(if neg { -v } else { v })
             }
-            other => Err(Error::parse(
+            ref other => Err(Error::parse(
                 self.pos(),
                 format!("expected {what}, found {other:?}"),
             )),
@@ -209,35 +212,29 @@ fn unary(c: &mut Cursor, style: IndexStyle) -> Result<Expr> {
 
 fn primary(c: &mut Cursor, style: IndexStyle) -> Result<Expr> {
     let pos = c.pos();
-    match c.peek().clone() {
-        Tok::Int(v) => {
-            c.bump();
-            Ok(Expr::Int(v, pos))
+    // Consume the token only once it is known to start an expression, so
+    // error recovery resynchronizes from the offending token.
+    let tok = match c.peek() {
+        Tok::Int(_) | Tok::Real(_) | Tok::Str(_) | Tok::LParen | Tok::Amp | Tok::Ident(_) => {
+            c.bump()
         }
-        Tok::Real(v) => {
-            c.bump();
-            Ok(Expr::Real(v, pos))
-        }
-        Tok::Str(_) => {
-            // Strings only appear as call arguments (print_results etc.);
-            // model them as an opaque integer.
-            c.bump();
-            Ok(Expr::Int(0, pos))
-        }
+        other => return Err(Error::parse(pos, format!("expected expression, found {other:?}"))),
+    };
+    match tok {
+        Tok::Int(v) => Ok(Expr::Int(v, pos)),
+        Tok::Real(v) => Ok(Expr::Real(v, pos)),
+        // Strings only appear as call arguments (print_results etc.);
+        // model them as an opaque integer.
+        Tok::Str(_) => Ok(Expr::Int(0, pos)),
         Tok::LParen => {
-            c.bump();
             let e = expr(c, style)?;
             c.expect(&Tok::RParen, "`)`")?;
             Ok(e)
         }
-        Tok::Amp => {
-            // C address-of on an argument: transparent for our analysis.
-            // Route through `unary` so `&` chains hit the recursion guard.
-            c.bump();
-            unary(c, style)
-        }
+        // C address-of on an argument: transparent for our analysis.
+        // Route through `unary` so `&` chains hit the recursion guard.
+        Tok::Amp => unary(c, style),
         Tok::Ident(name) => {
-            c.bump();
             match style {
                 IndexStyle::Paren => {
                     if c.eat(&Tok::LParen) {

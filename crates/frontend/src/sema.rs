@@ -8,6 +8,7 @@
 //! indexing non-arrays, subscript-count mismatches, unknown callees).
 
 use crate::ast::{AstDim, Expr, LValue, Module, ProcDecl, Stmt, TypeName};
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet};
 use support::{Error, Result};
 
@@ -88,13 +89,14 @@ pub fn implicit_type(name: &str) -> TypeName {
     }
 }
 
-/// Runs semantic analysis over all modules of a program.
-pub fn analyze(modules: &[Module]) -> Result<ProgramEnv> {
+/// Runs semantic analysis over all modules of a program. Takes owned or
+/// borrowed modules alike (`Module`, `&Module`, `Cow<Module>`).
+pub fn analyze<M: Borrow<Module>>(modules: &[M]) -> Result<ProgramEnv> {
     let mut env = ProgramEnv::default();
 
     // Pass 1: merge globals. A placeholder from a COMMON statement (no dims)
     // is upgraded by any declaration with dims/type information.
-    for m in modules {
+    for m in modules.iter().map(Borrow::borrow) {
         for g in &m.globals {
             let info = VarInfo { ty: g.ty, dims: g.dims.clone(), scope: VarScope::Global, coarray: g.coarray };
             match env.globals.get(&g.name) {
@@ -126,7 +128,7 @@ pub fn analyze(modules: &[Module]) -> Result<ProgramEnv> {
 
     // Patch COMMON placeholders whose declaration lives inside a unit: any
     // later unit declaring the same name with dims supplies the real shape.
-    for m in modules {
+    for m in modules.iter().map(Borrow::borrow) {
         for p in &m.procs {
             for d in &p.decls {
                 if let Some(g) = env.globals.get_mut(&d.name) {
@@ -151,7 +153,7 @@ pub fn analyze(modules: &[Module]) -> Result<ProgramEnv> {
     }
 
     // Pass 2: build per-procedure environments and check bodies.
-    for m in modules {
+    for m in modules.iter().map(Borrow::borrow) {
         for p in &m.procs {
             let penv = build_proc_env(p, &env)?;
             check_body(p, &penv, &env)?;

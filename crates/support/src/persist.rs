@@ -51,7 +51,9 @@ pub const MAGIC: &[u8; 8] = b"ARAAPRS\0";
 /// index-array facts.
 /// Version 4: index-array facts carry `init_end_pos` (the flow gate for
 /// same-procedure consumers).
-pub const FORMAT_VERSION: u32 = 4;
+/// Version 5: session entries drop the propagated summary (re-derived on
+/// load) and the session manifest drops the recursion-cut flag.
+pub const FORMAT_VERSION: u32 = 5;
 
 /// Write-path faultpoints registered inside [`atomic_write`] and the
 /// store layers above it, in the order they fire. CI arms each one in turn
