@@ -44,12 +44,6 @@ pub struct AnalysisOptions {
     /// Resource budgets bounding each per-procedure analysis. Exhaustion
     /// widens regions conservatively instead of failing.
     pub budget: BudgetConfig,
-    /// Allocation ceiling for one update, in mebibytes (`None` =
-    /// unlimited). Charged at the same checkpoints as `budget`; exhaustion
-    /// widens the remaining regions conservatively and records a
-    /// `memory`-stage [`Degradation`]. Accounting only moves when a
-    /// counting global allocator is installed (the `dragon` binary does).
-    pub mem_budget_mb: Option<u64>,
 }
 
 impl Default for AnalysisOptions {
@@ -59,7 +53,6 @@ impl Default for AnalysisOptions {
             include_propagated: true,
             threads: 1,
             budget: BudgetConfig::default(),
-            mem_budget_mb: None,
         }
     }
 }
@@ -100,12 +93,6 @@ impl AnalysisOptionsBuilder {
     /// Resource budgets bounding each per-procedure analysis.
     pub fn budget(mut self, budget: BudgetConfig) -> Self {
         self.opts.budget = budget;
-        self
-    }
-
-    /// Allocation ceiling for one update, in mebibytes (`None` = unlimited).
-    pub fn mem_budget_mb(mut self, mb: Option<u64>) -> Self {
-        self.opts.mem_budget_mb = mb;
         self
     }
 

@@ -112,7 +112,7 @@ struct SessionState {
     extract_env: Option<u64>,
     /// Ordered content keys of the source set this state was built from.
     file_keys: Vec<u64>,
-    /// Built while the effective memory budget was exhausted or the
+    /// Built while the ambient memory budget was exhausted or the
     /// update's deadline had expired: the answer is sound but
     /// environmentally widened. Served once, never reused by the fast path,
     /// never persisted; the next update recomputes cold.
@@ -264,13 +264,6 @@ impl AnalysisSession {
             self.file_cache.clear();
         }
 
-        // Memory budget for this update (`None` = unlimited): charged at
-        // the same checkpoints as the step budgets, so every phase below
-        // widens instead of allocating past the ceiling. Worker threads
-        // re-enter the same budget via `support::memory::current()`.
-        let mem = self.opts.mem_budget_mb.map(support::memory::MemoryBudget::mb);
-        let _mem_scope = mem.clone().map(support::memory::enter);
-
         // 1. Parse, reusing cached per-file parses for unchanged text.
         let parse_span = support::obs::span("session.parse");
         let mut next_cache = BTreeMap::new();
@@ -307,10 +300,8 @@ impl AnalysisSession {
                     // be budget-truncated, and caching them would replay this
                     // failure even after the caller raises the budget. Drop
                     // everything so the retry reparses cold.
-                    let mem_exhausted = mem
-                        .clone()
-                        .or_else(support::memory::current)
-                        .is_some_and(|b| b.exhausted());
+                    let mem_exhausted =
+                        support::memory::current().is_some_and(|b| b.exhausted());
                     if mem_exhausted {
                         self.file_cache.clear();
                     } else {
@@ -650,17 +641,16 @@ impl AnalysisSession {
             }
             None => delta.rows_added = rows.len(),
         }
-        // The effective budget may be the session's own (`mem`) or an
-        // ambient scope entered by the caller (e.g. a serve request): both
-        // widen at the same checkpoints, so exhaustion of either must show
-        // up as a structured degradation — and taint the retained state so
+        // The memory budget is the ambient scope entered by the caller (the
+        // CLI's `--mem-budget-mb`, a serve request): it widens at the same
+        // checkpoints as the step budgets, so its exhaustion must show up
+        // as a structured degradation — and taint the retained state so
         // nothing widened-by-circumstance is ever reused or persisted. An
         // expired deadline widens at the same checkpoints and taints alike
         // (its degradations are already on record, one per widened phase).
-        let effective_mem = mem.clone().or_else(support::memory::current);
-        let tainted = effective_mem.as_ref().is_some_and(|b| b.exhausted())
-            || support::deadline::expired();
-        if let Some(b) = effective_mem.filter(|b| b.exhausted()) {
+        let mem_exhausted = support::memory::current().filter(|b| b.exhausted());
+        let tainted = mem_exhausted.is_some() || support::deadline::expired();
+        if let Some(b) = mem_exhausted {
             degradations.push(Degradation {
                 proc: "(session)".to_string(),
                 stage: "memory".to_string(),
@@ -669,14 +659,6 @@ impl AnalysisSession {
                     b.limit_bytes() >> 20
                 ),
             });
-        }
-        // Observability accounting only for the session-owned budget; an
-        // ambient budget's owner (the serve layer) bills it itself.
-        if let Some(b) = &mem {
-            support::obs::add(support::obs::Counter::MemBytesCharged, b.charged_bytes());
-            if b.exhausted() {
-                support::obs::incr(support::obs::Counter::MemExhausted);
-            }
         }
         delta.degradations = degradations.clone();
         record_update_obs(&delta, cache_rejects, cache_rebases, n as u64, rows.len() as u64);

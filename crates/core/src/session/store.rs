@@ -77,8 +77,8 @@ use support::hash::{fnv1a, StableHasher};
 use support::idx::Idx;
 use support::persist::{
     atomic_write, quarantine_file, quarantine_suffix, read_container, read_container_addressed,
-    read_container_loose, read_file_raw, toolchain_fingerprint, write_container,
-    write_container_addressed, ByteReader, ByteWriter, DirLock, Persist,
+    read_container_loose, read_file_raw, toolchain_fingerprint, write_container_addressed,
+    ByteReader, ByteWriter, DirLock, Persist,
 };
 use support::{Error, Result};
 use whirl::hash::{budget_salt, proc_fingerprint};
@@ -86,15 +86,10 @@ use whirl::ProcId;
 
 /// Manifest file name inside a cache directory.
 pub const MANIFEST_FILE: &str = "manifest.araa";
-/// Stats-snapshot file name inside a cache directory (see
-/// [`SessionStore::stats`]).
-pub const STATS_FILE: &str = "stats.araa";
 /// Container kind tag of the manifest.
 const KIND_MANIFEST: &str = "araa-session-manifest";
 /// Container kind tag of per-procedure entries.
 const KIND_ENTRY: &str = "araa-session-entry";
-/// Container kind tag of the stats snapshot.
-const KIND_STATS: &str = "araa-session-stats";
 /// How long a session waits for a live lock holder before degrading to
 /// cache-less operation.
 const LOCK_WAIT: Duration = Duration::from_secs(5);
@@ -307,32 +302,6 @@ pub struct CacheStats {
     pub bytes: u64,
     /// Files sitting in `quarantine/`.
     pub quarantined: usize,
-    /// These stats were served from the snapshot persisted at the last
-    /// save, not from a live directory scan. Not persisted — set by
-    /// [`SessionStore::stats`].
-    pub from_snapshot: bool,
-}
-
-impl Persist for CacheStats {
-    fn save(&self, w: &mut ByteWriter) {
-        w.bool(self.manifest);
-        w.usize(self.procedures);
-        w.usize(self.sources);
-        w.usize(self.entry_files);
-        w.u64(self.bytes);
-        w.usize(self.quarantined);
-    }
-    fn load(r: &mut ByteReader<'_>) -> Result<Self> {
-        Ok(CacheStats {
-            manifest: r.bool()?,
-            procedures: r.usize()?,
-            sources: r.usize()?,
-            entry_files: r.usize()?,
-            bytes: r.u64()?,
-            quarantined: r.usize()?,
-            from_snapshot: false,
-        })
-    }
 }
 
 /// What [`SessionStore::verify`] reports.
@@ -387,51 +356,10 @@ impl SessionStore {
         DirLock::acquire(&self.dir, LOCK_WAIT)
     }
 
-    /// What is in the cache. Served from the stats snapshot persisted at
-    /// the last save when one is present *and* still bound to the current
-    /// manifest (the snapshot records the manifest container's checksum;
-    /// any manifest change invalidates it); otherwise falls back to a live
-    /// directory scan. Takes the lock either way so reads are not torn by
-    /// a concurrent save.
+    /// What is in the cache, counted by scanning the directory under the
+    /// lock, so reads are not torn by a concurrent save.
     pub fn stats(&self) -> Result<CacheStats> {
         let _lock = self.lock()?;
-        let stats = match self.read_stats_snapshot() {
-            Some(snap) => snap,
-            None => self.live_stats()?,
-        };
-        // Reconcile the live registry with what the store actually holds:
-        // the gauge is otherwise only written at save time, so a process
-        // that never saved (or a drain that flushed elsewhere) would keep
-        // reporting a stale entry count.
-        support::obs::set_gauge(
-            support::obs::Gauge::StoreEntries,
-            stats.entry_files as u64,
-        );
-        Ok(stats)
-    }
-
-    /// The stats snapshot, if present, valid, and bound to the manifest
-    /// currently on disk. `None` (never an error) on any mismatch — the
-    /// caller then scans live.
-    fn read_stats_snapshot(&self) -> Option<CacheStats> {
-        let bytes = std::fs::read(self.dir.join(STATS_FILE)).ok()?;
-        let payload = read_container(&bytes, KIND_STATS, self.fingerprint).ok()?;
-        let mut r = ByteReader::new(&payload);
-        let manifest_checksum = r.u64().ok()?;
-        let mut stats = CacheStats::load(&mut r).ok()?;
-        r.finish().ok()?;
-        // Staleness guard: the snapshot describes one specific manifest.
-        let manifest_bytes = std::fs::read(self.dir.join(MANIFEST_FILE)).ok()?;
-        if fnv1a(&manifest_bytes) != manifest_checksum {
-            return None;
-        }
-        stats.from_snapshot = true;
-        Some(stats)
-    }
-
-    /// Counts what is on disk by scanning the directory. Caller holds the
-    /// lock.
-    fn live_stats(&self) -> Result<CacheStats> {
         let mut stats = CacheStats::default();
         let mpath = self.dir.join(MANIFEST_FILE);
         if let Ok(bytes) = std::fs::read(&mpath) {
@@ -450,13 +378,17 @@ impl SessionStore {
             stats.entry_files += 1;
             stats.bytes += std::fs::metadata(&entry).map(|m| m.len()).unwrap_or(0);
         }
-        stats.quarantined = self.quarantined();
+        stats.quarantined =
+            std::fs::read_dir(self.dir.join("quarantine")).map_or(0, |rd| rd.count());
+        // Reconcile the live registry with what the store actually holds:
+        // the gauge is otherwise only written at save time, so a process
+        // that never saved (or a drain that flushed elsewhere) would keep
+        // reporting a stale entry count.
+        support::obs::set_gauge(
+            support::obs::Gauge::StoreEntries,
+            stats.entry_files as u64,
+        );
         Ok(stats)
-    }
-
-    /// Files sitting in `quarantine/`.
-    fn quarantined(&self) -> usize {
-        std::fs::read_dir(self.dir.join("quarantine")).map_or(0, |rd| rd.count())
     }
 
     /// Validates every file: manifest structure, per-entry container
@@ -548,9 +480,6 @@ impl SessionStore {
         if std::fs::remove_file(&mpath).is_ok() {
             removed += 1;
         }
-        if std::fs::remove_file(self.dir.join(STATS_FILE)).is_ok() {
-            removed += 1;
-        }
         for path in self.entry_files()? {
             if std::fs::remove_file(&path).is_ok() {
                 removed += 1;
@@ -595,8 +524,7 @@ impl SessionStore {
     /// An entry whose carried address names a file in the directory is
     /// referenced without being encoded; every other entry is encoded and
     /// hashed in one pass. The directory is listed once, under the lock:
-    /// that listing answers the existence checks, drives GC and, with the
-    /// sizes just written, yields the stats snapshot.
+    /// that listing answers the existence checks and drives GC.
     fn save_state(&self, state: &SessionState) -> Result<Vec<(u64, u64)>> {
         let _span = support::obs::span("store.save");
         std::fs::create_dir_all(&self.dir)
@@ -606,8 +534,7 @@ impl SessionStore {
         let n = state.fps.len();
         let mut entries = Vec::with_capacity(n);
         let mut addrs = Vec::with_capacity(n);
-        // Referenced entry name → container length.
-        let mut referenced: BTreeMap<String, u64> = BTreeMap::new();
+        let mut referenced: BTreeSet<String> = BTreeSet::new();
         for i in 0..n {
             let carried =
                 state.entry_addr[i].filter(|&(sum, _)| on_disk.contains(&entry_name(sum)));
@@ -629,11 +556,11 @@ impl SessionStore {
             let name = entry_name(addr.0);
             faultpoint::hit("persist::entry_write");
             if let Some(container) = container {
-                if !on_disk.contains(&name) && !referenced.contains_key(&name) {
+                if !on_disk.contains(&name) && !referenced.contains(&name) {
                     atomic_write(&self.dir.join(&name), &container)?;
                 }
             }
-            referenced.insert(name, addr.1);
+            referenced.insert(name);
             entries.push(ManifestEntry {
                 proc: raw_name(&state.analysis.program, ProcId::from_usize(i)),
                 fp: state.fps[i],
@@ -650,7 +577,7 @@ impl SessionStore {
         };
         let mut w = ByteWriter::new();
         manifest.save(&mut w);
-        let (container, manifest_sum) =
+        let (container, _) =
             write_container_addressed(KIND_MANIFEST, self.fingerprint, &w.into_bytes());
         faultpoint::hit("persist::pre_manifest");
         atomic_write(&self.dir.join(MANIFEST_FILE), &container)?;
@@ -658,57 +585,14 @@ impl SessionStore {
         // GC entries the committed manifest no longer references. A crash
         // anywhere in here leaves only unreferenced litter, swept next save.
         faultpoint::hit("persist::gc");
-        let mut gc_failed = false;
-        for name in on_disk.iter().filter(|name| !referenced.contains_key(*name)) {
-            if let Err(e) = std::fs::remove_file(self.dir.join(name)) {
-                gc_failed |= e.kind() != std::io::ErrorKind::NotFound;
-            }
+        for name in on_disk.difference(&referenced) {
+            let _ = std::fs::remove_file(self.dir.join(name));
         }
         support::obs::set_gauge(
             support::obs::Gauge::StoreEntries,
             referenced.len() as u64,
         );
-        // Best-effort stats snapshot, bound to the manifest just committed
-        // so `stats` can skip the directory scan. Written last: a crash
-        // before this point simply leaves the next `stats` call on the
-        // live-scan path (or an older snapshot that fails its binding).
-        // After a clean GC the directory holds exactly the referenced
-        // entries, so the snapshot is derived from what this save wrote;
-        // a failed unlink leaves an extra file only a live scan counts.
-        let stats = if gc_failed {
-            self.live_stats()
-        } else {
-            Ok(CacheStats {
-                manifest: true,
-                procedures: n,
-                sources: manifest.sources.len(),
-                entry_files: referenced.len(),
-                bytes: container.len() as u64 + referenced.values().sum::<u64>(),
-                quarantined: self.quarantined(),
-                from_snapshot: false,
-            })
-        };
-        if let Ok(stats) = stats {
-            let _ = self.write_stats_snapshot(manifest_sum, &stats);
-        }
         Ok(addrs)
-    }
-
-    /// Writes the [`STATS_FILE`] snapshot `stats`, keyed to the committed
-    /// manifest's content address `manifest_sum`.
-    fn write_stats_snapshot(&self, manifest_sum: u64, stats: &CacheStats) -> Result<()> {
-        let mut w = ByteWriter::new();
-        w.u64(manifest_sum);
-        stats.save(&mut w);
-        let container = write_container(KIND_STATS, self.fingerprint, &w.into_bytes());
-        atomic_write(&self.dir.join(STATS_FILE), &container)
-    }
-
-    /// Removes the stats snapshot, so the next [`stats`](Self::stats) scans
-    /// live. Called whenever a load moves a file into quarantine: the
-    /// manifest is unchanged, so the snapshot would otherwise still bind.
-    fn drop_stats_snapshot(&self) {
-        let _ = std::fs::remove_file(self.dir.join(STATS_FILE));
     }
 }
 
@@ -800,7 +684,6 @@ impl AnalysisSession {
                 let dest = quarantine_file(&mpath, suffix)
                     .map(|p| p.display().to_string())
                     .unwrap_or_else(|qe| format!("(quarantine failed: {qe})"));
-                store.drop_stats_snapshot();
                 incidents.push(cache_incident(format!(
                     "manifest rejected ({e}); moved to {dest}; starting cold"
                 )));
@@ -910,7 +793,6 @@ impl AnalysisSession {
                     let dest = quarantine_file(&path, suffix)
                         .map(|p| p.display().to_string())
                         .unwrap_or_else(|qe| format!("(quarantine failed: {qe})"));
-                    store.drop_stats_snapshot();
                     incidents.push(cache_incident(format!(
                         "cache entry for `{name}` rejected ({e}); moved to {dest}; \
                          recomputing it"
@@ -1101,7 +983,8 @@ end
 
     /// Persists `s` and checks the oracle: every manifest address is the
     /// address of re-encoding that procedure's current state, the store
-    /// verifies clean with no orphans, and a fresh load primes every
+    /// verifies clean with no orphans, `stats` counts one entry file per
+    /// procedure and nothing quarantined, and a fresh load primes every
     /// procedure and reproduces a cold run's rows. Returns the save's
     /// `(store.encoded, store.carried)`.
     fn persist_and_check(s: &mut AnalysisSession, sources: &[SourceFile]) -> (u64, u64) {
@@ -1127,11 +1010,8 @@ end
         let report = store.verify().expect("verify");
         assert!(report.clean(), "{:?}", report.problems);
         assert_eq!(report.orphans, 0);
-        let counts = |s: &CacheStats| {
-            (s.manifest, s.procedures, s.sources, s.entry_files, s.bytes, s.quarantined)
-        };
-        let snapshot = store.read_stats_snapshot().expect("the save left a bound snapshot");
-        assert_eq!(counts(&snapshot), counts(&store.live_stats().expect("live scan")));
+        let stats = store.stats().expect("stats");
+        assert_eq!((stats.procedures, stats.entry_files, stats.quarantined), (n, n, 0));
 
         let fresh_obs = Collector::new(ClockKind::Logical);
         let mut fresh = AnalysisSession::with_cache_dir(*s.options(), store.dir());

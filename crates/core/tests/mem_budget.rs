@@ -35,8 +35,9 @@ fn allocator_accounting_moves() {
 #[test]
 fn unlimited_analysis_is_unaffected() {
     let _serial = serial();
-    let opts = AnalysisOptions::builder().mem_budget_mb(None).build();
-    let analysis = Analysis::analyze(&[fig10::source()], opts).expect("analyze");
+    // No memory scope entered: unlimited.
+    let analysis =
+        Analysis::analyze(&[fig10::source()], AnalysisOptions::default()).expect("analyze");
     assert!(
         !analysis.degradations.iter().any(|d| d.stage == "memory"),
         "no memory degradation without a budget: {:?}",
@@ -48,8 +49,10 @@ fn unlimited_analysis_is_unaffected() {
 fn generous_budget_never_trips() {
     let _serial = serial();
     // 4 GiB of churn headroom: a few-procedure analysis stays far below.
-    let opts = AnalysisOptions::builder().mem_budget_mb(Some(4096)).build();
-    let analysis = Analysis::analyze(&[fig10::source()], opts).expect("analyze");
+    let analysis = {
+        let _scope = memory::enter(MemoryBudget::mb(4096));
+        Analysis::analyze(&[fig10::source()], AnalysisOptions::default()).expect("analyze")
+    };
     assert!(
         !analysis.degradations.iter().any(|d| d.stage == "memory"),
         "generous budget must not trip: {:?}",
@@ -63,9 +66,11 @@ fn zero_budget_degrades_but_still_answers() {
     // A 0 MiB ceiling exhausts at the first checkpoint. The analysis must
     // still return a (heavily widened) result with a structured
     // memory-stage degradation — degrade, don't die.
-    let opts = AnalysisOptions::builder().mem_budget_mb(Some(0)).build();
-    let mut session = AnalysisSession::new(opts);
-    let delta = session.update([fig10::source()]).expect("update must succeed");
+    let mut session = AnalysisSession::new(AnalysisOptions::default());
+    let delta = {
+        let _scope = memory::enter(MemoryBudget::mb(0));
+        session.update([fig10::source()]).expect("update must succeed")
+    };
     let mem_degr: Vec<_> =
         delta.degradations.iter().filter(|d| d.stage == "memory").collect();
     assert!(
@@ -88,10 +93,10 @@ fn zero_budget_degrades_but_still_answers() {
 #[test]
 fn ambient_exhaustion_degrades_and_is_never_reused() {
     let _serial = serial();
-    // The budget comes from an *ambient* scope (the way `dragon serve`
-    // bounds a request), not from the session's own options. Exhaustion
-    // must still surface as a memory-stage degradation — and the poisoned
-    // state must not satisfy the identical-input fast path afterwards.
+    // The budget comes from an ambient scope (the way `dragon serve`
+    // bounds a request). Exhaustion must surface as a memory-stage
+    // degradation — and the poisoned state must not satisfy the
+    // identical-input fast path afterwards.
     let mut session = AnalysisSession::new(AnalysisOptions::default());
     {
         let _scope = memory::enter(MemoryBudget::mb(0));

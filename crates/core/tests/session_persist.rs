@@ -384,7 +384,7 @@ fn store_stats_verify_and_clear() {
     assert_eq!(entry_paths(dir.path()).len(), 3, "verify is read-only");
 
     let removed = store.clear().expect("clear");
-    assert_eq!(removed, 5, "manifest + stats snapshot + 3 entries");
+    assert_eq!(removed, 4, "manifest + 3 entries");
     let stats = store.stats().expect("stats");
     assert!(!stats.manifest);
     assert_eq!(stats.entry_files, 0);
@@ -401,7 +401,6 @@ fn cache_stats_after_a_quarantining_load_scan_live() {
     seed(dir.path(), &sources);
     let store = SessionStore::new(dir.path(), &AnalysisOptions::default());
     let before = store.stats().expect("stats");
-    assert!(before.from_snapshot, "a fresh save leaves a snapshot");
     assert_eq!(before.quarantined, 0);
     let victim = &entry_paths(dir.path())[0];
     let victim_len = std::fs::metadata(victim).expect("entry").len();
@@ -414,38 +413,12 @@ fn cache_stats_after_a_quarantining_load_scan_live() {
         "{:?}",
         warm.cache_incidents()
     );
-    // The manifest did not change, but the directory did: the snapshot
-    // must not describe the pre-quarantine cache.
+    // The manifest did not change, but the directory did: the stats must
+    // not describe the pre-quarantine cache.
     let after = store.stats().expect("stats");
-    assert!(!after.from_snapshot, "a quarantining load must retire the snapshot");
     assert_eq!(after.entry_files, before.entry_files - 1);
     assert_eq!(after.bytes, before.bytes - victim_len);
     assert_eq!(after.quarantined, 1);
-}
-
-#[test]
-fn stats_snapshot_scans_live_when_gc_cannot_unlink() {
-    let _serial = serial();
-    let dir = TestDir::new("persist-gc-unlink");
-    seed(dir.path(), &files(LEAF_F));
-    // A directory under an entry name: the save's GC cannot unlink it, so
-    // the directory holds more than the entries the save referenced.
-    std::fs::create_dir(dir.path().join("e0000000000000000.araa")).expect("mkdir");
-    let mut s = AnalysisSession::with_cache_dir(AnalysisOptions::default(), dir.path());
-    assert!(s.load());
-    s.update(files(LEAF_F_EDITED)).expect("update");
-    assert!(s.persist(), "{:?}", s.cache_incidents());
-
-    let store = SessionStore::new(dir.path(), &AnalysisOptions::default());
-    let snapshot = store.stats().expect("stats");
-    assert!(snapshot.from_snapshot);
-    std::fs::remove_file(dir.path().join("stats.araa")).expect("drop snapshot");
-    let live = store.stats().expect("live stats");
-    assert_eq!(snapshot.entry_files, 4, "three entries and the directory");
-    assert_eq!(
-        (snapshot.entry_files, snapshot.bytes, snapshot.procedures),
-        (live.entry_files, live.bytes, live.procedures)
-    );
 }
 
 #[test]

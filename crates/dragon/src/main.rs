@@ -185,36 +185,6 @@ fn analyze(
     }
 }
 
-/// Runs the lint engine, through the persistent per-procedure lint cache
-/// when a cache dir is attached. Lint-cache trouble is quarantined and
-/// reported but never changes findings — the run just re-lints more.
-fn run_lint(
-    analysis: &Analysis,
-    threads: usize,
-    cache_dir: Option<&str>,
-) -> lint::LintReport {
-    let opts = lint::LintOptions { threads };
-    match cache_dir {
-        Some(dir) => {
-            let dir = std::path::Path::new(dir);
-            let (mut cache, incidents) = lint::LintCache::load(dir);
-            for inc in &incidents {
-                sink::emit(Severity::Degraded, "lint.cache", inc.clone());
-            }
-            let report = lint::run_with_cache(analysis, &opts, &mut cache);
-            if let Err(e) = cache.save(dir) {
-                sink::emit(
-                    Severity::Degraded,
-                    "lint.cache",
-                    format!("could not save lint cache: {e}"),
-                );
-            }
-            report
-        }
-        None => lint::run(analysis, &opts),
-    }
-}
-
 /// Renders and writes the SARIF artifact (checksummed, atomic). Emission
 /// failure — including an armed `lint::sarif` faultpoint — degrades the
 /// run; the findings already printed are unaffected.
@@ -793,7 +763,7 @@ fn main() {
             let gens: Vec<_> =
                 read_sources(&srcs).into_iter().map(|(_, g)| g).collect();
             let (analysis, _) = analyze(&gens, strict, cache_dir);
-            let report = run_lint(&analysis, threads, cache_dir);
+            let report = lint::run(&analysis, &lint::LintOptions { threads });
             print!("{}", report.render());
             for d in &report.degradations {
                 sink::emit(
@@ -1229,14 +1199,6 @@ fn main() {
                              (cap {} files / {} bytes, oldest evicted first)",
                             support::persist::QUARANTINE_MAX_FILES,
                             support::persist::QUARANTINE_MAX_BYTES,
-                        );
-                        println!(
-                            "source:          {}",
-                            if s.from_snapshot {
-                                "snapshot (stats.araa, written at last save)"
-                            } else {
-                                "live scan"
-                            }
                         );
                     }
                     Err(e) => sink::fatal("cache.stats", format!("cache stats: {e}")),

@@ -444,39 +444,6 @@ fn profile_ranks_procedures_and_shows_cache_source() {
     assert!(!stdout.contains("| recomputed"), "warm run must not recompute: {stdout}");
 }
 
-#[test]
-fn cache_stats_uses_snapshot_then_falls_back_to_live_scan() {
-    let src = write_temp("obs_stats.f", CACHE_SRC);
-    let dir = support::testdir::TestDir::new("dragon-cli-stats-src");
-    let cache = dir.path().to_str().unwrap();
-    let out = dragon()
-        .args(["--cache-dir", cache, "callgraph", src.to_str().unwrap()])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
-    assert!(dir.join("stats.araa").exists(), "save must write the stats snapshot");
-
-    let stats = dragon().args(["--cache-dir", cache, "cache", "stats"]).output().unwrap();
-    assert_eq!(stats.status.code(), Some(0), "{}", String::from_utf8_lossy(&stats.stderr));
-    let snap_out = String::from_utf8_lossy(&stats.stdout).into_owned();
-    assert!(snap_out.contains("source:          snapshot"), "{snap_out}");
-
-    // Without the snapshot the command falls back to scanning the
-    // directory — and reports the same numbers.
-    std::fs::remove_file(dir.join("stats.araa")).unwrap();
-    let stats = dragon().args(["--cache-dir", cache, "cache", "stats"]).output().unwrap();
-    assert_eq!(stats.status.code(), Some(0), "{}", String::from_utf8_lossy(&stats.stderr));
-    let live_out = String::from_utf8_lossy(&stats.stdout).into_owned();
-    assert!(live_out.contains("source:          live scan"), "{live_out}");
-    let strip = |s: &str| {
-        s.lines()
-            .filter(|l| !l.starts_with("source:") && !l.starts_with("total bytes:"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
-    assert_eq!(strip(&snap_out), strip(&live_out), "snapshot and scan must agree");
-}
-
 // ---------------------------------------------------------------------------
 // `dragon lint` (findings, exit codes, SARIF artifact, fault containment)
 
@@ -543,6 +510,42 @@ fn lint_writes_sealed_sarif() {
     let doc = std::fs::read_to_string(&sarif).expect("SARIF artifact written");
     assert!(doc.contains("\"ruleId\": \"DST-03\""), "{doc}");
     support::persist::verify_text_checksum(&doc).expect("artifact is sealed");
+}
+
+/// `--cache-dir` caches the analysis session, never the lint: two runs
+/// through one cache directory print and write exactly what a cacheless
+/// `dragon lint` does, and the directory holds no lint artifact.
+#[test]
+fn lint_with_cache_dir_matches_cacheless_lint() {
+    let src = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../workloads/lint_corpus/oob_basic.f");
+    let src = src.to_str().unwrap();
+    let dir = support::testdir::TestDir::new("dragon-cli-lint-cache");
+    let cache = dir.join("cache");
+    // One SARIF path for every run: stdout names it.
+    let sarif = dir.join("findings.sarif");
+    let lint = |cache: Option<&std::path::Path>| {
+        let _ = std::fs::remove_file(&sarif);
+        let mut cmd = dragon();
+        if let Some(c) = cache {
+            cmd.args(["--cache-dir", c.to_str().unwrap()]);
+        }
+        let out = cmd.args(["lint", src, "--sarif", sarif.to_str().unwrap()]).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{}", String::from_utf8_lossy(&out.stderr));
+        (out.stdout, std::fs::read(&sarif).expect("SARIF artifact written"))
+    };
+    let (plain_out, plain_sarif) = lint(None);
+    for run in ["first", "second"] {
+        let (out, sarif) = lint(Some(&cache));
+        assert_eq!(
+            String::from_utf8_lossy(&out),
+            String::from_utf8_lossy(&plain_out),
+            "{run} run's stdout differs from a cacheless lint"
+        );
+        assert!(sarif == plain_sarif, "{run} run's SARIF differs from a cacheless lint");
+    }
+    assert!(cache.join("manifest.araa").exists(), "the analysis session is cached");
+    assert!(!cache.join("lint.araa").exists(), "the lint is not");
 }
 
 /// A panic while linting one procedure must not silence the others: run

@@ -23,20 +23,20 @@
 //! is driven by what the polyhedral machinery can prove, exactly like the
 //! paper's MUST/MAY region distinction.
 //!
-//! The engine lints per procedure (parallelizable, deterministically
-//! merged, panic-contained behind the `lint::contain` faultpoint) and
-//! caches per-procedure results by a content hash of the lint-relevant
-//! inputs, so warm runs re-lint only procedures whose summaries changed.
+//! The engine lints every procedure on each run (parallelizable,
+//! deterministically merged, panic-contained behind the `lint::contain`
+//! faultpoint), then runs the whole-program dead-store pass. There is no
+//! lint cache: keying one cost more than the rules it would skip.
 //! [`sarif`] renders the findings as SARIF 2.1.0 for editor/CI ingestion.
 
-pub mod cache;
 pub mod engine;
 pub mod facts;
 pub mod rules;
 pub mod sarif;
 
-pub use cache::LintCache;
-pub use engine::{run, run_with_cache, LintOptions};
+#[doc(hidden)]
+pub use engine::{run_with_cache, LintCache};
+pub use engine::{run, LintOptions};
 
 use std::fmt;
 
@@ -206,7 +206,10 @@ pub struct LintReport {
     pub degradations: Vec<araa::Degradation>,
     /// Procedures evaluated this run.
     pub procs_linted: usize,
-    /// Procedures served from the lint cache.
+    /// Always 0: there is no lint cache. Still rendered (`0 cached`, SARIF
+    /// `procsCached`) so the output format is unchanged; `perfbench/` is
+    /// its only outside reader.
+    #[doc(hidden)]
     pub procs_cached: usize,
     /// Candidates Fourier–Motzkin (or exact footprint arithmetic) refuted.
     pub suppressed: u64,

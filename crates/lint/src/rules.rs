@@ -3,10 +3,9 @@
 //! `OOB-01`, `UBD-02` (local part), `SHP-04` and `ALI-05` evaluate per
 //! procedure over the post-IPA summaries — so every propagated
 //! formal→actual record participates and interprocedural-only violations
-//! surface at the call line — and are cacheable per procedure. `DST-03`
-//! needs cross-procedure USE hulls (a global defined here may be read
-//! anywhere), so it runs as a cheap global pass over the extracted
-//! [`RgnRow`]s each run.
+//! surface at the call line. `DST-03` needs cross-procedure USE hulls (a
+//! global defined here may be read anywhere), so it runs as one global
+//! pass over the extracted [`RgnRow`]s.
 //!
 //! Severity discipline, applied uniformly:
 //!
@@ -29,7 +28,7 @@ use std::collections::BTreeMap;
 use whirl::lower::source_dim;
 use whirl::{DimBound, Lang, ProcId, StClass, StIdx};
 
-/// The per-procedure lint result (what the cache stores).
+/// The per-procedure lint result.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ProcLint {
     /// Findings anchored in (or at call sites of) this procedure.

@@ -3,8 +3,8 @@
 //! Renders a [`LintReport`] as a deterministic SARIF document (one run,
 //! the five rules in the driver, one `result` per finding, in the
 //! report's ranked order). The JSON is built by hand — stable key order,
-//! no floating point, byte-identical across thread counts — so a warm
-//! cached run can be diffed against a cold one and CI can checksum it.
+//! no floating point, byte-identical across thread counts — so two runs
+//! can be diffed byte for byte and CI can checksum it.
 
 use crate::{LintReport, Rule, Severity};
 use support::obs::json_escape;

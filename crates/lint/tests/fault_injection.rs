@@ -3,15 +3,13 @@
 //! Arms the `lint::contain` and `lint::sarif` faultpoints (see
 //! `support::faultpoint`) and asserts the containment contract: a panic
 //! while linting one procedure degrades exactly that procedure — every
-//! other procedure's findings survive, the degraded result is never
-//! cached, and the next clean run over the same cache recovers the full
-//! report.
+//! other procedure's findings survive.
 //!
 //! Run with `cargo test -p lint --features fault-injection`.
 #![cfg(feature = "fault-injection")]
 
 use araa::{Analysis, AnalysisOptions};
-use lint::{LintCache, LintOptions, LintReport, Rule};
+use lint::{LintOptions, LintReport, Rule};
 use std::sync::Mutex;
 use support::faultpoint;
 
@@ -76,29 +74,6 @@ fn panic_in_one_procedures_lint_spares_the_others() {
     // `two`'s overruns still report — both sides of `b(i) = b(i) + 1.0`.
     assert_eq!(report.findings.len(), 2, "{}", report.render());
     assert!(report.findings.iter().all(|f| f.rule == Rule::Oob01 && f.array == "b"));
-}
-
-#[test]
-fn faulted_procedure_is_never_cached_and_recovers_warm() {
-    let _guard = ARMED.lock().unwrap_or_else(|p| p.into_inner());
-    faultpoint::disarm_all();
-    let a = analyze();
-    let clean = lint::run(&a, &LintOptions::default());
-
-    let mut cache = LintCache::default();
-    faultpoint::arm("lint::contain", 2);
-    let faulted = lint::run_with_cache(&a, &LintOptions::default(), &mut cache);
-    faultpoint::disarm_all();
-    assert_eq!(faulted.degradations.len(), 1, "{:?}", faulted.degradations);
-
-    // The degraded procedure must not poison the cache: the next clean run
-    // re-lints it (a cache hit would replay the empty degraded result) and
-    // restores the full report.
-    let warm = lint::run_with_cache(&a, &LintOptions::default(), &mut cache);
-    assert!(warm.degradations.is_empty(), "{:?}", warm.degradations);
-    assert_eq!(warm.findings, clean.findings, "{}", warm.render());
-    assert_eq!(warm.procs_linted, 1, "only the faulted procedure recomputes");
-    assert_eq!(warm.procs_cached, clean.procs_linted - 1);
 }
 
 #[test]

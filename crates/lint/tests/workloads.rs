@@ -1,12 +1,9 @@
 //! The lint engine against every pre-existing workload: zero false
 //! positives on the clean programs, exactly the paper's own dead store on
-//! Fig. 10, cache-warm runs that re-lint nothing, and byte-identical
-//! output at any thread count.
+//! Fig. 10, and byte-identical output at any thread count.
 
 use araa::{Analysis, AnalysisOptions};
-use lint::{LintCache, LintOptions, Rule, Severity};
-use support::obs::{self, ClockKind, Collector, Counter};
-use support::testdir::TestDir;
+use lint::{LintOptions, Rule, Severity};
 
 fn analyze(srcs: &[workloads::GenSource]) -> Analysis {
     Analysis::analyze(srcs, AnalysisOptions::default()).expect("analysis succeeds")
@@ -51,51 +48,14 @@ fn fig10_reports_exactly_the_papers_dead_store() {
 }
 
 #[test]
-fn warm_cache_relints_nothing_and_matches_cold_byte_for_byte() {
-    let dir = TestDir::new("lint-warm");
-    let srcs = workloads::mini_lu::sources();
-    let a = analyze(&srcs);
-
-    let mut cache = LintCache::empty();
-    let cold = lint::run_with_cache(&a, &LintOptions::default(), &mut cache);
-    assert_eq!(cold.procs_cached, 0);
-    assert!(cold.procs_linted > 0);
-    cache.save(dir.path()).expect("cache saves");
-
-    // Reload from disk and lint the same analysis again: everything must
-    // come from the cache, and the report must not change by one byte.
-    let (mut warm_cache, incidents) = LintCache::load(dir.path());
-    assert!(incidents.is_empty(), "{incidents:?}");
-    let c = Collector::new(ClockKind::Logical);
-    let warm = {
-        let _g = obs::attach(c.clone());
-        lint::run_with_cache(&a, &LintOptions::default(), &mut warm_cache)
-    };
-    assert_eq!(warm.procs_linted, 0, "warm run must re-lint nothing");
-    assert_eq!(warm.procs_cached, cold.procs_linted);
-    // Findings and refutation counts are byte-identical; only the
-    // linted/cached accounting in the summary line may differ.
-    assert_eq!(warm.findings, cold.findings, "warm findings differ from cold");
-    assert_eq!(warm.suppressed, cold.suppressed);
-    assert_eq!(c.counter(Counter::LintCached), warm.procs_cached as u64);
-    assert_eq!(c.counter(Counter::LintRelinted), 0);
-}
-
-#[test]
 fn editing_one_file_relints_only_affected_procedures() {
     let mut srcs = workloads::mini_lu::sources();
-    let a = analyze(&srcs);
-    let mut cache = LintCache::empty();
-    lint::run_with_cache(&a, &LintOptions::default(), &mut cache);
-
-    // Shrink one loop in rhs.f: `rhs` (and the ancestors whose propagated
-    // summaries embed its regions) must re-lint; the rest must not.
+    // Shrink one loop in rhs.f: the edited program lints as clean as the
+    // original.
     let rhs = srcs.iter_mut().find(|s| s.name == "rhs.f").expect("rhs.f");
     rhs.text = rhs.text.replace("do k = 1, 10", "do k = 1, 7");
     let edited = analyze(&srcs);
-    let report = lint::run_with_cache(&edited, &LintOptions::default(), &mut cache);
-    assert!(report.procs_linted > 0, "the edited procedure must re-lint");
-    assert!(report.procs_cached > 0, "untouched procedures must stay cached");
+    let report = lint::run(&edited, &LintOptions::default());
     assert!(report.findings.is_empty(), "the edit introduces no defect");
 }
 

@@ -27,8 +27,8 @@
 //! | `persist::pre_manifest` | `SessionStore::persist`, before the manifest  |
 //! | `persist::post_manifest`| `SessionStore::persist`, after the manifest   |
 //! | `persist::gc`           | `SessionStore::persist`, during old-entry GC  |
-//! | `persist::short_read`   | `read_file_validated` (truncates the buffer)  |
-//! | `persist::bit_flip`     | `read_file_validated` (flips one bit)         |
+//! | `persist::short_read`   | `read_file_raw` (truncates the buffer)        |
+//! | `persist::bit_flip`     | `read_file_raw` (flips one bit)               |
 //! | `lint::contain`         | `lint` per-procedure rule evaluation          |
 //! | `lint::sarif`           | `lint::sarif` document emission               |
 //! | `memory::charge`        | `support::memory::checkpoint` (denies the     |

@@ -118,9 +118,6 @@ catalog! {
         BudgetExhausted => "budget.exhausted",
         /// Bytes charged against memory budgets ([`crate::memory`]).
         MemBytesCharged => "memory.bytes_charged",
-        /// Memory-budget scopes that ended exhausted (allocation ceiling
-        /// crossed; some result was widened).
-        MemExhausted => "memory.exhausted",
         /// Degradations recorded into analysis results.
         DegradeEvents => "degrade.events",
         /// Procedures primed from a validated on-disk cache entry.
@@ -180,11 +177,8 @@ catalog! {
         /// Candidate violations suppressed because the Fourier–Motzkin
         /// system refuted them (proved the access safe).
         LintSuppressed => "lint.suppressed",
-        /// Procedures whose lint findings were served from the per-procedure
-        /// lint cache without re-running the rules.
-        LintCached => "lint.cached",
-        /// Procedures re-linted because their analysis content changed (or
-        /// no cached findings existed).
+        /// Procedures the per-procedure lint rules ran on without
+        /// degrading.
         LintRelinted => "lint.relinted",
         /// Fourier–Motzkin give-up events: a projection or summary bailed
         /// out with a typed `ImpreciseReason` (budget, non-affine,

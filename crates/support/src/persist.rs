@@ -10,23 +10,24 @@
 //!   the destination, then the directory is fsync'd. A reader (or a crash
 //!   at any instant) observes either the complete old file or the complete
 //!   new file, never a half-written one.
-//! - **Self-describing integrity** ([`write_container`] /
+//! - **Self-describing integrity** ([`write_container_addressed`] /
 //!   [`read_container`]): every persisted artifact carries a magic number,
 //!   a format version, a kind tag, a caller-supplied fingerprint
 //!   (toolchain and options), the payload length, and a trailing FNV-1a checksum over
 //!   the whole preceding byte stream. Any torn write, truncation, bit
 //!   flip, version skew, or foreign file fails validation with a typed
-//!   [`ContainerError`] — never a panic, never silently-wrong data.
-//!   Stores that name files by content use [`write_container_addressed`] /
-//!   [`read_container_addressed`], which get the content address (FNV-1a
-//!   of the whole container) from the same pass that computes the footer.
+//!   [`ContainerError`] — never a panic, never silently-wrong data. The
+//!   writer also returns the content address (FNV-1a of the whole
+//!   container) from the same pass that computes the footer; stores that
+//!   name files by content check it with [`read_container_addressed`].
 //! - **Cross-process exclusion** ([`DirLock`]): an advisory lock file with
 //!   the owner's pid, stale-lock detection (dead owner ⇒ takeover), and
 //!   bounded waiting, so concurrent invocations sharing a cache directory
 //!   serialize their load/store critical sections.
 //!
-//! Under the `fault-injection` cargo feature the write and read paths host
-//! armable faultpoints (see [`faultpoint`]) simulating
+//! Under the `fault-injection` cargo feature the write path
+//! ([`atomic_write`]) and the read path ([`read_file_raw`]) host armable
+//! faultpoints (see [`faultpoint`]) simulating
 //! torn writes, short reads, and bit flips; the crash-consistency tests in
 //! `crates/core/tests/session_persist.rs` kill the writer at every one of
 //! them and assert the cache stays loadable.
@@ -65,9 +66,9 @@ pub const WRITE_FAULTPOINTS: &[&str] = &[
     "persist::post_rename",
 ];
 
-/// Read-path faultpoints applied by [`read_file_validated`] to the
-/// in-memory buffer *before* validation — proving the checksum catches
-/// short reads and bit flips.
+/// Read-path faultpoints applied by [`read_file_raw`] to the in-memory
+/// buffer *before* validation — proving the checksum catches short reads
+/// and bit flips.
 pub const READ_FAULTPOINTS: &[&str] = &["persist::short_read", "persist::bit_flip"];
 
 // ---------------------------------------------------------------------------
@@ -427,16 +428,12 @@ pub fn quarantine_suffix(e: &ContainerError) -> &'static str {
 /// payload len(8) + checksum(8).
 const MIN_CONTAINER_LEN: usize = 44;
 
-/// Wraps `payload` in the versioned, checksummed container format:
-/// magic, version, kind, fingerprint, length, payload, FNV-1a footer.
-pub fn write_container(kind: &str, fingerprint: u64, payload: &[u8]) -> Vec<u8> {
-    write_container_addressed(kind, fingerprint, payload).0
-}
-
-/// [`write_container`], also returning the container's content address:
-/// `fnv1a` over all of its bytes, footer included. FNV-1a streams, so the
-/// footer's hasher continued over the 8 footer bytes is that address and
-/// every byte is hashed once.
+/// Wraps `payload` in the versioned, checksummed container format —
+/// magic, version, kind, fingerprint, length, payload, FNV-1a footer —
+/// and returns it with its content address: `fnv1a` over all of its
+/// bytes, footer included. FNV-1a streams, so the footer's hasher
+/// continued over the 8 footer bytes is that address and every byte is
+/// hashed once.
 pub fn write_container_addressed(kind: &str, fingerprint: u64, payload: &[u8]) -> (Vec<u8>, u64) {
     let mut w = ByteWriter::new();
     w.bytes(MAGIC);
@@ -702,44 +699,6 @@ pub fn read_file_raw(path: &Path) -> std::io::Result<Vec<u8>> {
         }
     }
     Ok(bytes)
-}
-
-/// Reads `path` ([`read_file_raw`], so fault injection applies) and
-/// validates it as a container of `kind` with `fingerprint`.
-pub fn read_file_validated(
-    path: &Path,
-    kind: &str,
-    fingerprint: u64,
-) -> std::result::Result<Vec<u8>, ReadFailure> {
-    let bytes = read_file_raw(path).map_err(ReadFailure::Io)?;
-    read_container(&bytes, kind, fingerprint).map_err(ReadFailure::Container)
-}
-
-/// Why [`read_file_validated`] failed: the file could not be read at all,
-/// or it was read but is not a valid container.
-#[derive(Debug)]
-pub enum ReadFailure {
-    /// Filesystem-level failure (missing file, permissions, ...).
-    Io(std::io::Error),
-    /// The bytes were read but failed container validation.
-    Container(ContainerError),
-}
-
-impl ReadFailure {
-    /// True when the failure is simply "no such file" — an empty cache
-    /// slot, not corruption.
-    pub fn is_not_found(&self) -> bool {
-        matches!(self, ReadFailure::Io(e) if e.kind() == std::io::ErrorKind::NotFound)
-    }
-}
-
-impl std::fmt::Display for ReadFailure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ReadFailure::Io(e) => write!(f, "io: {e}"),
-            ReadFailure::Container(e) => write!(f, "{e}"),
-        }
-    }
 }
 
 /// Removes temporary files a crashed writer left behind in `dir`. Returns
@@ -1023,13 +982,13 @@ mod tests {
     #[test]
     fn container_round_trips() {
         let payload = b"hello world".to_vec();
-        let bytes = write_container("test", 42, &payload);
+        let bytes = write_container_addressed("test", 42, &payload).0;
         assert_eq!(read_container(&bytes, "test", 42).unwrap(), payload);
     }
 
     #[test]
     fn container_rejects_every_single_byte_mutation() {
-        let bytes = write_container("test", 7, b"payload bytes here");
+        let bytes = write_container_addressed("test", 7, b"payload bytes here").0;
         for i in 0..bytes.len() {
             for mask in [0x01u8, 0x80] {
                 let mut m = bytes.clone();
@@ -1044,7 +1003,7 @@ mod tests {
 
     #[test]
     fn container_rejects_truncation_and_garbage() {
-        let bytes = write_container("test", 7, b"data");
+        let bytes = write_container_addressed("test", 7, b"data").0;
         for cut in 0..bytes.len() {
             assert!(read_container(&bytes[..cut], "test", 7).is_err());
         }
@@ -1057,7 +1016,7 @@ mod tests {
     #[test]
     fn addressed_writer_returns_the_content_address() {
         let (bytes, address) = write_container_addressed("test", 7, b"payload");
-        assert_eq!(bytes, write_container("test", 7, b"payload"));
+        assert_eq!(bytes, write_container_addressed("test", 7, b"payload").0);
         assert_eq!(address, fnv1a(&bytes));
     }
 
@@ -1080,8 +1039,8 @@ mod tests {
             m[i] ^= 0x01;
             damaged.push(m);
         }
-        damaged.push(write_container("other", 7, b"x"));
-        damaged.push(write_container("test", 8, b"x"));
+        damaged.push(write_container_addressed("other", 7, b"x").0);
+        damaged.push(write_container_addressed("test", 8, b"x").0);
         for m in &damaged {
             assert_eq!(
                 read_container_addressed(m, "test", 7, fnv1a(m)).map(<[u8]>::to_vec),
@@ -1093,7 +1052,7 @@ mod tests {
 
     #[test]
     fn container_checks_kind_and_fingerprint() {
-        let bytes = write_container("manifest", 1, b"x");
+        let bytes = write_container_addressed("manifest", 1, b"x").0;
         assert!(matches!(
             read_container(&bytes, "entry", 1),
             Err(ContainerError::BadKind(k)) if k == "manifest"
@@ -1298,7 +1257,7 @@ mod tests {
 
     #[test]
     fn loose_read_reports_kind_and_fingerprint() {
-        let bytes = write_container("entry", 99, b"pp");
+        let bytes = write_container_addressed("entry", 99, b"pp").0;
         let (kind, fp, payload) = read_container_loose(&bytes).unwrap();
         assert_eq!((kind.as_str(), fp, payload.as_slice()), ("entry", 99, b"pp".as_slice()));
     }

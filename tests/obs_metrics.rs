@@ -244,8 +244,7 @@ fn interval_fixpoint_spans_only_where_fm_gave_up() {
 fn cache_stats_reconciles_store_gauge() {
     let dir = TestDir::new("obs-stats-gauge");
 
-    // Populate and persist a cache (served from the stats.araa snapshot
-    // on the next stats() call).
+    // Populate and persist a cache.
     {
         let mut session = AnalysisSession::with_cache_dir(opts_serial(), dir.path());
         session.load();
@@ -255,13 +254,12 @@ fn cache_stats_reconciles_store_gauge() {
 
     // A fresh process that never saved: its StoreEntries gauge can hold
     // anything (here: deliberately poisoned). `stats()` must reconcile the
-    // live gauge with the persisted snapshot it reports.
+    // live gauge with the directory scan it reports.
     let c = Collector::new(ClockKind::Logical);
     let _g = obs::attach(c.clone());
     obs::set_gauge(Gauge::StoreEntries, 999);
     let store = SessionStore::new(dir.path(), &opts_serial());
     let stats = store.stats().expect("stats");
-    assert!(stats.from_snapshot, "persisted snapshot must serve this read");
     assert!(stats.entry_files > 0, "populated cache has entry files");
     assert_eq!(
         c.gauge(Gauge::StoreEntries),
@@ -269,10 +267,8 @@ fn cache_stats_reconciles_store_gauge() {
         "stats() must reconcile the live gauge with the reported entry count"
     );
 
-    // The same holds on the live-scan path (snapshot removed).
-    std::fs::remove_file(dir.path().join("stats.araa")).expect("drop snapshot");
+    // Every read reconciles it again.
     obs::set_gauge(Gauge::StoreEntries, 999);
-    let stats = store.stats().expect("live stats");
-    assert!(!stats.from_snapshot, "snapshot is gone; this is a live scan");
+    let stats = store.stats().expect("stats");
     assert_eq!(c.gauge(Gauge::StoreEntries), stats.entry_files as u64);
 }
