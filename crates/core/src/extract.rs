@@ -60,8 +60,9 @@ pub fn extract_rows(
     rows
 }
 
-/// Builds the rows of one procedure's scope. Crate-visible so the
-/// incremental session can re-extract exactly the affected procedures.
+/// Builds the rows of one procedure's scope: [`extract_range_rows`] over
+/// all of its records. Crate-visible so the incremental session can
+/// re-extract exactly the affected procedures.
 pub(crate) fn extract_proc_rows(
     program: &Program,
     proc_id: ProcId,
@@ -69,17 +70,35 @@ pub(crate) fn extract_proc_rows(
     opts: ExtractOptions,
     formal_addr: &BTreeMap<StIdx, u64>,
 ) -> Vec<RgnRow> {
+    let all = 0..summary.accesses.len();
+    extract_range_rows(program, proc_id, summary, std::slice::from_ref(&all), opts, formal_addr)
+}
+
+/// Builds the rows of the records in `ranges` (in order) of one
+/// procedure's summary. A row's references and line-span columns total
+/// its group — (array, mode, `from_call`, locality) — over the records in
+/// `ranges` only, so `ranges` must hold every record of each group it
+/// touches: the incremental session passes all re-translated call sites,
+/// and a callee's sites are re-translated all together.
+pub(crate) fn extract_range_rows(
+    program: &Program,
+    proc_id: ProcId,
+    summary: &ipa::ProcSummary,
+    ranges: &[std::ops::Range<usize>],
+    opts: ExtractOptions,
+    formal_addr: &BTreeMap<StIdx, u64>,
+) -> Vec<RgnRow> {
     support::faultpoint::hit("extract::rows");
+    let records = || ranges.iter().flat_map(|r| &summary.accesses[r.clone()]);
+    type Group = (StIdx, AccessMode, Option<ProcId>, bool);
     // References column: total per (array, mode, via, locality) within
     // this scope — remote (coindexed) accesses count separately from
     // local ones so the PGAS view stays meaningful.
-    let mut ref_totals: BTreeMap<(StIdx, AccessMode, Option<ProcId>, bool), u64> =
-        BTreeMap::new();
+    let mut ref_totals: BTreeMap<Group, u64> = BTreeMap::new();
     // Line range per group: the span of source lines the references cover,
     // so each row can anchor tools (lint, browse) to first and last sighting.
-    let mut line_spans: BTreeMap<(StIdx, AccessMode, Option<ProcId>, bool), (u32, u32)> =
-        BTreeMap::new();
-    for rec in &summary.accesses {
+    let mut line_spans: BTreeMap<Group, (u32, u32)> = BTreeMap::new();
+    for rec in records() {
         let key = (rec.array, rec.mode, rec.from_call, rec.remote);
         *ref_totals.entry(key).or_insert(0) += 1;
         line_spans
@@ -91,7 +110,7 @@ pub(crate) fn extract_proc_rows(
             .or_insert((rec.line, rec.line));
     }
     let mut rows = Vec::new();
-    for rec in &summary.accesses {
+    for rec in records() {
         if rec.from_call.is_some() && !opts.include_propagated {
             continue;
         }

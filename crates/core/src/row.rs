@@ -12,8 +12,9 @@ use regions::access::{AccessMode, Precision};
 use support::csv::CsvWriter;
 use support::Error;
 
-/// One row of the array analysis graph.
-#[derive(Debug, Clone, PartialEq)]
+/// One row of the array analysis graph. The default row is empty: the
+/// incremental session leaves one where it moved a row out.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RgnRow {
     /// Scope: the procedure display name this row belongs to.
     pub proc: String,

@@ -128,3 +128,44 @@ fn update_with_new_procedure_recomputes_its_callers_only() {
     assert!(!delta.propagation_recomputed.contains(&"ssor".to_string()));
     assert!(!delta.propagation_recomputed.contains(&"rhs".to_string()));
 }
+
+/// `main` calls `leaf`, `other`, then `leaf` again, each from its own file.
+fn two_site_sources(leaf_hi: u32) -> Vec<GenSource> {
+    let shared = "  real a(20)\n  real b(30)\n  common /g/ a, b\n";
+    vec![
+        GenSource::fortran(
+            "main.f",
+            format!("program main\n{shared}  a(20) = 0.0\n  call leaf\n  call other\n  call leaf\nend\n"),
+        ),
+        GenSource::fortran(
+            "leaf.f",
+            format!("subroutine leaf\n{shared}  integer i\n  do i = 1, {leaf_hi}\n    a(i) = 1.0\n  end do\nend\n"),
+        ),
+        GenSource::fortran(
+            "other.f",
+            format!("subroutine other\n{shared}  integer i\n  do i = 1, 30\n    b(i) = 2.0\n  end do\nend\n"),
+        ),
+    ]
+}
+
+#[test]
+fn a_callee_called_at_two_sites_recomputes_only_its_slices() {
+    // With propagated rows, the edit recomputes `leaf`'s own row and its
+    // two slices in `main`, whose rows total `refs` over both sites;
+    // without them, `leaf`'s row alone.
+    for (include_propagated, recomputed) in [(true, 3), (false, 1)] {
+        let opts = AnalysisOptions::builder().include_propagated(include_propagated).build();
+        let mut session = AnalysisSession::new(opts);
+        session.update(two_site_sources(10)).expect("cold update");
+        let edited = two_site_sources(8);
+        let delta = session.update(edited.clone()).expect("warm update");
+        let warm = session.analysis().expect("analysis");
+        let oracle = Analysis::analyze(&edited, opts).expect("cold run");
+        assert_eq!(warm.rows, oracle.rows, "propagated rows {include_propagated}");
+        assert_eq!(warm.rgn_document(), oracle.rgn_document());
+        assert_eq!(warm.dgn_document(), oracle.dgn_document());
+        assert_eq!(warm.cfg_document(), oracle.cfg_document());
+        assert_eq!(delta.rows_recomputed, recomputed, "{delta:?}");
+        assert_eq!(delta.rows_reused + delta.rows_recomputed, warm.rows.len(), "{delta:?}");
+    }
+}

@@ -522,6 +522,67 @@ fn a_rejected_entry_re_propagates_its_ancestor_chain() {
     assert_equals_cold(warm.analysis().expect("analysis"), &cold(&sources));
 }
 
+#[test]
+fn a_loaded_state_splices() {
+    let _serial = serial();
+    let dir = TestDir::new("persist-splice");
+    let mut seeding = AnalysisSession::with_cache_dir(AnalysisOptions::default(), dir.path());
+    seeding.update(files(LEAF_F)).expect("seed update");
+    assert!(seeding.persist(), "{:?}", seeding.cache_incidents());
+    let edited = files(LEAF_F_EDITED);
+    let in_memory = seeding.update(&edited).expect("edit in the seeding session");
+
+    let mut warm = AnalysisSession::with_cache_dir(AnalysisOptions::default(), dir.path());
+    assert!(warm.load());
+    let delta = warm.update(&edited).expect("edit after load");
+    assert_equals_cold(warm.analysis().expect("analysis"), &cold(&edited));
+    // The load's propagation left the slice lengths an edit splices with.
+    assert_eq!(delta.rows_recomputed, in_memory.rows_recomputed, "{delta:?}");
+    assert_eq!(delta.rows_reused, in_memory.rows_reused, "{delta:?}");
+}
+
+#[test]
+fn a_rejected_entry_unsplices_its_ancestors() {
+    // `main` calls `leaf`, `other`, `leaf`. With `leaf`'s entry rejected,
+    // the load propagates an empty `leaf` into `main`, so its slice
+    // lengths no longer locate `main`'s loaded rows, which were extracted
+    // from the real ones: the next update must not splice `main`.
+    let _serial = serial();
+    let dir = TestDir::new("persist-unsplice");
+    let shared = "  real a(20)\n  real b(30)\n  common /g/ a, b\n";
+    let sources = vec![
+        GenSource::fortran(
+            "main.f",
+            format!("program main\n{shared}  a(20) = 0.0\n  b(30) = a(1)\n  call leaf\n  call other\n  call leaf\nend\n"),
+        ),
+        GenSource::fortran(
+            "leaf.f",
+            format!("subroutine leaf\n{shared}  a(1) = 1.0\nend\n"),
+        ),
+        GenSource::fortran(
+            "other.f",
+            format!("subroutine other\n{shared}  integer i\n  do i = 1, 30\n    b(i) = a(i - 1) + 2.0\n  end do\nend\n"),
+        ),
+    ];
+    seed(dir.path(), &sources);
+    // `leaf` has the fewest records and rows, so the smallest entry.
+    let leaf_entry = entry_paths(dir.path())
+        .into_iter()
+        .min_by_key(|p| std::fs::metadata(p).expect("entry").len())
+        .expect("entries");
+    flip_byte(&leaf_entry, 0);
+
+    let mut warm = AnalysisSession::with_cache_dir(AnalysisOptions::default(), dir.path());
+    assert!(warm.load(), "partial load still succeeds");
+    assert!(
+        warm.cache_incidents().iter().any(|d| d.detail.contains("`leaf` rejected")),
+        "{:?}",
+        warm.cache_incidents()
+    );
+    warm.update(&sources).expect("warm update");
+    assert_equals_cold(warm.analysis().expect("analysis"), &cold(&sources));
+}
+
 // ---------------------------------------------------------------------------
 // Fault injection (crash consistency). These arm the process-global
 // faultpoint registry, so they serialize on a mutex.

@@ -42,6 +42,9 @@ pub struct CgNode {
 pub struct CallGraph {
     nodes: IndexVec<ProcId, CgNode>,
     entries: Vec<ProcId>,
+    /// Where each procedure's call sites start in the program-wide site
+    /// numbering, plus the total as a last entry.
+    site_start: Vec<usize>,
 }
 
 impl CallGraph {
@@ -97,7 +100,12 @@ impl CallGraph {
                     entries.push(id);
                 }
         }
-        CallGraph { nodes, entries }
+        let mut site_start = Vec::with_capacity(nodes.len() + 1);
+        site_start.push(0);
+        for node in nodes.iter() {
+            site_start.push(site_start[site_start.len() - 1] + node.calls.len());
+        }
+        CallGraph { nodes, entries, site_start }
     }
 
     /// Total number of nodes — "The call graph structure retrieves the total
@@ -119,6 +127,19 @@ impl CallGraph {
     /// Call sites of `id`.
     pub fn calls(&self, id: ProcId) -> &[CallSite] {
         &self.nodes[id].calls
+    }
+
+    /// The program-wide numbers of `id`'s call sites, in [`calls`](Self::calls)
+    /// order: sites are numbered procedure by procedure in `ProcId` order,
+    /// so per-site data of a whole program fits one flat vector.
+    pub fn site_range(&self, id: ProcId) -> std::ops::Range<usize> {
+        use support::idx::Idx;
+        self.site_start[id.as_usize()]..self.site_start[id.as_usize() + 1]
+    }
+
+    /// Number of call sites in the program.
+    pub fn site_count(&self) -> usize {
+        self.site_start[self.site_start.len() - 1]
     }
 
     /// Direct callees of `id`, deduplicated, in first-call order.

@@ -12,10 +12,11 @@ use crate::triplet::TripletRegion;
 
 /// The four access modes of the paper.
 #[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord,
+    Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord,
 )]
 pub enum AccessMode {
     /// Array variable read on a right-hand side.
+    #[default]
     Use,
     /// Assignment of values to array elements (left-hand side).
     Def,
@@ -72,10 +73,11 @@ impl std::fmt::Display for AccessMode {
 /// severity discipline off this: only affine-derived regions may prove a
 /// `definite` finding; `Interval` regions cap at `possible`; `Unbounded`
 /// regions trip `NAF-06`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Precision {
     /// The affine machinery summarized the access without loss (constant
     /// or symbolic bounds, no widening).
+    #[default]
     Exact,
     /// Affine but approximated: a translation or projection budget forced
     /// a widening, or the record degraded while crossing a call boundary.

@@ -102,7 +102,9 @@ catalog! {
         FilesReparsed => "parse.files_reparsed",
         /// Source files served from the parse cache.
         FilesCached => "parse.files_cached",
-        /// `.rgn` rows carried over verbatim from the previous update.
+        /// `.rgn` rows carried over verbatim from the previous update: the
+        /// rows of reused procedures, and of a re-propagated caller its
+        /// local rows and the rows of its kept call-site slices.
         RowsReused => "rows.reused",
         /// `.rgn` rows rebuilt by re-running extraction.
         RowsRecomputed => "rows.recomputed",

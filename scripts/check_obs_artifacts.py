@@ -15,7 +15,9 @@ Checks, stdlib only (CI runners install nothing):
   5. the save-accounting invariant holds: store.encoded + store.carried
      is 0 (the run saved nothing) or session.procedures (one save encodes
      or carries every procedure once);
-  6. counter lines cover the full catalog exactly once (zeros included).
+  6. the row-accounting invariant holds: rows.reused + rows.recomputed
+     == session.rows (each row of an update moved over or was extracted);
+  7. counter lines cover the full catalog exactly once (zeros included).
 
 Exit 0 on success; prints the first failure and exits 1 otherwise.
 """
@@ -135,6 +137,8 @@ def check_metrics(path: Path, schemas: Path) -> None:
         "faultpoint.trips",
         "store.encoded",
         "store.carried",
+        "rows.reused",
+        "rows.recomputed",
     ):
         if needed not in counters:
             fail(f"{path}: counter `{needed}` missing from the catalog dump")
@@ -154,6 +158,14 @@ def check_metrics(path: Path, schemas: Path) -> None:
         fail(
             f"{path}: save accounting broken: encoded {counters['store.encoded']} + "
             f"carried {counters['store.carried']} is neither 0 nor procedures {procs}"
+        )
+    rows = gauges.get("session.rows")
+    if rows is None:
+        fail(f"{path}: gauge `session.rows` missing")
+    if counters["rows.reused"] + counters["rows.recomputed"] != rows:
+        fail(
+            f"{path}: row accounting broken: reused {counters['rows.reused']} + "
+            f"recomputed {counters['rows.recomputed']} != rows {rows}"
         )
     print(
         f"{path.name}: {len(counters)} counters, invariant "

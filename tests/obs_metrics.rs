@@ -4,7 +4,8 @@
 //!
 //! - cache accounting covers every procedure: `cache.hits +
 //!   cache.recomputes == session.procedures` on every update (rejects are
-//!   a subset of recomputes — a hash hit whose validation failed);
+//!   a subset of recomputes — a hash hit whose validation failed), and row
+//!   accounting every row: `rows.reused + rows.recomputed == session.rows`;
 //! - the degradation gauge equals `Analysis::degradations.len()`;
 //! - tracing on vs off yields byte-identical `.rgn`/`.dgn`/`.cfg`;
 //! - under the logical clock, both exporters are byte-deterministic and
@@ -72,6 +73,17 @@ fn cache_counters_cover_every_procedure() {
     assert!(
         warm.counter(Counter::CacheRejects) <= recomputes,
         "rejects are a subset of recomputes"
+    );
+    // Every row of the update moved over or was extracted afresh.
+    assert_eq!(
+        warm.counter(Counter::RowsReused) + warm.counter(Counter::RowsRecomputed),
+        warm.gauge(Gauge::SessionRows),
+        "every row is reused or recomputed"
+    );
+    // The edit re-translates only the call sites of what it changed.
+    assert!(
+        warm.counter(Counter::BudgetTranslations) < cold.counter(Counter::BudgetTranslations),
+        "an edit translates fewer records than a cold run"
     );
 }
 
