@@ -227,3 +227,44 @@ fn session_warm_update_contains_faults_and_recovers() {
     assert!(recovered.degradations.is_empty(), "{:?}", recovered.degradations);
     assert!(session.analysis().is_some_and(|a| !a.degraded()));
 }
+
+/// A propagation panic in an update that keeps call-site slices falls back
+/// to local summaries like any other: the spliced caller's rows are
+/// re-extracted from its local summary, not spliced from slices that no
+/// longer exist.
+#[test]
+fn propagation_panic_in_a_spliced_update_re_extracts_local_rows() {
+    use araa::AnalysisSession;
+    use frontend::SourceFile;
+    use whirl::Lang;
+    let _guard = ARMED.lock().unwrap_or_else(|p| p.into_inner());
+    faultpoint::disarm_all();
+    let shared = "  real a(20)\n  real b(30)\n  common /g/ a, b\n";
+    let files = |hi: u32| {
+        vec![
+            SourceFile::new(
+                "main.f",
+                format!("program main\n{shared}  a(20) = 0.0\n  call leaf\n  call other\nend\n"),
+                Lang::Fortran,
+            ),
+            SourceFile::new(
+                "leaf.f",
+                format!("subroutine leaf\n{shared}  integer i\n  do i = 1, {hi}\n    a(i) = 1.0\n  end do\nend\n"),
+                Lang::Fortran,
+            ),
+            SourceFile::new("other.f", format!("subroutine other\n{shared}  b(1) = 2.0\nend\n"), Lang::Fortran),
+        ]
+    };
+    let mut session = AnalysisSession::new(AnalysisOptions::default());
+    session.update(files(10)).expect("cold update");
+    faultpoint::arm("ipa::translate", 1);
+    let warm = session.update(files(8));
+    faultpoint::disarm_all();
+    let warm = warm.expect("faulted warm update must degrade, not fail");
+    assert!(warm.degradations.iter().any(|d| d.stage == "ipa"), "{:?}", warm.degradations);
+    assert!(!warm.degradations.iter().any(|d| d.stage == "extract"), "{:?}", warm.degradations);
+    let a = session.analysis().expect("analysis");
+    let main_rows: Vec<_> = a.rows.iter().filter(|r| r.proc == "MAIN__").collect();
+    assert_eq!(main_rows.len(), 1, "main's local row alone: {main_rows:?}");
+    assert!(main_rows[0].via.is_none());
+}
