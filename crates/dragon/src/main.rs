@@ -58,11 +58,10 @@ fn usage() -> ! {
          \x20 profile <src...> [--top N]\n\
          \x20 cache <stats|verify|clear>   (requires --cache-dir)\n\
          \x20 serve --socket PATH [--cache-root DIR] [--workers N]\n\
-         \x20       [--queue-depth N] [--deadline-ms N] [--persist-debounce-ms N]\n\
+         \x20       [--queue-depth N] [--deadline-ms N]\n\
          \x20       [--max-connections N] [--max-frame-bytes N] [--io-timeout-ms N]\n\
          \x20       [--heartbeat-grace-ms N] [--circuit-threshold N]\n\
-         \x20       [--circuit-cooldown-ms N] [--slow-threshold-ms N]\n\
-         \x20       [--log-capacity N]\n\
+         \x20       [--circuit-cooldown-ms N]\n\
          \x20       [--metrics-interval-ms N --metrics-snapshot FILE]\n\
          \x20 client --socket PATH <op|ping> [--project NAME] [--deadline-ms N]\n\
          \x20        [--retries N] [--timeout-ms N] [--trace ID] [--format F]\n\
@@ -877,13 +876,6 @@ fn main() {
                             .filter(|&n| n > 0)
                             .unwrap_or_else(|| usage())
                     }
-                    // 0 = write-through (persist inline on every analyze).
-                    "--persist-debounce-ms" => {
-                        opts.persist_debounce_ms = it
-                            .next()
-                            .and_then(|v| v.parse().ok())
-                            .unwrap_or_else(|| usage())
-                    }
                     "--max-connections" => {
                         opts.max_connections = it
                             .next()
@@ -936,19 +928,6 @@ fn main() {
                     "--metrics-snapshot" => {
                         opts.metrics_snapshot =
                             Some(it.next().cloned().unwrap_or_else(|| usage()).into())
-                    }
-                    "--slow-threshold-ms" => {
-                        opts.slow_threshold_ms = it
-                            .next()
-                            .and_then(|v| v.parse().ok())
-                            .unwrap_or_else(|| usage())
-                    }
-                    "--log-capacity" => {
-                        opts.log_capacity = it
-                            .next()
-                            .and_then(|v| v.parse().ok())
-                            .filter(|&n| n > 0)
-                            .unwrap_or_else(|| usage())
                     }
                     _ => usage(),
                 }

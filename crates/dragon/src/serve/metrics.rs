@@ -1,7 +1,8 @@
 //! The serve-side metrics registry: sharded per-op counters and
-//! log-linear latency histograms, a ring-buffer request log, slow-request
-//! trace capture, and a sampling profiler — everything the `metrics`,
-//! `query-log`, and `profile` ops serve.
+//! log-linear latency histograms, the daemon tallies no outcome carries, a
+//! ring-buffer request log, slow-request trace capture, and a sampling
+//! profiler — everything the `stats`, `metrics`, `query-log`, and
+//! `profile` ops serve. It is the daemon's only counter registry.
 //!
 //! # Sharding
 //!
@@ -22,7 +23,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
 use support::json::{obj, Value};
@@ -103,6 +104,31 @@ impl Outcome {
     }
 }
 
+/// Daemon events no request outcome carries, counted beside the
+/// `op × outcome` matrix.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Tally {
+    /// Frames too malformed to attribute to an op (unparseable JSON,
+    /// oversized frames).
+    Invalid,
+    /// Requests that parsed and reached dispatch, counted on arrival.
+    Accepted,
+    /// Connections shed at the concurrent-connection cap.
+    ConnShed,
+    /// Frames discarded for exceeding the frame-size cap.
+    FrameTooLarge,
+    /// Panics contained in an idle or drain flush (no request to answer).
+    FlushPanics,
+    /// Warm sessions resident (a level: sessions added minus evicted).
+    Sessions,
+    /// Requests queued across workers (a level).
+    Queued,
+}
+
+impl Tally {
+    const COUNT: usize = Tally::Queued as usize + 1;
+}
+
 /// One record in the structured request log.
 #[derive(Debug, Clone)]
 pub struct LogEntry {
@@ -151,6 +177,15 @@ struct ProjectStats {
     sample_counter: u64,
 }
 
+impl ProjectStats {
+    /// Summary-cache hit rate, in permille (0 before any analysis).
+    fn cache_hit_permille(&self) -> u64 {
+        (self.cache_hits * 1000)
+            .checked_div(self.cache_hits + self.cache_recomputes)
+            .unwrap_or(0)
+    }
+}
+
 /// Per-procedure profile aggregate from sampled span trees.
 #[derive(Debug, Default, Clone)]
 struct ProcAgg {
@@ -190,16 +225,16 @@ struct ProfileState {
     samples: BTreeMap<String, u64>,
 }
 
-/// The registry. One per daemon, shared by the dispatcher, every worker,
-/// and the periodic snapshot thread.
+/// The registry. One per daemon, shared by the connection threads (which
+/// record every request), the workers (which keep the session level) and
+/// the periodic snapshot thread.
 pub struct ServeMetrics {
     clock: ClockKind,
     origin: Instant,
     tick: AtomicU64,
     trace_seq: AtomicU64,
-    /// Frames too malformed to attribute to an op (unparseable JSON,
-    /// oversized frames).
-    invalid: AtomicU64,
+    /// One cell per [`Tally`].
+    tallies: [AtomicU64; Tally::COUNT],
     shard_seq: AtomicUsize,
     shards: Vec<Shard>,
     /// Slow-request threshold in clock units (0 disables capture).
@@ -223,17 +258,17 @@ impl ServeMetrics {
     /// A fresh registry. `slow_threshold_ms` of 0 disables slow-trace
     /// capture; under the logical clock the threshold is interpreted in
     /// raw ticks (documented determinism-mode behavior).
-    pub fn new(clock: ClockKind, log_capacity: usize, slow_threshold_ms: u64) -> Arc<Self> {
+    pub fn new(clock: ClockKind, log_capacity: usize, slow_threshold_ms: u64) -> Self {
         let slow_threshold_units = match clock {
             ClockKind::Monotonic => slow_threshold_ms.saturating_mul(1_000_000),
             ClockKind::Logical => slow_threshold_ms,
         };
-        Arc::new(ServeMetrics {
+        ServeMetrics {
             clock,
             origin: Instant::now(),
             tick: AtomicU64::new(0),
             trace_seq: AtomicU64::new(0),
-            invalid: AtomicU64::new(0),
+            tallies: Default::default(),
             shard_seq: AtomicUsize::new(0),
             shards: (0..NUM_SHARDS).map(|_| Shard::new()).collect(),
             slow_threshold_units,
@@ -249,7 +284,7 @@ impl ServeMetrics {
                 procs: BTreeMap::new(),
                 samples: BTreeMap::new(),
             }),
-        })
+        }
     }
 
     /// The clock kind latencies are measured in.
@@ -304,9 +339,19 @@ impl ServeMetrics {
         shard.hists[op.index()].record(latency_units.max(1));
     }
 
-    /// Counts a frame too malformed to attribute to any op.
-    pub fn record_invalid(&self) {
-        self.invalid.fetch_add(1, Ordering::Relaxed);
+    /// Counts one event no outcome carries (or raises a level).
+    pub fn incr(&self, t: Tally) {
+        self.tallies[t as usize].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Lowers a level ([`Tally::Sessions`], [`Tally::Queued`]).
+    pub fn decr(&self, t: Tally) {
+        self.tallies[t as usize].fetch_sub(1, Ordering::Relaxed);
+    }
+
+    /// The current value of one tally.
+    pub fn tally(&self, t: Tally) -> u64 {
+        self.tallies[t as usize].load(Ordering::Relaxed)
     }
 
     /// Appends one entry to the ring log (oldest entries drop at
@@ -345,7 +390,7 @@ impl ServeMetrics {
         let mut projects = lock(&self.projects);
         let p = projects.entry(project.to_string()).or_default();
         p.requests += 1;
-        let sample = p.sample_counter % SAMPLE_EVERY == 0;
+        let sample = p.sample_counter.is_multiple_of(SAMPLE_EVERY);
         p.sample_counter += 1;
         sample
     }
@@ -472,15 +517,13 @@ impl ServeMetrics {
         let project_entries: Vec<Value> = projects
             .iter()
             .map(|(name, p)| {
-                let served = p.cache_hits + p.cache_recomputes;
-                let permille = if served == 0 { 0 } else { p.cache_hits * 1000 / served };
                 Value::Obj(
                     [
                         ("project".to_string(), Value::str(name.as_str())),
                         ("requests".to_string(), num(p.requests)),
                         ("cache_hits".to_string(), num(p.cache_hits)),
                         ("cache_recomputes".to_string(), num(p.cache_recomputes)),
-                        ("cache_hit_permille".to_string(), num(permille)),
+                        ("cache_hit_permille".to_string(), num(p.cache_hit_permille())),
                         (
                             "mem_high_water_bytes".to_string(),
                             num(self.det(p.mem_high_water)),
@@ -501,12 +544,12 @@ impl ServeMetrics {
             ("clock", Value::str(self.clock.name())),
             ("uptime_ms", num(self.det(ctx.uptime_ms))),
             ("workers", num(ctx.workers)),
-            ("sessions", num(ctx.sessions)),
-            ("queue_depth", num(ctx.queue_depth)),
+            ("sessions", num(self.tally(Tally::Sessions))),
+            ("queue_depth", num(self.tally(Tally::Queued))),
             ("open_circuits", num(ctx.open_circuits)),
             ("mem_high_water_bytes", num(self.det(ctx.mem_high_water_bytes))),
             ("requests_total", num(requests_total)),
-            ("invalid_requests", num(self.invalid.load(Ordering::Relaxed))),
+            ("invalid_requests", num(self.tally(Tally::Invalid))),
             ("log_entries", num(log.entries.len() as u64)),
             ("log_dropped", num(log.dropped)),
             ("slow_traces", num(lock(&self.slow).len() as u64)),
@@ -515,6 +558,31 @@ impl ServeMetrics {
                 Value::Obj(ops.into_iter().collect()),
             ),
             ("projects", Value::Arr(project_entries)),
+        ])
+    }
+
+    /// The `stats` op's result. Sheds, expiries, circuit rejections,
+    /// memory exhaustions and request panics are outcome sums over every
+    /// op, so a request counts under exactly one of them, as in
+    /// [`snapshot_json`](Self::snapshot_json).
+    pub fn stats_json(&self, workers: u64, queue_depth: u64) -> Value {
+        let (outcomes, _, _) = self.merged();
+        let total = |o: Outcome| -> u64 {
+            outcomes.iter().skip(o.index()).step_by(Outcome::ALL.len()).sum()
+        };
+        obj([
+            ("requests", num(self.tally(Tally::Accepted))),
+            ("shed", num(total(Outcome::Shed))),
+            ("deadline_expired", num(total(Outcome::Deadline))),
+            ("panics", num(total(Outcome::Panic) + self.tally(Tally::FlushPanics))),
+            ("sessions", num(self.tally(Tally::Sessions))),
+            ("queued", num(self.tally(Tally::Queued))),
+            ("frame_too_large", num(self.tally(Tally::FrameTooLarge))),
+            ("conn_shed", num(self.tally(Tally::ConnShed))),
+            ("circuit_open", num(total(Outcome::CircuitOpen))),
+            ("mem_exhausted", num(total(Outcome::MemExhausted))),
+            ("workers", num(workers)),
+            ("queue_depth", num(queue_depth)),
         ])
     }
 
@@ -527,8 +595,12 @@ impl ServeMetrics {
         for (name, help, v) in [
             ("araa_serve_uptime_ms", "Daemon uptime in milliseconds.", self.det(ctx.uptime_ms)),
             ("araa_serve_workers", "Configured worker threads.", ctx.workers),
-            ("araa_serve_sessions", "Warm sessions resident.", ctx.sessions),
-            ("araa_serve_queue_depth", "Requests queued across workers.", ctx.queue_depth),
+            ("araa_serve_sessions", "Warm sessions resident.", self.tally(Tally::Sessions)),
+            (
+                "araa_serve_queue_depth",
+                "Requests queued across workers.",
+                self.tally(Tally::Queued),
+            ),
             ("araa_serve_open_circuits", "Open per-project circuits.", ctx.open_circuits),
             (
                 "araa_serve_mem_high_water_bytes",
@@ -538,7 +610,7 @@ impl ServeMetrics {
             (
                 "araa_serve_invalid_requests_total",
                 "Frames too malformed to attribute to an op.",
-                self.invalid.load(Ordering::Relaxed),
+                self.tally(Tally::Invalid),
             ),
         ] {
             out.push_str(&format!("# HELP {name} {help}\n"));
@@ -604,11 +676,10 @@ impl ServeMetrics {
             );
             out.push_str("# TYPE araa_serve_project_cache_hit_permille gauge\n");
             for (name, p) in projects.iter() {
-                let served = p.cache_hits + p.cache_recomputes;
-                let permille = if served == 0 { 0 } else { p.cache_hits * 1000 / served };
                 out.push_str(&format!(
-                    "araa_serve_project_cache_hit_permille{{project=\"{}\"}} {permille}\n",
-                    obs::json_escape(name)
+                    "araa_serve_project_cache_hit_permille{{project=\"{}\"}} {}\n",
+                    obs::json_escape(name),
+                    p.cache_hit_permille()
                 ));
             }
         }
@@ -740,13 +811,11 @@ impl ServeMetrics {
 }
 
 /// Daemon-level context rendered into snapshots; the caller (dispatch or
-/// the snapshot thread) reads these from `ServerStats`/`Supervisor`.
+/// the snapshot thread) reads these from the options and the supervisor.
 #[derive(Debug, Default, Clone)]
 pub struct SnapshotCtx {
     pub uptime_ms: u64,
     pub workers: u64,
-    pub sessions: u64,
-    pub queue_depth: u64,
     pub open_circuits: u64,
     pub mem_high_water_bytes: u64,
 }
@@ -762,7 +831,7 @@ mod tests {
     use std::sync::Arc;
 
     fn ctx() -> SnapshotCtx {
-        SnapshotCtx { workers: 2, sessions: 1, ..Default::default() }
+        SnapshotCtx { workers: 2, ..Default::default() }
     }
 
     #[test]
@@ -776,7 +845,7 @@ mod tests {
         for _ in 0..8 {
             record(&seq);
         }
-        let par = ServeMetrics::new(ClockKind::Logical, 16, 0);
+        let par = Arc::new(ServeMetrics::new(ClockKind::Logical, 16, 0));
         let handles: Vec<_> = (0..8)
             .map(|_| {
                 let par = Arc::clone(&par);
@@ -789,6 +858,25 @@ mod tests {
         let a = seq.snapshot_json(&ctx()).render();
         let b = par.snapshot_json(&ctx()).render();
         assert_eq!(a, b, "merged counters must not depend on thread count");
+    }
+
+    #[test]
+    fn stats_sums_outcomes_over_every_op() {
+        let m = ServeMetrics::new(ClockKind::Logical, 16, 0);
+        m.record_outcome(Op::Analyze, Outcome::Shed, 1);
+        m.record_outcome(Op::Lint, Outcome::Shed, 1);
+        m.record_outcome(Op::Analyze, Outcome::Panic, 1);
+        m.incr(Tally::FlushPanics);
+        m.incr(Tally::Sessions);
+        m.incr(Tally::Sessions);
+        m.decr(Tally::Sessions);
+        let s = m.stats_json(2, 64);
+        let field = |k: &str| s.get(k).and_then(Value::as_u64);
+        assert_eq!(field("shed"), Some(2));
+        assert_eq!(field("panics"), Some(2), "request and flush panics");
+        assert_eq!(field("deadline_expired"), Some(0));
+        assert_eq!(field("sessions"), Some(1));
+        assert_eq!(field("workers"), Some(2));
     }
 
     #[test]

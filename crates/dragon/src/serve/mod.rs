@@ -9,10 +9,11 @@
 //!   wedged workers, graceful drain, and crash recovery on startup;
 //! - [`supervisor`] — the heartbeat/circuit-breaker state machine behind
 //!   the server's self-healing;
-//! - [`metrics`] — the observability plane: request-scoped trace ids,
-//!   sharded per-op outcome counters and log-linear latency histograms,
-//!   the ring-buffer request log, slow-trace capture, and the sampling
-//!   profiler (served by `metrics`, `query-log`, and `profile` ops);
+//! - [`metrics`] — the observability plane and the daemon's only counter
+//!   registry: request-scoped trace ids, sharded per-op outcome counters
+//!   and log-linear latency histograms, the ring-buffer request log,
+//!   slow-trace capture, and the sampling profiler (served by `stats`,
+//!   `metrics`, `query-log`, and `profile` ops);
 //! - [`client`] — one-shot calls with timeout, retry, and exponential
 //!   backoff with deterministic jitter.
 //!

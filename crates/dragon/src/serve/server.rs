@@ -3,7 +3,7 @@
 //! # Architecture
 //!
 //! ```text
-//!            accept loop (nonblocking, polls SHUTDOWN)
+//!            accept loop (nonblocking, polls the stop flag)
 //!                 │ one thread per connection (capped; excess shed)
 //!                 ▼
 //!   connection threads ──try_send──▶ worker 0..N (bounded queues)
@@ -58,12 +58,17 @@
 //! - **Recovery is the startup path**: the daemon scans its cache root,
 //!   takes over stale `DirLock`s, skips quarantined entries, and warms
 //!   every discoverable session before accepting connections.
+//! - **Counted once**: [`ServeMetrics`] is the daemon's only counter
+//!   registry, and the connection thread that writes a request's response
+//!   records it there, once. A worker hands its answer back instead of
+//!   recording it, so a request the dispatcher abandoned, or one a
+//!   replaced worker answered late, still counts exactly once.
 //!
 //! With `ARAA_SERVE_CHAOS_ABORT=1` an injected-fault panic aborts the
 //! process *before unwinding* — a faithful crash at exactly the armed
 //! faultpoint, used by the chaos tests to prove the recovery path.
 
-use super::metrics::{LogEntry, Outcome, ServeMetrics, SnapshotCtx};
+use super::metrics::{LogEntry, Outcome, ServeMetrics, SnapshotCtx, Tally};
 use super::proto::{self, ErrorKind, Op, Request};
 use super::supervisor::{CircuitDecision, Supervisor};
 use araa::{AnalysisOptions, AnalysisSession};
@@ -74,7 +79,7 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -82,7 +87,7 @@ use support::deadline::{self, DeadlineToken};
 use support::hash::fnv1a;
 use support::json::{obj, Value};
 use support::memory::{self, MemoryBudget};
-use support::obs::{self, ClockKind, Counter, Gauge, SpanEvent};
+use support::obs::{self, ClockKind, Counter, SpanEvent};
 use whirl::Lang;
 
 /// Daemon configuration.
@@ -99,11 +104,6 @@ pub struct ServeOptions {
     pub queue_depth: usize,
     /// Deadline applied to requests that do not carry their own.
     pub default_deadline_ms: u64,
-    /// Group-commit window: after a write, a session persists on the
-    /// request path at most once per this many milliseconds (an idle
-    /// worker flushes sooner, and drain always flushes everything). `0`
-    /// means write-through: every successful analyze persists inline.
-    pub persist_debounce_ms: u64,
     /// Per-request memory budget (mebibytes of allocation churn) applied
     /// to requests that do not carry their own `mem_budget_mb`; `None`
     /// means unlimited. Exhaustion degrades the request's analysis
@@ -134,12 +134,6 @@ pub struct ServeOptions {
     /// File the periodic metrics snapshot is atomically written to,
     /// sealed with the canonical `#checksum` trailer.
     pub metrics_snapshot: Option<PathBuf>,
-    /// Requests at least this slow (milliseconds; raw clock ticks under
-    /// `ARAA_OBS_CLOCK=logical`) have their full span tree captured for
-    /// `profile format:"collapsed"`. `0` disables capture.
-    pub slow_threshold_ms: u64,
-    /// Ring-buffer request-log capacity (`query-log` window).
-    pub log_capacity: usize,
 }
 
 impl Default for ServeOptions {
@@ -150,7 +144,6 @@ impl Default for ServeOptions {
             workers: 2,
             queue_depth: 64,
             default_deadline_ms: 30_000,
-            persist_debounce_ms: 500,
             mem_budget_mb: None,
             max_frame_bytes: 4 << 20,
             max_connections: 256,
@@ -160,8 +153,6 @@ impl Default for ServeOptions {
             circuit_cooldown_ms: 2_000,
             metrics_interval_ms: 0,
             metrics_snapshot: None,
-            slow_threshold_ms: 500,
-            log_capacity: 1024,
         }
     }
 }
@@ -173,10 +164,20 @@ const RETRY_AFTER_MS: u64 = 100;
 const MAX_DEADLINE_MS: u64 = 10 * 60 * 1000;
 /// How long the drain phase waits for in-flight connections.
 const DRAIN_WAIT: Duration = Duration::from_secs(20);
+/// Group-commit window: after a write, a session persists on the request
+/// path at most once per this window (an idle worker flushes sooner, and
+/// drain always flushes everything).
+const PERSIST_DEBOUNCE: Duration = Duration::from_millis(500);
 /// How long an idle worker waits for a job before flushing dirty
 /// sessions to disk. Bounds the crash-loss window of a quiescent daemon
-/// to roughly `persist_debounce_ms + IDLE_FLUSH`.
+/// to roughly `PERSIST_DEBOUNCE + IDLE_FLUSH`.
 const IDLE_FLUSH: Duration = Duration::from_millis(200);
+/// Requests at least this slow (milliseconds; raw clock ticks under
+/// `ARAA_OBS_CLOCK=logical`) have their full span tree captured for
+/// `profile format:"collapsed"`.
+const SLOW_THRESHOLD_MS: u64 = 500;
+/// Ring-buffer request-log capacity (the `query-log` window).
+const LOG_CAPACITY: usize = 1024;
 /// Supervisor poll tick: the detection latency floor for wedged workers.
 const SUPERVISOR_POLL: Duration = Duration::from_millis(100);
 /// Response writes slower than this mean the peer stopped reading; the
@@ -187,62 +188,17 @@ const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
 /// and supervisor detection latency for typical configurations.
 const DISPATCH_SLACK_MS: u64 = 1_000;
 
-/// Daemon-wide counters, shared by connection threads and workers and
-/// reported by the `stats` op.
-#[derive(Debug, Default)]
-struct ServerStats {
-    requests: AtomicU64,
-    shed: AtomicU64,
-    deadline_expired: AtomicU64,
-    panics: AtomicU64,
-    sessions: AtomicU64,
-    queued: AtomicU64,
-    frame_too_large: AtomicU64,
-    conn_shed: AtomicU64,
-    circuit_open: AtomicU64,
-    mem_exhausted: AtomicU64,
-}
-
-impl ServerStats {
-    fn snapshot_json(&self, workers: usize, queue_depth: usize) -> Value {
-        obj([
-            ("requests", Value::int(self.requests.load(Ordering::Relaxed))),
-            ("shed", Value::int(self.shed.load(Ordering::Relaxed))),
-            (
-                "deadline_expired",
-                Value::int(self.deadline_expired.load(Ordering::Relaxed)),
-            ),
-            ("panics", Value::int(self.panics.load(Ordering::Relaxed))),
-            ("sessions", Value::int(self.sessions.load(Ordering::Relaxed))),
-            ("queued", Value::int(self.queued.load(Ordering::Relaxed))),
-            (
-                "frame_too_large",
-                Value::int(self.frame_too_large.load(Ordering::Relaxed)),
-            ),
-            ("conn_shed", Value::int(self.conn_shed.load(Ordering::Relaxed))),
-            (
-                "circuit_open",
-                Value::int(self.circuit_open.load(Ordering::Relaxed)),
-            ),
-            (
-                "mem_exhausted",
-                Value::int(self.mem_exhausted.load(Ordering::Relaxed)),
-            ),
-            ("workers", Value::int(workers as u64)),
-            ("queue_depth", Value::int(queue_depth as u64)),
-        ])
-    }
-}
-
-/// Set by SIGTERM/SIGINT (and the `shutdown` op); polled by the accept
-/// loop. Process-global because signal handlers are.
-static SHUTDOWN: AtomicBool = AtomicBool::new(false);
+/// Bumped by SIGTERM/SIGINT. Signal handlers can reach only statics, so
+/// this is the one piece of stop state shared by every daemon in the
+/// process: each remembers the count it started at and drains once the
+/// count moves.
+static SIGNALS: AtomicU64 = AtomicU64::new(0);
 
 fn install_signal_handlers() {
-    // std links libc; `signal` is sufficient for a single flag-set handler
-    // (async-signal-safe: one relaxed atomic store).
+    // std links libc; `signal` is sufficient for a single counter-bump
+    // handler (async-signal-safe: one relaxed atomic add).
     extern "C" fn on_signal(_sig: std::os::raw::c_int) {
-        SHUTDOWN.store(true, Ordering::Relaxed);
+        SIGNALS.fetch_add(1, Ordering::Relaxed);
     }
     unsafe extern "C" {
         fn signal(
@@ -252,6 +208,8 @@ fn install_signal_handlers() {
     }
     const SIGINT: std::os::raw::c_int = 2;
     const SIGTERM: std::os::raw::c_int = 15;
+    // SAFETY: `signal` is libc's, declared with its C signature above, and
+    // the handler it installs touches nothing but an atomic.
     unsafe {
         signal(SIGTERM, on_signal);
         signal(SIGINT, on_signal);
@@ -280,49 +238,97 @@ fn install_chaos_abort_hook() {
     }));
 }
 
-/// One queued unit of work: the request plus the channel its response goes
-/// back on. The worker *always* sends exactly one response (panics are
+/// The state one daemon's threads share: its options, supervisor, metrics
+/// registry and stop flag. One per [`run`], behind an `Arc`.
+struct Daemon {
+    /// The options, with `workers`, `queue_depth`, `max_connections` and
+    /// `io_timeout_ms` floored at 1 and `max_frame_bytes` at 1 KiB.
+    opts: ServeOptions,
+    started: Instant,
+    sup: Supervisor,
+    /// The only counter registry: `stats`, `health`, `metrics`,
+    /// `query-log` and `profile` all read it.
+    metrics: ServeMetrics,
+    /// Open connections, held against `max_connections`.
+    conns: AtomicUsize,
+    /// Set by the `shutdown` op; the accept loop, every connection thread
+    /// and every new request observe it (with [`SIGNALS`]).
+    stop: AtomicBool,
+    /// [`SIGNALS`] when this daemon started.
+    signals_at_start: u64,
+    /// Set once the workers have exited: stops the supervisor and the
+    /// snapshot thread.
+    halt: AtomicBool,
+}
+
+impl Daemon {
+    fn new(mut opts: ServeOptions) -> Daemon {
+        opts.workers = opts.workers.max(1);
+        opts.queue_depth = opts.queue_depth.max(1);
+        opts.max_connections = opts.max_connections.max(1);
+        opts.max_frame_bytes = opts.max_frame_bytes.max(1024);
+        opts.io_timeout_ms = opts.io_timeout_ms.max(1);
+        // The registry reads the same clock switch as `support::obs`, so
+        // `ARAA_OBS_CLOCK=logical` makes serve metrics byte-deterministic
+        // too.
+        let clock = if std::env::var("ARAA_OBS_CLOCK").as_deref() == Ok("logical") {
+            ClockKind::Logical
+        } else {
+            ClockKind::Monotonic
+        };
+        Daemon {
+            sup: Supervisor::new(
+                opts.workers,
+                opts.heartbeat_grace_ms,
+                opts.circuit_threshold,
+                opts.circuit_cooldown_ms,
+            ),
+            opts,
+            started: Instant::now(),
+            metrics: ServeMetrics::new(clock, LOG_CAPACITY, SLOW_THRESHOLD_MS),
+            conns: AtomicUsize::new(0),
+            stop: AtomicBool::new(false),
+            signals_at_start: SIGNALS.load(Ordering::Relaxed),
+            halt: AtomicBool::new(false),
+        }
+    }
+
+    /// True once a `shutdown` op or a signal asked this daemon to drain.
+    fn stopping(&self) -> bool {
+        self.stop.load(Ordering::Relaxed)
+            || SIGNALS.load(Ordering::Relaxed) != self.signals_at_start
+    }
+
+    /// Daemon-level gauges for metrics renders, read wherever a snapshot
+    /// is taken (dispatch or the periodic snapshot thread).
+    fn snapshot_ctx(&self) -> SnapshotCtx {
+        SnapshotCtx {
+            uptime_ms: self.started.elapsed().as_millis() as u64,
+            workers: self.opts.workers as u64,
+            open_circuits: self.sup.open_circuits().len() as u64,
+            mem_high_water_bytes: self.sup.mem_high_water_bytes(),
+        }
+    }
+
+    /// Renders the JSON snapshot, seals it with the `#checksum` trailer,
+    /// and atomically replaces `path` (readers never observe a torn file).
+    fn write_metrics_snapshot(&self, path: &Path) -> support::Result<()> {
+        let mut doc = self.metrics.snapshot_json(&self.snapshot_ctx()).render();
+        doc.push('\n');
+        support::persist::append_text_checksum(&mut doc);
+        support::persist::atomic_write(path, doc.as_bytes())
+    }
+}
+
+/// One queued unit of work: the request plus the channel its answer goes
+/// back on. The worker *always* sends exactly one answer (panics are
 /// converted), so the connection thread can block on `recv_timeout` with a
 /// generous allowance — the timeout only fires for wedged workers.
 struct Job {
     req: Request,
     /// Trace id minted (or accepted) at dispatch, echoed in the response.
     trace: String,
-    /// Dispatch-time timestamp (metrics clock units), so recorded latency
-    /// covers queue wait as well as service time.
-    start_units: u64,
-    resp_tx: SyncSender<String>,
-}
-
-/// Daemon-level gauges for metrics renders, read wherever a snapshot is
-/// taken (dispatch or the periodic snapshot thread).
-fn snapshot_ctx(
-    stats: &ServerStats,
-    sup: &Supervisor,
-    started: Instant,
-    workers: usize,
-) -> SnapshotCtx {
-    SnapshotCtx {
-        uptime_ms: started.elapsed().as_millis() as u64,
-        workers: workers as u64,
-        sessions: stats.sessions.load(Ordering::Relaxed),
-        queue_depth: stats.queued.load(Ordering::Relaxed),
-        open_circuits: sup.open_circuits().len() as u64,
-        mem_high_water_bytes: sup.mem_high_water_bytes(),
-    }
-}
-
-/// Renders the JSON snapshot, seals it with the `#checksum` trailer, and
-/// atomically replaces `path` (readers never observe a torn file).
-fn write_metrics_snapshot(
-    metrics: &ServeMetrics,
-    ctx: &SnapshotCtx,
-    path: &Path,
-) -> support::Result<()> {
-    let mut doc = metrics.snapshot_json(ctx).render();
-    doc.push('\n');
-    support::persist::append_text_checksum(&mut doc);
-    support::persist::atomic_write(path, doc.as_bytes())
+    resp_tx: SyncSender<Served>,
 }
 
 fn shard_of(project: &str, workers: usize) -> usize {
@@ -372,32 +378,15 @@ fn lock_handles(handles: &WorkerHandles) -> std::sync::MutexGuard<'_, Vec<Option
 /// Runs the daemon until a graceful shutdown completes. Blocks the calling
 /// thread; returns once every session has drained and persisted.
 pub fn run(opts: ServeOptions) -> support::Result<()> {
-    SHUTDOWN.store(false, Ordering::Relaxed);
     install_signal_handlers();
     install_chaos_abort_hook();
-    let workers = opts.workers.max(1);
-    let queue_depth = opts.queue_depth.max(1);
-    let started = Instant::now();
-    let stats = Arc::new(ServerStats::default());
-    // The registry reads the same clock switch as `support::obs`, so
-    // `ARAA_OBS_CLOCK=logical` makes serve metrics byte-deterministic too.
-    let clock = if std::env::var("ARAA_OBS_CLOCK").as_deref() == Ok("logical") {
-        ClockKind::Logical
-    } else {
-        ClockKind::Monotonic
-    };
-    let metrics = ServeMetrics::new(clock, opts.log_capacity, opts.slow_threshold_ms);
-    let supervisor = Arc::new(Supervisor::new(
-        workers,
-        opts.heartbeat_grace_ms,
-        opts.circuit_threshold,
-        opts.circuit_cooldown_ms,
-    ));
+    let ctx = Arc::new(Daemon::new(opts));
+    let workers = ctx.opts.workers;
 
     // Recovery scan: every persisted project warms before we listen, so
     // the first post-crash request is already served from recovered state.
     let mut initial: Vec<Vec<String>> = vec![Vec::new(); workers];
-    if let Some(root) = &opts.cache_root {
+    if let Some(root) = &ctx.opts.cache_root {
         std::fs::create_dir_all(root)
             .map_err(|e| support::Error::io(format!("creating {}", root.display()), e))?;
         for project in scan_projects(root) {
@@ -406,7 +395,7 @@ pub fn run(opts: ServeOptions) -> support::Result<()> {
         }
     }
 
-    let listener = bind_socket(&opts.socket)?;
+    let listener = bind_socket(&ctx.opts.socket)?;
     listener
         .set_nonblocking(true)
         .map_err(|e| support::Error::io("socket set_nonblocking".to_string(), e))?;
@@ -419,67 +408,47 @@ pub fn run(opts: ServeOptions) -> support::Result<()> {
     let handles: WorkerHandles = Arc::new(Mutex::new(Vec::with_capacity(workers)));
     let obs_ctx = obs::current();
     for (idx, projects) in initial.into_iter().enumerate() {
-        let (tx, rx) = sync_channel::<Job>(queue_depth);
+        let (tx, rx) = sync_channel::<Job>(ctx.opts.queue_depth);
         senders.push(tx);
         let rx = Arc::new(Mutex::new(rx));
         shared_rxs.push(Arc::clone(&rx));
-        let opts = opts.clone();
-        let stats = Arc::clone(&stats);
-        let sup = Arc::clone(&supervisor);
+        let ctx = Arc::clone(&ctx);
         let obs_ctx = obs_ctx.clone();
-        let metrics = Arc::clone(&metrics);
         let handle = std::thread::Builder::new()
             .name(format!("serve-worker-{idx}"))
             .spawn(move || {
                 let _obs = obs_ctx.map(obs::attach);
-                worker_main(&rx, idx, 0, &sup, &opts, &stats, &metrics, projects);
+                worker_main(&ctx, &rx, idx, 0, projects);
             })
             .map_err(|e| support::Error::io("spawning worker".to_string(), e))?;
         lock_handles(&handles).push(Some(handle));
     }
 
-    // Supervisor: replaces wedged workers until told to stop (after the
-    // final worker join, so a worker that wedges during drain still gets
+    // Supervisor: replaces wedged workers until halted (after the final
+    // worker join, so a worker that wedges during drain still gets
     // replaced — its replacement drains the closed queue and exits).
-    let sup_stop = Arc::new(AtomicBool::new(false));
     let sup_handle = {
-        let sup = Arc::clone(&supervisor);
-        let stop = Arc::clone(&sup_stop);
+        let ctx = Arc::clone(&ctx);
         let handles = Arc::clone(&handles);
         let shared_rxs = shared_rxs.clone();
-        let stats = Arc::clone(&stats);
-        let opts = opts.clone();
         let obs_ctx = obs::current();
-        let metrics = Arc::clone(&metrics);
         std::thread::Builder::new()
             .name("serve-supervisor".to_string())
             .spawn(move || {
                 let _obs = obs_ctx.map(obs::attach);
-                while !stop.load(Ordering::Relaxed) {
+                while !ctx.halt.load(Ordering::Relaxed) {
                     std::thread::sleep(SUPERVISOR_POLL);
                     for (idx, worker_rx) in shared_rxs.iter().enumerate() {
-                        if !sup.wedged(idx) {
+                        if !ctx.sup.wedged(idx) {
                             continue;
                         }
-                        let generation = sup.declare_wedged(idx);
+                        let generation = ctx.sup.declare_wedged(idx);
                         let rx = Arc::clone(worker_rx);
-                        let sup = Arc::clone(&sup);
-                        let stats = Arc::clone(&stats);
-                        let opts = opts.clone();
-                        let metrics = Arc::clone(&metrics);
+                        let worker_ctx = Arc::clone(&ctx);
                         let spawned = std::thread::Builder::new()
                             .name(format!("serve-worker-{idx}-g{generation}"))
                             .spawn(move || {
-                                worker_main(
-                                    &rx,
-                                    idx,
-                                    generation,
-                                    &sup,
-                                    &opts,
-                                    &stats,
-                                    &metrics,
-                                    Vec::new(),
-                                );
+                                worker_main(&worker_ctx, &rx, idx, generation, Vec::new());
                             });
                         if let Ok(handle) = spawned {
                             // Dropping the old handle detaches the wedged
@@ -496,27 +465,22 @@ pub fn run(opts: ServeOptions) -> support::Result<()> {
     // Periodic metrics snapshots: an off-request-path thread writing the
     // sealed JSON snapshot atomically. Requires both the interval and the
     // path — the daemon never invents an output location.
-    let snap_stop = Arc::new(AtomicBool::new(false));
-    let snap_handle = match (&opts.metrics_snapshot, opts.metrics_interval_ms) {
+    let snap_handle = match (&ctx.opts.metrics_snapshot, ctx.opts.metrics_interval_ms) {
         (Some(path), interval) if interval > 0 => {
             let path = path.clone();
-            let metrics = Arc::clone(&metrics);
-            let stats = Arc::clone(&stats);
-            let sup = Arc::clone(&supervisor);
-            let stop = Arc::clone(&snap_stop);
+            let ctx = Arc::clone(&ctx);
             std::thread::Builder::new()
                 .name("serve-metrics-snapshot".to_string())
                 .spawn(move || {
                     let tick = Duration::from_millis(50);
                     let mut elapsed = Duration::ZERO;
                     let period = Duration::from_millis(interval);
-                    while !stop.load(Ordering::Relaxed) {
+                    while !ctx.halt.load(Ordering::Relaxed) {
                         std::thread::sleep(tick);
                         elapsed += tick;
                         if elapsed >= period {
                             elapsed = Duration::ZERO;
-                            let ctx = snapshot_ctx(&stats, &sup, started, workers);
-                            let _ = write_metrics_snapshot(&metrics, &ctx, &path);
+                            let _ = ctx.write_metrics_snapshot(&path);
                         }
                     }
                 })
@@ -525,38 +489,28 @@ pub fn run(opts: ServeOptions) -> support::Result<()> {
         _ => None,
     };
 
-    // Accept loop: nonblocking so SIGTERM is observed within one poll tick.
-    let active_conns = Arc::new(AtomicUsize::new(0));
-    let max_connections = opts.max_connections.max(1);
-    loop {
-        if SHUTDOWN.load(Ordering::Relaxed) {
-            break;
-        }
+    // Accept loop: nonblocking so a stop is observed within one poll tick.
+    while !ctx.stopping() {
         match listener.accept() {
             Ok((stream, _)) => {
-                if active_conns.load(Ordering::Relaxed) >= max_connections {
-                    stats.conn_shed.fetch_add(1, Ordering::Relaxed);
-                    obs::incr(Counter::ServeConnShed);
+                if ctx.conns.load(Ordering::Relaxed) >= ctx.opts.max_connections {
+                    ctx.metrics.incr(Tally::ConnShed);
                     shed_connection(stream);
                     continue;
                 }
                 let senders = senders.clone();
-                let stats = Arc::clone(&stats);
-                let sup = Arc::clone(&supervisor);
-                let active = Arc::clone(&active_conns);
-                let opts = opts.clone();
+                let conn_ctx = Arc::clone(&ctx);
                 let obs_ctx = obs::current();
-                let metrics = Arc::clone(&metrics);
-                active.fetch_add(1, Ordering::Relaxed);
+                ctx.conns.fetch_add(1, Ordering::Relaxed);
                 let spawned = std::thread::Builder::new()
                     .name("serve-conn".to_string())
                     .spawn(move || {
                         let _obs = obs_ctx.map(obs::attach);
-                        handle_connection(stream, &senders, &stats, &opts, &sup, &metrics, started);
-                        active.fetch_sub(1, Ordering::Relaxed);
+                        handle_connection(stream, &conn_ctx, &senders);
+                        conn_ctx.conns.fetch_sub(1, Ordering::Relaxed);
                     });
                 if spawned.is_err() {
-                    active_conns.fetch_sub(1, Ordering::Relaxed);
+                    ctx.conns.fetch_sub(1, Ordering::Relaxed);
                 }
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -573,7 +527,7 @@ pub fn run(opts: ServeOptions) -> support::Result<()> {
     // Drain: let in-flight connections finish (their requests are deadline
     // bounded), then close the queues so workers persist and exit.
     let drain_deadline = Instant::now() + DRAIN_WAIT;
-    while active_conns.load(Ordering::Relaxed) > 0 && Instant::now() < drain_deadline {
+    while ctx.conns.load(Ordering::Relaxed) > 0 && Instant::now() < drain_deadline {
         std::thread::sleep(Duration::from_millis(10));
     }
     drop(senders);
@@ -599,21 +553,19 @@ pub fn run(opts: ServeOptions) -> support::Result<()> {
             }
         }
     }
-    sup_stop.store(true, Ordering::Relaxed);
+    ctx.halt.store(true, Ordering::Relaxed);
     let _ = sup_handle.join();
-    snap_stop.store(true, Ordering::Relaxed);
     if let Some(h) = snap_handle {
         let _ = h.join();
     }
     // Final snapshot: the drained daemon's last word, covering requests
     // that landed after the last periodic write.
-    if let Some(path) = &opts.metrics_snapshot {
-        if opts.metrics_interval_ms > 0 {
-            let ctx = snapshot_ctx(&stats, &supervisor, started, workers);
-            let _ = write_metrics_snapshot(&metrics, &ctx, path);
+    if let Some(path) = &ctx.opts.metrics_snapshot {
+        if ctx.opts.metrics_interval_ms > 0 {
+            let _ = ctx.write_metrics_snapshot(path);
         }
     }
-    let _ = std::fs::remove_file(&opts.socket);
+    let _ = std::fs::remove_file(&ctx.opts.socket);
     Ok(())
 }
 
@@ -659,7 +611,7 @@ fn shed_connection(stream: UnixStream) {
     let _ = stream.write_all(resp.as_bytes()).and_then(|()| stream.write_all(b"\n"));
 }
 
-/// How often an idle connection wakes up to observe SHUTDOWN.
+/// How often an idle connection wakes up to observe the stop flag.
 const CONN_POLL: Duration = Duration::from_millis(200);
 
 /// One framing outcome from [`read_frame`].
@@ -679,13 +631,12 @@ enum Frame {
 
 /// Reads one newline-delimited frame with a hard size cap. Bytes beyond
 /// the cap are consumed and dropped (never buffered), so an adversarial
-/// client cannot balloon daemon memory past `max_bytes` + one `BufReader`
-/// block per connection, and the stream stays in sync for the next frame.
-fn read_frame(
-    reader: &mut BufReader<UnixStream>,
-    max_bytes: usize,
-    io_timeout: Duration,
-) -> Frame {
+/// client cannot balloon daemon memory past `max_frame_bytes` + one
+/// `BufReader` block per connection, and the stream stays in sync for the
+/// next frame.
+fn read_frame(reader: &mut BufReader<UnixStream>, ctx: &Daemon) -> Frame {
+    let max_bytes = ctx.opts.max_frame_bytes;
+    let io_timeout = Duration::from_millis(ctx.opts.io_timeout_ms);
     let mut buf: Vec<u8> = Vec::new();
     let mut discarding = false;
     let mut partial_since: Option<Instant> = None;
@@ -741,7 +692,7 @@ fn read_frame(
                         | std::io::ErrorKind::Interrupted
                 ) =>
             {
-                if SHUTDOWN.load(Ordering::Relaxed) {
+                if ctx.stopping() {
                     return Frame::Closed;
                 }
                 if let Some(t) = partial_since {
@@ -764,21 +715,16 @@ fn read_frame(
 }
 
 /// Serves one connection: one response line per request line, in order.
+/// Each request is recorded here, once, right before its line is written
+/// (so `query-log` never lags a response); its span tree drops after the
+/// write.
 ///
 /// Reads poll with a short timeout so a connection a client holds open but
-/// idle still observes SHUTDOWN and exits — otherwise its clone of the
-/// worker senders would keep the worker queues alive and block the drain
-/// forever. Frame reads are size-capped and stall-bounded; see
+/// idle still observes the stop flag and exits — otherwise its clone of
+/// the worker senders would keep the worker queues alive and block the
+/// drain forever. Frame reads are size-capped and stall-bounded; see
 /// [`read_frame`].
-fn handle_connection(
-    stream: UnixStream,
-    senders: &[SyncSender<Job>],
-    stats: &ServerStats,
-    opts: &ServeOptions,
-    sup: &Supervisor,
-    metrics: &ServeMetrics,
-    started: Instant,
-) {
+fn handle_connection(stream: UnixStream, ctx: &Daemon, senders: &[SyncSender<Job>]) {
     if stream.set_read_timeout(Some(CONN_POLL)).is_err() {
         return;
     }
@@ -786,8 +732,6 @@ fn handle_connection(
     let Ok(reader_half) = stream.try_clone() else { return };
     let mut reader = BufReader::new(reader_half);
     let mut writer = stream;
-    let max_frame = opts.max_frame_bytes.max(1024);
-    let io_timeout = Duration::from_millis(opts.io_timeout_ms.max(1));
     let respond = |writer: &mut UnixStream, response: &str| {
         writer
             .write_all(response.as_bytes())
@@ -796,13 +740,14 @@ fn handle_connection(
             .is_ok()
     };
     loop {
-        match read_frame(&mut reader, max_frame, io_timeout) {
+        match read_frame(&mut reader, ctx) {
             Frame::Line(line, at_eof) => {
                 let trimmed = line.trim();
                 if !trimmed.is_empty() {
-                    let response =
-                        dispatch(trimmed, senders, stats, opts, sup, metrics, started);
-                    if !respond(&mut writer, &response) {
+                    let start_units = ctx.metrics.now_units();
+                    let mut served = ctx.dispatch(trimmed, senders);
+                    ctx.record(start_units, &mut served);
+                    if !respond(&mut writer, &served.response) {
                         return;
                     }
                 }
@@ -811,16 +756,16 @@ fn handle_connection(
                 }
             }
             Frame::TooLarge => {
-                stats.frame_too_large.fetch_add(1, Ordering::Relaxed);
-                obs::incr(Counter::ServeFrameTooLarge);
-                metrics.record_invalid();
+                ctx.metrics.incr(Tally::FrameTooLarge);
+                ctx.metrics.incr(Tally::Invalid);
                 let response = proto::err_response(
                     0,
                     None,
                     "",
                     ErrorKind::FrameTooLarge,
                     &format!(
-                        "request frame exceeds the {max_frame}-byte cap; frame discarded"
+                        "request frame exceeds the {}-byte cap; frame discarded",
+                        ctx.opts.max_frame_bytes
                     ),
                     None,
                 );
@@ -836,7 +781,7 @@ fn handle_connection(
                     ErrorKind::BadRequest,
                     &format!(
                         "partial request frame stalled past {}ms; closing connection",
-                        opts.io_timeout_ms
+                        ctx.opts.io_timeout_ms
                     ),
                     None,
                 );
@@ -848,282 +793,279 @@ fn handle_connection(
     }
 }
 
-/// Counts and logs a request that terminated at the dispatch layer (no
-/// worker involved) and returns the response unchanged.
-#[allow(clippy::too_many_arguments)]
-fn dispatch_done(
-    metrics: &ServeMetrics,
-    op: Op,
-    project: &str,
-    trace: &str,
-    outcome: Outcome,
-    start_units: u64,
+/// What answering one request produced: the response line, and what the
+/// observability plane records about the request.
+struct Served {
+    /// `None` for a frame that did not parse.
+    op: Option<Op>,
+    project: String,
+    trace: String,
     response: String,
-) -> String {
-    let end = metrics.now_units();
-    metrics.record_outcome(op, outcome, end.saturating_sub(start_units).max(1));
-    metrics.push_log(LogEntry {
-        seq: 0,
-        trace: trace.to_string(),
-        op: op.name(),
-        project: project.to_string(),
-        worker: None,
-        latency_units: end.saturating_sub(start_units).max(1),
-        outcome,
-        degradations: Vec::new(),
-        mem_bytes: 0,
-        end_units: end,
-    });
-    response
+    outcome: Outcome,
+    /// Worker index and generation that served it; `None` when the
+    /// connection thread answered without a worker.
+    worker: Option<(usize, u64)>,
+    degradations: Vec<String>,
+    mem_bytes: u64,
+    cache_hits: u64,
+    cache_recomputes: u64,
+    /// The request's span tree, recorded by a per-request collector.
+    events: Vec<SpanEvent>,
 }
 
-/// Routes one request line to its response line.
-fn dispatch(
-    line: &str,
-    senders: &[SyncSender<Job>],
-    stats: &ServerStats,
-    opts: &ServeOptions,
-    sup: &Supervisor,
-    metrics: &ServeMetrics,
-    started: Instant,
-) -> String {
-    let start_units = metrics.now_units();
-    let req = match proto::parse_request(line) {
-        Ok(r) => r,
-        Err((id, msg)) => {
-            metrics.record_invalid();
-            // Best-effort trace echo: a structurally-valid line that fails
-            // request validation still carries the client's trace id, and
-            // the client deserves it back on the error.
-            let salvaged = Value::parse(line)
-                .ok()
-                .and_then(|v| {
-                    v.get("trace").and_then(Value::as_str).map(str::to_string)
-                })
-                .filter(|t| {
-                    !t.is_empty() && t.len() <= 64 && !t.chars().any(|c| (c as u32) < 0x20)
-                });
-            let trace = metrics.mint_trace(salvaged.as_deref());
-            let end = metrics.now_units();
-            metrics.push_log(LogEntry {
-                seq: 0,
-                trace: trace.clone(),
-                op: "?",
-                project: String::new(),
-                worker: None,
-                latency_units: end.saturating_sub(start_units).max(1),
-                outcome: Outcome::BadRequest,
-                degradations: Vec::new(),
-                mem_bytes: 0,
-                end_units: end,
-            });
-            return proto::err_response(id, None, &trace, ErrorKind::BadRequest, &msg, None);
+impl Served {
+    /// An answer the connection thread gives without a worker.
+    fn inline(
+        op: Option<Op>,
+        project: String,
+        trace: String,
+        outcome: Outcome,
+        response: String,
+    ) -> Served {
+        Served {
+            op,
+            project,
+            trace,
+            response,
+            outcome,
+            worker: None,
+            degradations: Vec::new(),
+            mem_bytes: 0,
+            cache_hits: 0,
+            cache_recomputes: 0,
+            events: Vec::new(),
         }
-    };
-    stats.requests.fetch_add(1, Ordering::Relaxed);
-    obs::incr(Counter::ServeRequests);
-    let trace = metrics.mint_trace(req.trace.as_deref());
-    let req_op = req.op;
-    let done = move |outcome: Outcome, trace: &str, project: &str, response: String| {
-        dispatch_done(metrics, req_op, project, trace, outcome, start_units, response)
-    };
-    match req.op {
-        // Control-plane ops answer inline: they must keep working even
-        // when every worker queue is full or every worker is wedged.
-        Op::Stats => {
-            let resp = proto::ok_response(
-                req.id,
-                Op::Stats,
-                &trace,
-                stats.snapshot_json(senders.len(), opts.queue_depth.max(1)),
-            );
-            done(Outcome::Ok, &trace, &req.project, resp)
-        }
-        Op::Health => {
-            let mut health = sup.health_json(opts.mem_budget_mb);
-            if let Value::Obj(map) = &mut health {
-                map.insert(
-                    "sessions".to_string(),
-                    Value::int(stats.sessions.load(Ordering::Relaxed)),
-                );
-                map.insert(
-                    "requests".to_string(),
-                    Value::int(stats.requests.load(Ordering::Relaxed)),
-                );
+    }
+}
+
+impl Daemon {
+    /// Routes one request line to its answer. Control-plane ops and
+    /// rejections are answered here; the rest queue on their project's
+    /// worker.
+    fn dispatch(&self, line: &str, senders: &[SyncSender<Job>]) -> Served {
+        let req = match proto::parse_request(line) {
+            Ok(r) => r,
+            Err((id, msg)) => {
+                // Best-effort trace echo: a structurally-valid line that
+                // fails request validation still carries the client's
+                // trace id, and the client deserves it back on the error.
+                let salvaged = Value::parse(line)
+                    .ok()
+                    .and_then(|v| {
+                        v.get("trace").and_then(Value::as_str).map(str::to_string)
+                    })
+                    .filter(|t| {
+                        !t.is_empty() && t.len() <= 64 && !t.chars().any(|c| (c as u32) < 0x20)
+                    });
+                let trace = self.metrics.mint_trace(salvaged.as_deref());
+                let response =
+                    proto::err_response(id, None, &trace, ErrorKind::BadRequest, &msg, None);
+                return Served::inline(None, String::new(), trace, Outcome::BadRequest, response);
             }
-            let resp = proto::ok_response(req.id, Op::Health, &trace, health);
-            done(Outcome::Ok, &trace, &req.project, resp)
+        };
+        self.metrics.incr(Tally::Accepted);
+        let trace = self.metrics.mint_trace(req.trace.as_deref());
+        match self.answer_inline(&req, &trace) {
+            Some((outcome, response)) => {
+                Served::inline(Some(req.op), req.project, trace, outcome, response)
+            }
+            None => self.queue(req, trace, senders),
         }
-        Op::Metrics => {
-            let ctx = snapshot_ctx(stats, sup, started, senders.len());
-            let result = match req.format.as_deref() {
-                None | Some("json") => metrics.snapshot_json(&ctx),
-                Some("prometheus") => obj([
+    }
+
+    /// The answer the connection thread gives itself — control-plane ops
+    /// must keep working even when every worker queue is full or every
+    /// worker is wedged — or `None` for a request a worker must serve.
+    fn answer_inline(&self, req: &Request, trace: &str) -> Option<(Outcome, String)> {
+        let ok = |result: Value| (Outcome::Ok, proto::ok_response(req.id, req.op, trace, result));
+        let reject = |outcome: Outcome, kind: ErrorKind, msg: &str, retry_after_ms: Option<u64>| {
+            let response =
+                proto::err_response(req.id, Some(req.op), trace, kind, msg, retry_after_ms);
+            (outcome, response)
+        };
+        let only_project = req.project_given.then_some(req.project.as_str());
+        Some(match req.op {
+            Op::Stats => ok(self
+                .metrics
+                .stats_json(self.opts.workers as u64, self.opts.queue_depth as u64)),
+            Op::Health => {
+                let mut health = self.sup.health_json(self.opts.mem_budget_mb);
+                if let Value::Obj(map) = &mut health {
+                    map.insert(
+                        "sessions".to_string(),
+                        Value::int(self.metrics.tally(Tally::Sessions)),
+                    );
+                    map.insert(
+                        "requests".to_string(),
+                        Value::int(self.metrics.tally(Tally::Accepted)),
+                    );
+                }
+                ok(health)
+            }
+            Op::Metrics => match req.format.as_deref() {
+                None | Some("json") => ok(self.metrics.snapshot_json(&self.snapshot_ctx())),
+                Some("prometheus") => ok(obj([
                     ("format", Value::str("prometheus")),
-                    ("body", Value::str(metrics.prometheus(&ctx))),
-                ]),
-                Some(other) => {
-                    let resp = proto::err_response(
-                        req.id,
-                        Some(Op::Metrics),
-                        &trace,
-                        ErrorKind::BadRequest,
-                        &format!("unknown metrics format `{other}` (json|prometheus)"),
-                        None,
-                    );
-                    return done(Outcome::BadRequest, &trace, &req.project, resp);
+                    ("body", Value::str(self.metrics.prometheus(&self.snapshot_ctx()))),
+                ])),
+                Some(other) => reject(
+                    Outcome::BadRequest,
+                    ErrorKind::BadRequest,
+                    &format!("unknown metrics format `{other}` (json|prometheus)"),
+                    None,
+                ),
+            },
+            Op::QueryLog => {
+                let mut result = self.metrics.query_log(only_project, req.limit.unwrap_or(100));
+                if let Value::Obj(map) = &mut result {
+                    map.insert("slow".to_string(), self.metrics.slow_traces_json());
                 }
-            };
-            let resp = proto::ok_response(req.id, Op::Metrics, &trace, result);
-            done(Outcome::Ok, &trace, &req.project, resp)
-        }
-        Op::QueryLog => {
-            let project = req.project_given.then_some(req.project.as_str());
-            let mut result = metrics.query_log(project, req.limit.unwrap_or(100));
-            if let Value::Obj(map) = &mut result {
-                map.insert("slow".to_string(), metrics.slow_traces_json());
+                ok(result)
             }
-            let resp = proto::ok_response(req.id, Op::QueryLog, &trace, result);
-            done(Outcome::Ok, &trace, &req.project, resp)
-        }
-        Op::Profile => {
-            let project = req.project_given.then_some(req.project.as_str());
-            let result = match req.format.as_deref() {
-                None | Some("json") => metrics.profile_json(project, req.top.unwrap_or(10)),
-                Some("collapsed") => obj([
-                    ("format", Value::str("collapsed")),
-                    ("body", Value::str(metrics.collapsed_stacks())),
-                ]),
-                Some(other) => {
-                    let resp = proto::err_response(
-                        req.id,
-                        Some(Op::Profile),
-                        &trace,
-                        ErrorKind::BadRequest,
-                        &format!("unknown profile format `{other}` (json|collapsed)"),
-                        None,
-                    );
-                    return done(Outcome::BadRequest, &trace, &req.project, resp);
+            Op::Profile => match req.format.as_deref() {
+                None | Some("json") => {
+                    ok(self.metrics.profile_json(only_project, req.top.unwrap_or(10)))
                 }
-            };
-            let resp = proto::ok_response(req.id, Op::Profile, &trace, result);
-            done(Outcome::Ok, &trace, &req.project, resp)
-        }
-        Op::Shutdown => {
-            SHUTDOWN.store(true, Ordering::Relaxed);
-            let resp = proto::ok_response(
-                req.id,
-                Op::Shutdown,
-                &trace,
-                obj([("draining", Value::Bool(true))]),
-            );
-            done(Outcome::Ok, &trace, &req.project, resp)
-        }
-        _ if SHUTDOWN.load(Ordering::Relaxed) => {
-            let resp = proto::err_response(
-                req.id,
-                Some(req.op),
-                &trace,
+                Some("collapsed") => ok(obj([
+                    ("format", Value::str("collapsed")),
+                    ("body", Value::str(self.metrics.collapsed_stacks())),
+                ])),
+                Some(other) => reject(
+                    Outcome::BadRequest,
+                    ErrorKind::BadRequest,
+                    &format!("unknown profile format `{other}` (json|collapsed)"),
+                    None,
+                ),
+            },
+            Op::Shutdown => {
+                self.stop.store(true, Ordering::Relaxed);
+                ok(obj([("draining", Value::Bool(true))]))
+            }
+            _ if self.stopping() => reject(
+                Outcome::ShuttingDown,
                 ErrorKind::ShuttingDown,
                 "daemon is draining",
                 Some(RETRY_AFTER_MS),
-            );
-            done(Outcome::ShuttingDown, &trace, &req.project, resp)
-        }
-        _ => {
-            if let CircuitDecision::Reject { retry_after_ms } =
-                sup.circuit_check(&req.project)
-            {
-                stats.circuit_open.fetch_add(1, Ordering::Relaxed);
-                obs::incr(Counter::ServeCircuitOpen);
-                let resp = proto::err_response(
-                    req.id,
-                    Some(req.op),
-                    &trace,
+            ),
+            _ => match self.sup.circuit_check(&req.project) {
+                CircuitDecision::Reject { retry_after_ms } => reject(
+                    Outcome::CircuitOpen,
                     ErrorKind::CircuitOpen,
                     &format!(
                         "project `{}` circuit is open after repeated failures",
                         req.project
                     ),
                     Some(retry_after_ms),
-                );
-                return done(Outcome::CircuitOpen, &trace, &req.project, resp);
-            }
-            let deadline_ms = effective_deadline_ms(&req, opts);
-            let shard = shard_of(&req.project, senders.len());
-            let (resp_tx, resp_rx) = sync_channel::<String>(1);
-            let (id, op, project) = (req.id, req.op, req.project.clone());
-            let job = Job { req, trace: trace.clone(), start_units, resp_tx };
-            match senders[shard].try_send(job) {
-                Ok(()) => {
-                    stats.queued.fetch_add(1, Ordering::Relaxed);
-                    obs::set_gauge(Gauge::ServeQueueDepth, stats.queued.load(Ordering::Relaxed));
-                    // Generous allowance over the request deadline: it only
-                    // fires when the worker wedged somewhere no checkpoint
-                    // runs (the supervisor is replacing it) — a cooperative
-                    // worker always answers within its deadline.
-                    let allowance = deadline_ms
-                        .saturating_add(2 * opts.heartbeat_grace_ms)
-                        .saturating_add(DISPATCH_SLACK_MS);
-                    match resp_rx.recv_timeout(Duration::from_millis(allowance)) {
-                        // The worker recorded this request's metrics and
-                        // log entry (it knows the outcome and its own
-                        // identity); nothing to record here.
-                        Ok(resp) => resp,
-                        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
-                            stats.deadline_expired.fetch_add(1, Ordering::Relaxed);
-                            obs::incr(Counter::ServeDeadlineExpired);
-                            let resp = proto::err_response(
-                                id,
-                                Some(op),
-                                &trace,
-                                ErrorKind::DeadlineExpired,
-                                "request abandoned: worker exceeded the deadline and is being replaced",
-                                Some(opts.heartbeat_grace_ms),
-                            );
-                            done(Outcome::Deadline, &trace, &project, resp)
-                        }
-                        // Worker died (chaos abort in flight): the process
-                        // is going down; answer what we can.
-                        Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
-                            let resp = proto::err_response(
-                                id,
-                                Some(op),
-                                &trace,
-                                ErrorKind::Internal,
-                                "worker terminated mid-request",
-                                None,
-                            );
-                            done(Outcome::Internal, &trace, &project, resp)
-                        }
+                ),
+                CircuitDecision::Admit => return None,
+            },
+        })
+    }
+
+    /// Queues a request on its project's worker and waits for the answer,
+    /// or answers for the worker when its queue is full or it never
+    /// replies.
+    fn queue(&self, req: Request, trace: String, senders: &[SyncSender<Job>]) -> Served {
+        // Generous allowance over the request deadline: it only fires when
+        // the worker wedged somewhere no checkpoint runs (the supervisor
+        // is replacing it) — a cooperative worker always answers within
+        // its deadline.
+        let allowance = effective_deadline_ms(&req, &self.opts)
+            .saturating_add(2 * self.opts.heartbeat_grace_ms)
+            .saturating_add(DISPATCH_SLACK_MS);
+        let shard = shard_of(&req.project, senders.len());
+        let (id, op, project) = (req.id, req.op, req.project.clone());
+        let (resp_tx, resp_rx) = sync_channel::<Served>(1);
+        // Counted before the send, so the worker's decrement never runs
+        // ahead of it.
+        self.metrics.incr(Tally::Queued);
+        let (outcome, kind, msg, retry_after_ms) =
+            match senders[shard].try_send(Job { req, trace: trace.clone(), resp_tx }) {
+                Ok(()) => match resp_rx.recv_timeout(Duration::from_millis(allowance)) {
+                    Ok(served) => return served,
+                    Err(RecvTimeoutError::Timeout) => (
+                        Outcome::Deadline,
+                        ErrorKind::DeadlineExpired,
+                        "request abandoned: worker exceeded the deadline and is being replaced",
+                        Some(self.opts.heartbeat_grace_ms),
+                    ),
+                    // Worker died (chaos abort in flight): the process is
+                    // going down; answer what we can.
+                    Err(RecvTimeoutError::Disconnected) => (
+                        Outcome::Internal,
+                        ErrorKind::Internal,
+                        "worker terminated mid-request",
+                        None,
+                    ),
+                },
+                Err(e) => {
+                    self.metrics.decr(Tally::Queued);
+                    match e {
+                        TrySendError::Full(_) => (
+                            Outcome::Shed,
+                            ErrorKind::Overloaded,
+                            "worker queue full",
+                            Some(RETRY_AFTER_MS),
+                        ),
+                        TrySendError::Disconnected(_) => (
+                            Outcome::Internal,
+                            ErrorKind::Internal,
+                            "worker unavailable",
+                            None,
+                        ),
                     }
                 }
-                Err(TrySendError::Full(_)) => {
-                    stats.shed.fetch_add(1, Ordering::Relaxed);
-                    obs::incr(Counter::ServeShed);
-                    let resp = proto::err_response(
-                        id,
-                        Some(op),
-                        &trace,
-                        ErrorKind::Overloaded,
-                        "worker queue full",
-                        Some(RETRY_AFTER_MS),
-                    );
-                    done(Outcome::Shed, &trace, &project, resp)
-                }
-                Err(TrySendError::Disconnected(_)) => {
-                    let resp = proto::err_response(
-                        id,
-                        Some(op),
-                        &trace,
-                        ErrorKind::Internal,
-                        "worker unavailable",
-                        None,
-                    );
-                    done(Outcome::Internal, &trace, &project, resp)
-                }
+            };
+        let response = proto::err_response(id, Some(op), &trace, kind, msg, retry_after_ms);
+        Served::inline(Some(op), project, trace, outcome, response)
+    }
+
+    /// Records one request that reached [`dispatch`](Self::dispatch),
+    /// exactly once: its outcome and latency, and for a worker's answer
+    /// the project's cache traffic, profile sample and slow trace; then
+    /// its log entry. Latency runs from `start_units`, stamped before
+    /// dispatch, so it covers queue wait as well as service time.
+    fn record(&self, start_units: u64, served: &mut Served) {
+        let m = &self.metrics;
+        let end = m.now_units();
+        let latency = end.saturating_sub(start_units).max(1);
+        match served.op {
+            Some(op) => m.record_outcome(op, served.outcome, latency),
+            None => m.incr(Tally::Invalid),
+        }
+        if let (Some(op), Some(_)) = (served.op, served.worker) {
+            if matches!(op, Op::Analyze | Op::Reanalyze)
+                && matches!(served.outcome, Outcome::Ok | Outcome::Degraded)
+            {
+                m.note_analysis(
+                    &served.project,
+                    served.cache_hits,
+                    served.cache_recomputes,
+                    served.mem_bytes,
+                );
+            }
+            let sample = m.should_sample(&served.project);
+            let slow = m.is_slow(latency);
+            if (sample || slow) && !served.events.is_empty() {
+                m.record_profile(&served.project, &served.events);
+            }
+            if slow {
+                let events = std::mem::take(&mut served.events);
+                m.record_slow(&served.trace, op, &served.project, latency, events);
             }
         }
+        m.push_log(LogEntry {
+            seq: 0,
+            trace: served.trace.clone(),
+            op: served.op.map_or("?", Op::name),
+            project: served.project.clone(),
+            worker: served.worker,
+            latency_units: latency,
+            outcome: served.outcome,
+            degradations: std::mem::take(&mut served.degradations),
+            mem_bytes: served.mem_bytes,
+            end_units: end,
+        });
     }
 }
 
@@ -1134,15 +1076,14 @@ struct Shard<'a> {
     dirty: std::collections::BTreeSet<String>,
     /// Wall time of each project's last successful persist.
     last_persist: BTreeMap<String, std::time::Instant>,
-    opts: &'a ServeOptions,
-    stats: &'a ServerStats,
+    ctx: &'a Daemon,
 }
 
 impl Shard<'_> {
     /// Fetches (or creates, warming from disk) the project's session.
     fn session(&mut self, project: &str) -> &mut AnalysisSession {
         if !self.sessions.contains_key(project) {
-            let session = match &self.opts.cache_root {
+            let session = match &self.ctx.opts.cache_root {
                 Some(root) => {
                     let dir = project_dir(root, project);
                     let _ = std::fs::create_dir_all(&dir);
@@ -1155,11 +1096,7 @@ impl Shard<'_> {
                 None => AnalysisSession::new(AnalysisOptions::default()),
             };
             self.sessions.insert(project.to_string(), session);
-            self.stats.sessions.fetch_add(1, Ordering::Relaxed);
-            obs::set_gauge(
-                Gauge::ServeSessions,
-                self.stats.sessions.load(Ordering::Relaxed),
-            );
+            self.ctx.metrics.incr(Tally::Sessions);
         }
         self.sessions
             .get_mut(project)
@@ -1172,11 +1109,7 @@ impl Shard<'_> {
         self.dirty.remove(project);
         self.last_persist.remove(project);
         if self.sessions.remove(project).is_some() {
-            self.stats.sessions.fetch_sub(1, Ordering::Relaxed);
-            obs::set_gauge(
-                Gauge::ServeSessions,
-                self.stats.sessions.load(Ordering::Relaxed),
-            );
+            self.ctx.metrics.decr(Tally::Sessions);
         }
     }
 
@@ -1188,12 +1121,10 @@ impl Shard<'_> {
     /// the analysis itself.
     fn note_write(&mut self, project: &str) {
         self.dirty.insert(project.to_string());
-        let due = match self.last_persist.get(project) {
-            Some(t) => {
-                t.elapsed() >= Duration::from_millis(self.opts.persist_debounce_ms)
-            }
-            None => true,
-        };
+        let due = self
+            .last_persist
+            .get(project)
+            .is_none_or(|t| t.elapsed() >= PERSIST_DEBOUNCE);
         if due {
             if let Some(session) = self.sessions.get_mut(project) {
                 session.persist();
@@ -1220,8 +1151,7 @@ impl Shard<'_> {
                 self.last_persist
                     .insert(project.clone(), std::time::Instant::now());
             } else {
-                self.stats.panics.fetch_add(1, Ordering::Relaxed);
-                obs::incr(Counter::ServePanics);
+                self.ctx.metrics.incr(Tally::FlushPanics);
                 self.evict(&project);
             }
         }
@@ -1233,23 +1163,18 @@ impl Shard<'_> {
 /// the slot; if the supervisor bumps the slot's generation (declaring this
 /// thread wedged), the thread exits at its next opportunity *without
 /// persisting* — the replacement owns the shard's on-disk state now.
-#[allow(clippy::too_many_arguments)]
 fn worker_main(
+    ctx: &Daemon,
     rx: &Mutex<Receiver<Job>>,
     widx: usize,
     generation: u64,
-    sup: &Supervisor,
-    opts: &ServeOptions,
-    stats: &ServerStats,
-    metrics: &ServeMetrics,
     initial_projects: Vec<String>,
 ) {
     let mut shard = Shard {
         sessions: BTreeMap::new(),
         dirty: std::collections::BTreeSet::new(),
         last_persist: BTreeMap::new(),
-        opts,
-        stats,
+        ctx,
     };
     // Startup recovery: warm every project persisted by a previous
     // incarnation. `session()` takes over stale locks and skips
@@ -1258,10 +1183,10 @@ fn worker_main(
         let _ = shard.session(&project);
     }
     loop {
-        if sup.generation(widx) != generation {
+        if ctx.sup.generation(widx) != generation {
             return;
         }
-        sup.beat(widx, generation);
+        ctx.sup.beat(widx, generation);
         // The queue lock is held only while *waiting*, never while
         // serving, so a replacement can take the queue the moment this
         // thread is declared wedged mid-request.
@@ -1271,74 +1196,33 @@ fn worker_main(
         };
         match job {
             Ok(job) => {
-                stats.queued.fetch_sub(1, Ordering::Relaxed);
-                obs::set_gauge(Gauge::ServeQueueDepth, stats.queued.load(Ordering::Relaxed));
-                let deadline_ms = effective_deadline_ms(&job.req, opts);
-                sup.begin_job(widx, generation, &job.req.project, deadline_ms);
-                let served = serve_one(&mut shard, &job.req, &job.trace, sup, metrics);
-                if sup.generation(widx) != generation {
-                    // Declared wedged while serving: the dispatcher has
-                    // already answered `deadline-expired` (and recorded the
-                    // request) and a replacement owns the slot. Send
-                    // best-effort, then vanish without persisting anything
-                    // or double-counting metrics.
-                    let _ = job.resp_tx.send(served.response);
+                ctx.metrics.decr(Tally::Queued);
+                let deadline_ms = effective_deadline_ms(&job.req, &ctx.opts);
+                ctx.sup.begin_job(widx, generation, &job.req.project, deadline_ms);
+                let (served, failed) =
+                    serve_one(&mut shard, &job.req, job.trace, (widx, generation));
+                if ctx.sup.generation(widx) != generation {
+                    // Declared wedged while serving: a replacement owns
+                    // the slot. Hand the answer back in case the
+                    // connection thread still waits (it records whichever
+                    // answer it writes), then vanish without persisting.
+                    let _ = job.resp_tx.send(served);
                     return;
                 }
-                sup.end_job(widx, generation);
-                if served.failed {
-                    sup.record_failure(&job.req.project);
+                ctx.sup.end_job(widx, generation);
+                if failed {
+                    ctx.sup.record_failure(&job.req.project);
                 } else {
-                    sup.record_success(&job.req.project);
+                    ctx.sup.record_success(&job.req.project);
                 }
-                // Observability: latency includes queue wait (stamped at
-                // dispatch), so histograms reflect what the client saw.
-                let end = metrics.now_units();
-                let latency = end.saturating_sub(job.start_units).max(1);
-                metrics.record_outcome(job.req.op, served.outcome, latency);
-                if matches!(job.req.op, Op::Analyze | Op::Reanalyze)
-                    && matches!(served.outcome, Outcome::Ok | Outcome::Degraded)
-                {
-                    metrics.note_analysis(
-                        &job.req.project,
-                        served.cache_hits,
-                        served.cache_recomputes,
-                        served.mem_bytes,
-                    );
-                }
-                let sample = metrics.should_sample(&job.req.project);
-                let slow = metrics.is_slow(latency);
-                if (sample || slow) && !served.events.is_empty() {
-                    metrics.record_profile(&job.req.project, &served.events);
-                }
-                if slow {
-                    metrics.record_slow(
-                        &job.trace,
-                        job.req.op,
-                        &job.req.project,
-                        latency,
-                        served.events,
-                    );
-                }
-                metrics.push_log(LogEntry {
-                    seq: 0,
-                    trace: job.trace.clone(),
-                    op: job.req.op.name(),
-                    project: job.req.project.clone(),
-                    worker: Some((widx, generation)),
-                    latency_units: latency,
-                    outcome: served.outcome,
-                    degradations: served.degradations,
-                    mem_bytes: served.mem_bytes,
-                    end_units: end,
-                });
-                // A dropped receiver (client hung up) is fine; the work is done.
-                let _ = job.resp_tx.send(served.response);
+                // A dropped receiver means the connection thread gave up
+                // on the request and recorded it; the work is done.
+                let _ = job.resp_tx.send(served);
             }
             // Idle: nobody is waiting on latency, so close the group-commit
             // window early.
-            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => shard.flush_dirty(),
-            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => break,
+            Err(RecvTimeoutError::Timeout) => shard.flush_dirty(),
+            Err(RecvTimeoutError::Disconnected) => break,
         }
     }
     // Channel closed: graceful drain. Persist every session with
@@ -1346,41 +1230,28 @@ fn worker_main(
     shard.flush_dirty();
 }
 
-/// What one worker-executed request produced, for both the wire response
-/// and the observability plane.
-struct Served {
-    response: String,
-    /// Feeds the project circuit breaker (panic or memory exhaustion).
-    failed: bool,
-    outcome: Outcome,
-    degradations: Vec<String>,
-    mem_bytes: u64,
-    cache_hits: u64,
-    cache_recomputes: u64,
-    /// The request's span tree, recorded by a per-request collector.
-    events: Vec<SpanEvent>,
-}
-
 /// Executes one request under its deadline and memory budget, with panic
-/// containment.
+/// containment. The flag is true when the request counts as a failure of
+/// its project (a panic or an exhausted memory budget), for the circuit
+/// breaker.
 fn serve_one(
     shard: &mut Shard<'_>,
     req: &Request,
-    trace: &str,
-    sup: &Supervisor,
-    metrics: &ServeMetrics,
-) -> Served {
-    let deadline_ms = effective_deadline_ms(req, shard.opts);
+    trace: String,
+    worker: (usize, u64),
+) -> (Served, bool) {
+    let ctx = shard.ctx;
+    let deadline_ms = effective_deadline_ms(req, &ctx.opts);
     let token = DeadlineToken::after(Duration::from_millis(deadline_ms));
     let _scope = deadline::enter(Arc::clone(&token));
     // Request budget overrides the server default; either bounds this
     // request's allocation churn at the shared budget checkpoints.
-    let mem = req.mem_budget_mb.or(shard.opts.mem_budget_mb).map(MemoryBudget::mb);
+    let mem = req.mem_budget_mb.or(ctx.opts.mem_budget_mb).map(MemoryBudget::mb);
     let mem_scope = mem.clone().map(memory::enter);
     // Per-request span collector, attached innermost so analysis spans
     // land here; counters fold back into any outer collector afterwards.
-    let child = obs::Collector::new(metrics.clock());
-    let outcome = {
+    let child = obs::Collector::new(ctx.metrics.clock());
+    let result = {
         let child = Arc::clone(&child);
         catch_unwind(AssertUnwindSafe(|| {
             let _obs = obs::attach(child);
@@ -1396,25 +1267,29 @@ fn serve_one(
     // so `charged_bytes` below is the request's full bill.
     drop(mem_scope);
     let expired = token.expired_now();
-    if expired {
-        shard.stats.deadline_expired.fetch_add(1, Ordering::Relaxed);
-        obs::incr(Counter::ServeDeadlineExpired);
-    }
     let (mem_exhausted, mem_bytes) = match &mem {
         Some(budget) => {
-            sup.note_request_mem(budget.charged_bytes());
+            ctx.sup.note_request_mem(budget.charged_bytes());
             obs::add(Counter::MemBytesCharged, budget.charged_bytes());
-            if budget.exhausted() {
-                shard.stats.mem_exhausted.fetch_add(1, Ordering::Relaxed);
-                obs::incr(Counter::ServeMemExhausted);
-            }
             (budget.exhausted(), budget.charged_bytes())
         }
         None => (false, 0),
     };
-    match outcome {
+    let mut served = Served {
+        worker: Some(worker),
+        mem_bytes,
+        events,
+        ..Served::inline(
+            Some(req.op),
+            req.project.clone(),
+            trace,
+            Outcome::Ok,
+            String::new(),
+        )
+    };
+    let failed = match result {
         Ok(Ok(mut result)) => {
-            let degradations: Vec<String> = result
+            served.degradations = result
                 .get("degradations")
                 .and_then(Value::as_arr)
                 .map(|a| {
@@ -1424,9 +1299,9 @@ fn serve_one(
                         .collect()
                 })
                 .unwrap_or_default();
-            let cache_hits =
+            served.cache_hits =
                 result.get("summary_cache_hits").and_then(Value::as_u64).unwrap_or(0);
-            let cache_recomputes =
+            served.cache_recomputes =
                 result.get("summaries_recomputed").and_then(Value::as_u64).unwrap_or(0);
             let degraded =
                 result.get("degraded").and_then(Value::as_bool).unwrap_or(false);
@@ -1434,7 +1309,7 @@ fn serve_one(
                 map.insert("deadline_expired".to_string(), Value::Bool(expired));
                 map.insert("mem_exhausted".to_string(), Value::Bool(mem_exhausted));
             }
-            let outcome = if expired {
+            served.outcome = if expired {
                 Outcome::Deadline
             } else if mem_exhausted {
                 Outcome::MemExhausted
@@ -1443,62 +1318,38 @@ fn serve_one(
             } else {
                 Outcome::Ok
             };
-            Served {
-                response: proto::ok_response(req.id, req.op, trace, result),
-                failed: mem_exhausted,
-                outcome,
-                degradations,
-                mem_bytes,
-                cache_hits,
-                cache_recomputes,
-                events,
-            }
+            served.response = proto::ok_response(req.id, req.op, &served.trace, result);
+            mem_exhausted
         }
         Ok(Err((kind, msg))) => {
             // Client errors (bad request etc.) are not project failures.
-            let outcome = if kind == ErrorKind::BadRequest {
+            served.outcome = if kind == ErrorKind::BadRequest {
                 Outcome::BadRequest
             } else {
                 Outcome::Internal
             };
-            Served {
-                response: proto::err_response(req.id, Some(req.op), trace, kind, &msg, None),
-                failed: mem_exhausted,
-                outcome,
-                degradations: Vec::new(),
-                mem_bytes,
-                cache_hits: 0,
-                cache_recomputes: 0,
-                events,
-            }
+            served.response =
+                proto::err_response(req.id, Some(req.op), &served.trace, kind, &msg, None);
+            mem_exhausted
         }
         Err(payload) => {
             // Contained panic: reset this project only; all other sessions
             // (and this worker) keep serving.
-            shard.stats.panics.fetch_add(1, Ordering::Relaxed);
-            obs::incr(Counter::ServePanics);
             shard.evict(&req.project);
             let msg = ipa::isolate::panic_message(payload.as_ref());
-            let resp = proto::err_response(
+            served.outcome = Outcome::Panic;
+            served.response = proto::err_response(
                 req.id,
                 Some(req.op),
-                trace,
+                &served.trace,
                 ErrorKind::Panic,
                 &format!("request handler panicked (session reset): {msg}"),
                 None,
             );
-            Served {
-                response: resp,
-                failed: true,
-                outcome: Outcome::Panic,
-                degradations: Vec::new(),
-                mem_bytes,
-                cache_hits: 0,
-                cache_recomputes: 0,
-                events,
-            }
+            true
         }
-    }
+    };
+    (served, failed)
 }
 
 type HandlerResult = Result<Value, (ErrorKind, String)>;

@@ -21,16 +21,14 @@
 //!   worker. After the cool-down one half-open probe is admitted: success
 //!   closes the circuit, failure reopens it for a fresh cool-down.
 //! - **Memory high-water**: the largest per-request memory-budget charge
-//!   seen so far, surfaced through the `health` op and the
-//!   `memory.high_water_bytes` gauge — the number the serve bench asserts
-//!   against its configured budget.
+//!   seen so far, surfaced through the `health` and `metrics` ops — the
+//!   number the serve bench asserts against its configured budget.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 use support::json::{obj, Value};
-use support::obs::{self, Counter, Gauge};
 
 /// Per-worker liveness state, updated lock-free from the worker thread.
 #[derive(Debug, Default)]
@@ -184,7 +182,6 @@ impl Supervisor {
             self.record_failure(&project);
         }
         self.replacements.fetch_add(1, Ordering::Relaxed);
-        obs::incr(Counter::ServeWorkerReplaced);
         next
     }
 
@@ -237,18 +234,12 @@ impl Supervisor {
             c.opened_at_ms = Some(now);
             c.probe_started_ms = None;
         }
-        let open = circuits.values().filter(|c| c.opened_at_ms.is_some()).count();
-        obs::set_gauge(Gauge::ServeOpenCircuits, open as u64);
     }
 
     /// Records a served-to-completion request for `project`: closes its
     /// circuit (half-open probe succeeded) and forgets its failures.
     pub fn record_success(&self, project: &str) {
-        let mut circuits = self.circuits_locked();
-        if circuits.remove(project).is_some() {
-            let open = circuits.values().filter(|c| c.opened_at_ms.is_some()).count();
-            obs::set_gauge(Gauge::ServeOpenCircuits, open as u64);
-        }
+        self.circuits_locked().remove(project);
     }
 
     /// Projects whose circuits are currently open.
@@ -265,10 +256,7 @@ impl Supervisor {
     /// Folds one request's memory-budget charge into the daemon-wide
     /// high-water mark.
     pub fn note_request_mem(&self, charged_bytes: u64) {
-        let hw = self.mem_high_water.fetch_max(charged_bytes, Ordering::Relaxed);
-        if charged_bytes > hw {
-            obs::set_gauge(Gauge::MemHighWater, charged_bytes);
-        }
+        self.mem_high_water.fetch_max(charged_bytes, Ordering::Relaxed);
     }
 
     /// The largest per-request memory-budget charge seen so far, bytes.

@@ -7,7 +7,9 @@ mod serve_common;
 
 use serve_common::*;
 use std::os::unix::net::UnixStream;
-use std::time::Duration;
+use std::path::PathBuf;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 use support::json::Value;
 use support::testdir::TestDir;
 
@@ -100,6 +102,47 @@ fn restart_recovers_sessions_and_serves_identical_bytes() {
     assert!(result_u64(&r, "sessions") >= 1, "{}", r.render());
     call_ok(&o, &plain_req(12, "shutdown", "beta"));
     assert!(d.wait_exit(Duration::from_secs(30)).success());
+}
+
+// ---------------------------------------------------------------------------
+// In-process embedding
+
+/// Runs a one-worker daemon on a thread of this process, as perfbench and
+/// the serve load bench embed it, and waits until it accepts.
+fn start_in_process(socket: PathBuf) -> JoinHandle<()> {
+    let opts = dragon::serve::ServeOptions {
+        socket: socket.clone(),
+        workers: 1,
+        ..dragon::serve::ServeOptions::default()
+    };
+    let handle = std::thread::spawn(move || dragon::serve::run(opts).expect("daemon runs"));
+    let start = Instant::now();
+    while UnixStream::connect(&socket).is_err() {
+        assert!(
+            start.elapsed() < Duration::from_secs(30) && !handle.is_finished(),
+            "in-process daemon did not come up on {}",
+            socket.display()
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    handle
+}
+
+#[test]
+fn shutting_down_one_in_process_daemon_leaves_another_serving() {
+    let dir = TestDir::new("serve-two-daemons");
+    let (sock_a, sock_b) = (dir.join("a.sock"), dir.join("b.sock"));
+    let a = start_in_process(sock_a.clone());
+    let b = start_in_process(sock_b.clone());
+
+    // Each daemon owns its stop flag: draining `a` must not drain `b`.
+    call_ok(&copts(&sock_a), &plain_req(1, "shutdown", "x"));
+    a.join().expect("daemon a drains and returns");
+    let h = call_ok(&copts(&sock_b), &plain_req(2, "health", "x"));
+    assert!(h.get("uptime_ms").and_then(Value::as_u64).is_some(), "{}", h.render());
+
+    call_ok(&copts(&sock_b), &plain_req(3, "shutdown", "x"));
+    b.join().expect("daemon b drains and returns");
 }
 
 // ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@
 
 mod serve_common;
 
+use dragon::serve::{client, ClientOptions};
 use serve_common::*;
+use std::os::unix::net::UnixStream;
 use std::time::Duration;
 use support::json::{obj, Value};
 use support::testdir::TestDir;
@@ -244,6 +246,90 @@ fn profile_op_ranks_hot_procedures() {
         );
         assert!(p.get("total_units").and_then(Value::as_u64).unwrap_or(0) > 0);
     }
+}
+
+#[test]
+fn stats_and_metrics_count_each_outcome_once() {
+    let dir = TestDir::new("serve-obs-agree");
+    // Threshold 1: the memory-exhausted request below opens its project's
+    // circuit, so the request after it is rejected as `circuit-open`.
+    let mut d = Daemon::start(
+        dir.join("d.sock"),
+        &[
+            "--max-frame-bytes",
+            "4096",
+            "--circuit-threshold",
+            "1",
+            "--circuit-cooldown-ms",
+            "60000",
+        ],
+        &[],
+    );
+    let o = copts(&d.socket);
+    let no_retry = ClientOptions { retries: 0, ..o.clone() };
+
+    // ok
+    call_ok(&o, &analyze_req(1, "analyze", "alpha", &sources_v1(), None));
+    // bad-request at parse time, then an oversized frame
+    let mut stream = UnixStream::connect(&d.socket).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    assert_eq!(error_kind(&raw_roundtrip(&mut stream, "not json")), "bad-request");
+    let oversized = format!(r#"{{"id":2,"op":"stats","pad":"{}"}}"#, "x".repeat(8192));
+    assert_eq!(error_kind(&raw_roundtrip(&mut stream, &oversized)), "frame-too-large");
+    // bad-request from a worker
+    let resp = client::call(&no_retry, &plain_req(3, "lint", "never-analyzed")).expect("call");
+    assert_eq!(error_kind(&resp), "bad-request", "{}", resp.render());
+    // mem-exhausted
+    let mut hungry = analyze_req(4, "analyze", "hungry", &sources_v1(), None);
+    if let Value::Obj(map) = &mut hungry {
+        map.insert("mem_budget_mb".to_string(), Value::int(0));
+    }
+    let r = call_ok(&o, &hungry);
+    assert_eq!(r.get("mem_exhausted").and_then(Value::as_bool), Some(true), "{}", r.render());
+    // circuit-open
+    let resp = client::call(&no_retry, &analyze_req(5, "analyze", "hungry", &sources_v1(), None))
+        .expect("call");
+    assert_eq!(error_kind(&resp), "circuit-open", "{}", resp.render());
+
+    let stats = call_ok(&o, &plain_req(6, "stats", "alpha"));
+    let metrics = call_ok(&o, &plain_req(7, "metrics", "alpha"));
+    let ops = metrics.get("ops").and_then(Value::as_obj).expect("ops");
+    let outcome_sum = |outcome: &str| -> u64 {
+        ops.values()
+            .filter_map(|op| op.get("outcomes").and_then(|o| o.get(outcome)))
+            .filter_map(Value::as_u64)
+            .sum()
+    };
+    for (field, outcome) in [
+        ("shed", "shed"),
+        ("deadline_expired", "deadline-expired"),
+        ("circuit_open", "circuit-open"),
+        ("mem_exhausted", "mem-exhausted"),
+        ("panics", "panic"),
+    ] {
+        assert_eq!(
+            result_u64(&stats, field),
+            outcome_sum(outcome),
+            "stats `{field}` disagrees with the `{outcome}` outcomes in metrics:\n{}\n{}",
+            stats.render(),
+            metrics.render()
+        );
+    }
+    assert_eq!(result_u64(&stats, "mem_exhausted"), 1, "{}", stats.render());
+    assert_eq!(result_u64(&stats, "circuit_open"), 1, "{}", stats.render());
+    assert_eq!(result_u64(&stats, "frame_too_large"), 1, "{}", stats.render());
+    assert_eq!(outcome_sum("bad-request"), 1, "{}", metrics.render());
+    assert_eq!(
+        metrics.get("invalid_requests").and_then(Value::as_u64),
+        Some(2),
+        "the unparseable and the oversized frame: {}",
+        metrics.render()
+    );
+
+    call_ok(&o, &plain_req(8, "shutdown", "alpha"));
+    assert!(d.wait_exit(Duration::from_secs(30)).success());
 }
 
 /// Runs one fixed traffic script against a fresh logical-clock daemon and

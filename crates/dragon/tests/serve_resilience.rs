@@ -8,6 +8,7 @@
 mod serve_common;
 
 use serve_common::*;
+use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::UnixStream;
 use std::time::Duration;
 use support::json::Value;
@@ -175,6 +176,90 @@ fn hostile_inputs_are_contained_while_healthy_traffic_flows() {
     assert!(d.wait_exit(Duration::from_secs(30)).success());
 }
 
+/// Reads the one line a connection the daemon is closing must carry, and
+/// checks that EOF follows it.
+fn last_line(stream: UnixStream) -> Value {
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("the daemon answers before closing");
+    let mut rest = String::new();
+    let n = reader.read_to_string(&mut rest).expect("read to EOF");
+    assert_eq!(n, 0, "the connection must close after one line, got more: {rest:?}");
+    Value::parse(line.trim()).unwrap_or_else(|e| panic!("{e}: {line:?}"))
+}
+
+#[test]
+fn connections_beyond_the_cap_get_one_overloaded_line() {
+    let dir = TestDir::new("serve-conn-cap");
+    let mut d = Daemon::start(dir.join("d.sock"), &["--max-connections", "2"], &[]);
+
+    // Two held connections, each past a full round trip, so both are
+    // counted against the cap.
+    let mut held: Vec<UnixStream> = (0..2u64)
+        .map(|i| {
+            let mut s = UnixStream::connect(&d.socket).expect("connect");
+            s.set_read_timeout(Some(Duration::from_secs(30))).expect("read timeout");
+            let resp = raw_roundtrip(&mut s, &plain_req(i, "health", "cap").render());
+            assert_eq!(resp.get("ok").and_then(Value::as_bool), Some(true), "{}", resp.render());
+            s
+        })
+        .collect();
+
+    // The third is shed at accept: one `overloaded` line with a retry
+    // hint, then EOF.
+    let third = UnixStream::connect(&d.socket).expect("the kernel still queues the connect");
+    third.set_read_timeout(Some(Duration::from_secs(5))).expect("read timeout");
+    let resp = last_line(third);
+    assert_eq!(error_kind(&resp), "overloaded", "{}", resp.render());
+    assert!(
+        resp.get("error")
+            .and_then(|e| e.get("retry_after_ms"))
+            .and_then(Value::as_u64)
+            .is_some(),
+        "{}",
+        resp.render()
+    );
+
+    let stats = raw_roundtrip(&mut held[0], &plain_req(3, "stats", "cap").render());
+    assert!(
+        result_u64(stats.get("result").expect("result"), "conn_shed") >= 1,
+        "{}",
+        stats.render()
+    );
+    let resp = raw_roundtrip(&mut held[0], &plain_req(4, "shutdown", "cap").render());
+    assert_eq!(resp.get("ok").and_then(Value::as_bool), Some(true), "{}", resp.render());
+    drop(held);
+    assert!(d.wait_exit(Duration::from_secs(30)).success());
+}
+
+#[test]
+fn a_stalled_partial_frame_is_answered_and_closed() {
+    let dir = TestDir::new("serve-stall");
+    let mut d = Daemon::start(dir.join("d.sock"), &["--io-timeout-ms", "300"], &[]);
+
+    // A request prefix with no newline, then silence: a slow-loris.
+    let mut stream = UnixStream::connect(&d.socket).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
+    stream.write_all(br#"{"id":1,"op":"hea"#).expect("send a partial frame");
+    let resp = last_line(stream);
+    assert_eq!(error_kind(&resp), "bad-request", "{}", resp.render());
+    assert!(
+        resp.get("error")
+            .and_then(|e| e.get("message"))
+            .and_then(Value::as_str)
+            .is_some_and(|m| m.contains("stalled")),
+        "{}",
+        resp.render()
+    );
+
+    // The daemon itself is unharmed.
+    let o = copts(&d.socket);
+    let h = call_ok(&o, &plain_req(2, "health", "stall"));
+    assert!(h.get("uptime_ms").and_then(Value::as_u64).is_some(), "{}", h.render());
+    call_ok(&o, &plain_req(3, "shutdown", "stall"));
+    assert!(d.wait_exit(Duration::from_secs(30)).success());
+}
+
 // ---------------------------------------------------------------------------
 // The misbehaving-project scenarios need deterministic faults: a sticky
 // per-project panic point and an off-checkpoint wedge loop.
@@ -319,6 +404,18 @@ mod faulty {
 
         let s = call_ok(&o, &plain_req(4, "stats", "fresh"));
         assert!(result_u64(&s, "deadline_expired") >= 1, "{}", s.render());
+
+        // The abandoned request is recorded once, by the connection thread
+        // that answered it.
+        let log = call_ok(&o, &plain_req(40, "query-log", "stuck"));
+        let outcomes: Vec<&str> = log
+            .get("entries")
+            .and_then(Value::as_arr)
+            .expect("entries")
+            .iter()
+            .filter_map(|e| e.get("outcome").and_then(Value::as_str))
+            .collect();
+        assert_eq!(outcomes, ["deadline-expired"], "{}", log.render());
 
         call_ok(&o, &plain_req(5, "shutdown", "fresh"));
         assert!(d.wait_exit(Duration::from_secs(30)).success());

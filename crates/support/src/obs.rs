@@ -140,26 +140,6 @@ catalog! {
         QuarantineEvicted => "quarantine.evicted",
         /// Stale `.araa-tmp` files swept (lock acquire, stale takeover).
         TmpSwept => "persist.tmp_swept",
-        /// Requests accepted by the serve daemon (all ops).
-        ServeRequests => "serve.requests",
-        /// Requests shed by admission control (`overloaded` responses).
-        ServeShed => "serve.shed",
-        /// Requests whose deadline expired (degraded responses).
-        ServeDeadlineExpired => "serve.deadline_expired",
-        /// Worker panics contained by per-request isolation.
-        ServePanics => "serve.panics",
-        /// Frames rejected for exceeding the serve frame-size cap.
-        ServeFrameTooLarge => "serve.frame_too_large",
-        /// Connections shed at the concurrent-connection cap.
-        ServeConnShed => "serve.conn_shed",
-        /// Requests rejected because the project's circuit was open.
-        ServeCircuitOpen => "serve.circuit_open",
-        /// Wedged workers replaced by the supervisor (heartbeat missed
-        /// beyond the deadline grace; sessions evicted).
-        ServeWorkerReplaced => "serve.worker_replaced",
-        /// Serve requests whose memory budget was exhausted (degraded
-        /// responses).
-        ServeMemExhausted => "serve.mem_exhausted",
         /// Armed faultpoints that fired (only under `fault-injection`).
         FaultpointTrips => "faultpoint.trips",
         /// Fourier–Motzkin variable eliminations performed.
@@ -208,15 +188,6 @@ catalog! {
         SessionDegradations => "session.degradations",
         /// Entry files referenced by the manifest at the last save.
         StoreEntries => "store.entries",
-        /// Warm sessions resident in the serve daemon.
-        ServeSessions => "serve.sessions",
-        /// Requests queued across serve workers (admission-control depth).
-        ServeQueueDepth => "serve.queue_depth",
-        /// Open per-project circuit breakers in the serve daemon.
-        ServeOpenCircuits => "serve.open_circuits",
-        /// Highest per-request memory-budget charge seen by the serve
-        /// daemon, in bytes.
-        MemHighWater => "memory.high_water_bytes",
     }
 }
 
