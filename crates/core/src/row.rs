@@ -106,35 +106,51 @@ impl RgnRow {
     /// scope ("The @ symbol at the top of this column indicates global
     /// arrays").
     pub fn write_csv(&self, w: &mut CsvWriter) {
-        let proc = if self.is_global {
-            format!("@{}", self.proc)
-        } else {
-            self.proc.clone()
-        };
-        w.write_row([
-            proc.as_str(),
-            self.array.as_str(),
-            self.file.as_str(),
-            self.mode.as_str(),
-            &self.refs.to_string(),
-            &self.dims.to_string(),
-            self.lb.as_str(),
-            self.ub.as_str(),
-            self.stride.as_str(),
-            &self.elem_size.to_string(),
-            self.data_type.as_str(),
-            self.dim_size.as_str(),
-            &self.tot_size.to_string(),
-            &self.size_bytes.to_string(),
-            self.mem_loc.as_str(),
-            &self.acc_density.to_string(),
-            self.via.as_deref().unwrap_or(""),
-            &self.line.to_string(),
-            &self.first_line.to_string(),
-            &self.last_line.to_string(),
-            if self.remote { "1" } else { "0" },
-            self.precision.as_str(),
-        ]);
+        w.prefixed_field(if self.is_global { "@" } else { "" }, &self.proc);
+        w.field(&self.array);
+        w.field(&self.file);
+        w.field(self.mode.as_str());
+        w.uint_field(self.refs);
+        w.uint_field(u64::from(self.dims));
+        w.field(&self.lb);
+        w.field(&self.ub);
+        w.field(&self.stride);
+        w.int_field(self.elem_size);
+        w.field(&self.data_type);
+        w.field(&self.dim_size);
+        w.int_field(self.tot_size);
+        w.int_field(self.size_bytes);
+        w.field(&self.mem_loc);
+        w.int_field(self.acc_density);
+        w.field(self.via.as_deref().unwrap_or(""));
+        w.uint_field(u64::from(self.line));
+        w.uint_field(u64::from(self.first_line));
+        w.uint_field(u64::from(self.last_line));
+        w.field(if self.remote { "1" } else { "0" });
+        w.field(self.precision.as_str());
+        w.end_row();
+    }
+
+    /// The bytes [`write_csv`](Self::write_csv) writes for this row when no
+    /// field needs quoting; a quoted field adds its quotes to that.
+    pub(crate) fn csv_len(&self) -> usize {
+        let uint = |n: u64| n.checked_ilog10().map_or(1, |d| d as usize + 1);
+        let int = |n: i64| uint(n.unsigned_abs()) + usize::from(n < 0);
+        let text = [
+            &self.proc, &self.array, &self.file, self.mode.as_str(), &self.lb, &self.ub,
+            &self.stride, &self.data_type, &self.dim_size, &self.mem_loc,
+            self.via.as_deref().unwrap_or(""), "0" /* remote */, self.precision.as_str(),
+        ];
+        let uints = [
+            self.refs, u64::from(self.dims), u64::from(self.line),
+            u64::from(self.first_line), u64::from(self.last_line),
+        ];
+        let ints = [self.elem_size, self.tot_size, self.size_bytes, self.acc_density];
+        usize::from(self.is_global)
+            + text.iter().map(|s| s.len()).sum::<usize>()
+            + uints.into_iter().map(uint).sum::<usize>()
+            + ints.into_iter().map(int).sum::<usize>()
+            + Self::HEADER.len() // 21 commas and the newline
     }
 
     /// Parses one CSV record (without the `is_global` flag, which the

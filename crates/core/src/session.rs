@@ -3,7 +3,7 @@
 //! [`AnalysisSession`] is a long-lived handle that owns the last compiled
 //! [`Program`], its call graph, and a content-addressed cache of
 //! per-procedure summaries keyed by a stable hash of (procedure IR,
-//! [`BudgetConfig`](support::budget::BudgetConfig)). Each
+//! [`BudgetConfig`]). Each
 //! [`AnalysisSession::update`] call:
 //!
 //! 1. re-parses only the source files whose text changed (per-file parse

@@ -187,11 +187,9 @@ impl<'a> Interp<'a> {
                     }
                 }
             }
-            Opr::Istore => {
-                if record {
-                    self.record_expr(node.kids[0], env);
-                    self.record_expr(node.kids[1], env);
-                }
+            Opr::Istore if record => {
+                self.record_expr(node.kids[0], env);
+                self.record_expr(node.kids[1], env);
             }
             Opr::Call => {
                 if record {
@@ -223,11 +221,9 @@ impl<'a> Interp<'a> {
                 self.exec_block(node.kids[2], env, record);
                 *env = join_env(&then_env, env);
             }
-            Opr::Return => {
-                if record {
-                    for &k in &node.kids {
-                        self.record_expr(k, env);
-                    }
+            Opr::Return if record => {
+                for &k in &node.kids {
+                    self.record_expr(k, env);
                 }
             }
             Opr::DoLoop => self.exec_loop(id, env, record),

@@ -531,7 +531,7 @@ fn injective_escape(
     // gather loop placed ahead of the init loop reads values the array
     // has not been given yet.
     if let Some(&end) = ctx.local_init_end.get(&ia.array) {
-        if !ctx.loop_pos.is_some_and(|p| p > end) {
+        if ctx.loop_pos.is_none_or(|p| p <= end) {
             return None;
         }
     }

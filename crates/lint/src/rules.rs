@@ -172,7 +172,7 @@ fn oob(a: &Analysis, id: ProcId, out: &mut ProcLint) {
                     let Some(cx) = &rec.convex else { continue };
                     let Some((lo_b, hi_b)) = cx.dim_bounds(hd as u8) else { continue };
                     let lo_ok = lo_b.is_some_and(|lo| lo >= 0);
-                    let hi_ok = hi_b.is_some_and(|hi| hi <= ext - 1);
+                    let hi_ok = hi_b.is_some_and(|hi| hi < ext);
                     if lo_ok && hi_ok {
                         out.suppressed += 1; // FM refuted the candidate
                     } else if hi_b.is_some_and(|hi| hi > ext - 1)

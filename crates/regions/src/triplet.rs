@@ -138,6 +138,11 @@ impl std::fmt::Display for Bound {
     }
 }
 
+/// The error of the exact triplet operations: an operand has a symbolic
+/// bound or stride.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Symbolic;
+
 /// One dimension's accessed section: `lb : ub : stride`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Triplet {
@@ -255,11 +260,11 @@ impl Triplet {
 
     /// Exact intersection of two constant triplets — the meet of two
     /// arithmetic progressions, solved with the extended Euclid / CRT
-    /// construction. Returns `Ok(None)` when provably empty and `Err(())`
-    /// when either operand is symbolic.
-    pub fn intersect(&self, other: &Triplet) -> Result<Option<Triplet>, ()> {
-        let (alb, aub, astep) = self.as_const().ok_or(())?;
-        let (blb, bub, bstep) = other.as_const().ok_or(())?;
+    /// construction. Returns `Ok(None)` when provably empty and
+    /// `Err(Symbolic)` when either operand is symbolic.
+    pub fn intersect(&self, other: &Triplet) -> Result<Option<Triplet>, Symbolic> {
+        let (alb, aub, astep) = self.as_const().ok_or(Symbolic)?;
+        let (blb, bub, bstep) = other.as_const().ok_or(Symbolic)?;
         let (lo, hi) = (alb.max(blb), aub.min(bub));
         if lo > hi {
             return Ok(None);
@@ -423,8 +428,8 @@ impl TripletRegion {
     }
 
     /// Exact per-dimension intersection of constant regions. `Ok(None)` when
-    /// empty in any dimension, `Err(())` when symbolic.
-    pub fn intersect(&self, other: &TripletRegion) -> Result<Option<TripletRegion>, ()> {
+    /// empty in any dimension, `Err(Symbolic)` when symbolic.
+    pub fn intersect(&self, other: &TripletRegion) -> Result<Option<TripletRegion>, Symbolic> {
         if self.dims.len() != other.dims.len() {
             return Ok(None);
         }

@@ -109,7 +109,7 @@ impl Value {
             Value::Num(n) => write_num(*n, out),
             Value::Str(s) => {
                 out.push('"');
-                out.push_str(&crate::obs::json_escape(s));
+                escape_into(s, out);
                 out.push('"');
             }
             Value::Arr(items) => {
@@ -129,7 +129,7 @@ impl Value {
                         out.push(',');
                     }
                     out.push('"');
-                    out.push_str(&crate::obs::json_escape(k));
+                    escape_into(k, out);
                     out.push_str("\":");
                     v.write(out);
                 }
@@ -205,6 +205,35 @@ impl Value {
 /// Builds an object from key/value pairs (a tiny `json!`-alike).
 pub fn obj(pairs: impl IntoIterator<Item = (&'static str, Value)>) -> Value {
     Value::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+}
+
+/// Appends `s` to `out` as the body of a JSON string: `"`, `\` and the
+/// control characters below U+0020 are escaped, everything else (DEL and
+/// non-ASCII text included) is copied as is. Every byte that needs an
+/// escape is ASCII, so the text between two of them is copied in one run.
+pub fn escape_into(s: &str, out: &mut String) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xF)]));
+            }
+        }
+    }
+    out.push_str(&s[run..]);
 }
 
 fn write_num(n: f64, out: &mut String) {
@@ -381,18 +410,22 @@ impl<'a> Parser<'a> {
                 }
                 0x00..=0x1F => return Err(self.err("raw control character in string")),
                 _ => {
-                    // Consume one UTF-8 scalar (input is &str, so boundaries
-                    // are valid; find the next char boundary).
+                    // Copy the run up to the next quote, backslash or
+                    // control byte in one push. Those bytes are ASCII, so
+                    // the run ends on a char boundary.
                     let start = self.pos;
-                    let mut end = start + 1;
-                    while end < self.bytes.len() && (self.bytes[end] & 0xC0) == 0x80 {
-                        end += 1;
-                    }
-                    match std::str::from_utf8(&self.bytes[start..end]) {
+                    let run = self.bytes[start..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .unwrap_or(self.bytes.len() - start);
+                    match std::str::from_utf8(&self.bytes[start..start + run]) {
                         Ok(s) => out.push_str(s),
-                        Err(_) => return Err(self.err("invalid utf-8")),
+                        Err(e) => {
+                            self.pos = start + e.valid_up_to();
+                            return Err(self.err("invalid utf-8"));
+                        }
                     }
-                    self.pos = end;
+                    self.pos = start + run;
                 }
             }
         }

@@ -721,20 +721,11 @@ fn clock_units_to_us(clock: ClockKind, v: u64) -> u64 {
     }
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control bytes).
+/// Minimal JSON string escaping (quotes, backslashes, control bytes): the
+/// allocating form of [`crate::json::escape_into`].
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+    crate::json::escape_into(s, &mut out);
     out
 }
 

@@ -4,6 +4,31 @@
 use proptest::prelude::*;
 use support::csv::{parse, CsvWriter};
 
+/// The quoting rule one char at a time: the reference the run-based writer
+/// must match byte for byte.
+fn reference_row(fields: &[String]) -> String {
+    let mut out = String::new();
+    for (i, field) in fields.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        if field.contains([',', '"', '\n', '\r']) {
+            out.push('"');
+            for ch in field.chars() {
+                if ch == '"' {
+                    out.push('"');
+                }
+                out.push(ch);
+            }
+            out.push('"');
+        } else {
+            out.push_str(field);
+        }
+    }
+    out.push('\n');
+    out
+}
+
 proptest! {
     #[test]
     fn round_trip_arbitrary_fields(rows in proptest::collection::vec(
@@ -16,6 +41,18 @@ proptest! {
         let doc = w.finish();
         let parsed = parse(&doc).unwrap();
         prop_assert_eq!(parsed, rows);
+    }
+
+    #[test]
+    fn writer_matches_per_char_reference(rows in proptest::collection::vec(
+        proptest::collection::vec("[a-z,\"\n\r|@é中🚀]*", 0..6), 1..8)
+    ) {
+        let mut w = CsvWriter::new();
+        for row in &rows {
+            w.write_row(row.iter().map(String::as_str));
+        }
+        let expected: String = rows.iter().map(|r| reference_row(r)).collect();
+        prop_assert_eq!(w.finish(), expected);
     }
 
     #[test]

@@ -11,6 +11,49 @@
 
 use proptest::prelude::*;
 use support::json::{obj, ParseLimits, Value, MAX_BYTES, MAX_DEPTH};
+use support::obs::json_escape;
+
+/// Text with no byte that JSON escapes: ASCII, DEL and multi-byte chars.
+const PLAIN: &str = "[a-zA-Z0-9 ,.:/|@é中\u{7f}\u{a0}🚀]*";
+/// Only bytes that JSON escapes: quote, backslash and control characters.
+const SPECIAL: &str = "[\"\\\\\n\t\r\u{0}\u{1}\u{8}\u{c}\u{1b}\u{1f}]*";
+
+/// A long string: plain pieces repeated many times, each followed by a
+/// few special characters, so runs span many bytes and escapes and
+/// multi-byte characters sit at their edges.
+fn long_text() -> impl Strategy<Value = String> {
+    proptest::collection::vec((PLAIN, 1usize..64, SPECIAL), 1..24).prop_map(|pieces| {
+        pieces.into_iter().map(|(plain, reps, special)| plain.repeat(reps) + &special).collect()
+    })
+}
+
+/// A long string with no byte that JSON escapes.
+fn long_plain() -> impl Strategy<Value = String> {
+    proptest::collection::vec((PLAIN, 1usize..64), 1..24)
+        .prop_map(|pieces| pieces.into_iter().map(|(plain, reps)| plain.repeat(reps)).collect())
+}
+
+/// The escaping rules one char at a time: the reference the run-based
+/// escaper must match byte for byte.
+fn reference_escape(s: &str) -> String {
+    let mut out = String::new();
+    for ch in s.chars() {
+        match ch {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
+fn parse_error(doc: &str) -> String {
+    Value::parse(doc).expect_err("must reject").to_string()
+}
 
 proptest! {
     #[test]
@@ -40,6 +83,69 @@ proptest! {
         let rendered = v.render();
         let back = Value::parse(&rendered).unwrap();
         prop_assert_eq!(back, v);
+    }
+
+    #[test]
+    fn long_strings_round_trip(text in long_text(), key in long_text()) {
+        let v = Value::Arr(vec![
+            Value::str(text.clone()),
+            Value::Obj([(key.clone(), Value::str(text.clone()))].into_iter().collect()),
+        ]);
+        let rendered = v.render();
+        prop_assert_eq!(Value::parse(&rendered).unwrap(), v);
+        prop_assert_eq!(
+            rendered,
+            format!(
+                "[\"{t}\",{{\"{k}\":\"{t}\"}}]",
+                t = reference_escape(&text),
+                k = reference_escape(&key)
+            )
+        );
+    }
+
+    #[test]
+    fn escaper_matches_per_char_reference(text in long_text()) {
+        prop_assert_eq!(json_escape(&text), reference_escape(&text));
+    }
+
+    #[test]
+    fn raw_control_byte_in_a_long_run_is_rejected_where_it_sits(
+        head in long_plain(),
+        ctrl in 0u32..0x20,
+        tail in long_plain(),
+    ) {
+        let ctrl = char::from_u32(ctrl).unwrap();
+        let doc = format!("\"{head}{ctrl}{tail}\"");
+        prop_assert_eq!(
+            parse_error(&doc),
+            format!("format error: json: raw control character in string at byte {}", 1 + head.len())
+        );
+        let doc = format!("{{\"k\":[\"{head}\",\"{head}{ctrl}{tail}\"]}}");
+        prop_assert_eq!(
+            parse_error(&doc),
+            format!(
+                "format error: json: raw control character in string at byte {}",
+                10 + 2 * head.len()
+            )
+        );
+    }
+
+    #[test]
+    fn long_run_errors_keep_their_offsets(head in long_plain()) {
+        let at = |msg: &str, pos: usize| format!("format error: json: {msg} at byte {pos}");
+        let n = head.len();
+        prop_assert_eq!(parse_error(&format!("\"{head}")), at("unterminated string", 1 + n));
+        prop_assert_eq!(parse_error(&format!("\"{head}\\")), at("unterminated escape", 2 + n));
+        prop_assert_eq!(parse_error(&format!("\"{head}\\q\"")), at("invalid escape", 3 + n));
+        prop_assert_eq!(
+            parse_error(&format!("\"{head}\\u12x4\"")),
+            at("invalid hex digit in \\u escape", 5 + n)
+        );
+        prop_assert_eq!(
+            parse_error(&format!("\"{head}\\ud83d{head}\"")),
+            at("lone high surrogate", 7 + n)
+        );
+        prop_assert_eq!(parse_error(&format!("\"{head}\"x")), at("trailing characters after JSON value", 2 + n));
     }
 
     #[test]

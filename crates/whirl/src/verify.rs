@@ -214,7 +214,7 @@ impl<'a> Verifier<'a> {
 
     fn check_array(&mut self, id: WnId) {
         let node = self.tree.node(id);
-        if node.kid_count() < 3 || node.kid_count() % 2 == 0 {
+        if node.kid_count() < 3 || node.kid_count().is_multiple_of(2) {
             self.err(id, format!("ARRAY kid_count {} is not 2n+1", node.kid_count()));
             return;
         }
