@@ -1,16 +1,5 @@
-//! The `dragon` command-line tool.
-//!
-//! ```text
-//! dragon analyze <src...> --out DIR --stem NAME   compile + write .rgn/.dgn/.cfg
-//! dragon view <scope> [--find ARRAY] <src...>     render the array analysis graph
-//! dragon callgraph <src...>                       DOT call graph (Fig. 11)
-//! dragon advise <src...>                          optimization advice
-//! dragon demo <fig1|matrix|lu>                    run a built-in paper workload
-//! dragon dynamic <entry> <src...>                 execute + dynamic region report
-//! dragon hotspots <src...> [--top N]              highest access densities
-//! dragon lint <src...> [--sarif FILE] [--threads N]  array-safety findings
-//! dragon cache <stats|verify|clear> --cache-dir D inspect/scrub a cache dir
-//! ```
+//! The `dragon` command-line tool. Its commands and flags are one table
+//! in `flags.rs`, which also renders the usage text.
 //!
 //! Source language is inferred from the extension (`.c` → C, else Fortran).
 //!
@@ -28,14 +17,16 @@
 //! when it reports any *definite* finding (possible-only findings exit
 //! `0`), and `2` for definite findings under `--strict`.
 
+mod flags;
+
 use araa::{Analysis, AnalysisOptions, AnalysisSession, SessionStore};
+use dragon::serve::{ClientOptions, ServeOptions};
 use dragon::sink::{self, Severity};
 use dragon::view::ViewOptions;
 use dragon::{advisor, render_procedure_list, render_scope, Project};
-use frontend::SourceFile;
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::time::Duration;
 use support::obs::{self, ClockKind, Collector};
-use whirl::Lang;
 
 /// Every allocation the binary makes is counted, so spans in `--trace-out`
 /// traces carry real allocation estimates instead of zeros.
@@ -43,71 +34,20 @@ use whirl::Lang;
 static ALLOC: obs::alloc::CountingAllocator<std::alloc::System> =
     obs::alloc::CountingAllocator::new(std::alloc::System);
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: dragon [--strict] [--cache-dir DIR] [--no-cache]\n\
-         \x20             [--trace-out DIR] [--metrics FILE] <command> [options] [sources...]\n\
-         \x20 analyze <src...> [--out DIR] [--stem NAME]\n\
-         \x20 view <scope> <src...> [--find ARRAY] [--expand-dims]\n\
-         \x20 callgraph <src...>\n\
-         \x20 advise <src...>\n\
-         \x20 demo <fig1|matrix|lu>\n\
-         \x20 dynamic <entry> <src...>\n\
-         \x20 hotspots <src...> [--top N]\n\
-         \x20 lint <src...> [--sarif FILE] [--threads N]\n\
-         \x20 profile <src...> [--top N]\n\
-         \x20 cache <stats|verify|clear>   (requires --cache-dir)\n\
-         \x20 serve --socket PATH [--cache-root DIR] [--workers N]\n\
-         \x20       [--queue-depth N] [--deadline-ms N]\n\
-         \x20       [--max-connections N] [--max-frame-bytes N] [--io-timeout-ms N]\n\
-         \x20       [--heartbeat-grace-ms N] [--circuit-threshold N]\n\
-         \x20       [--circuit-cooldown-ms N]\n\
-         \x20       [--metrics-interval-ms N --metrics-snapshot FILE]\n\
-         \x20 client --socket PATH <op|ping> [--project NAME] [--deadline-ms N]\n\
-         \x20        [--retries N] [--timeout-ms N] [--trace ID] [--format F]\n\
-         \x20        [--limit N] [--top N] [sources...]\n\
-         \x20        (ping = health probe with a one-line summary;\n\
-         \x20         ops: analyze reanalyze lint query-rgn stats health\n\
-         \x20         shutdown metrics query-log profile)\n\
-         \x20 top --socket PATH [--interval-ms N] [--iterations N|--once]\n\
-         \x20     [--top N]   (live daemon dashboard: rps, per-op p50/p95/p99,\n\
-         \x20     worker heartbeats, hottest procedures)\n\
-         \x20 --strict: treat degraded analysis as failure (exit 2)\n\
-         \x20 --cache-dir DIR: load/save a persistent analysis cache\n\
-         \x20 --no-cache: ignore --cache-dir for this run\n\
-         \x20 --timeout SECS: wall-clock deadline; analysis degrades (exit 1)\n\
-         \x20                 instead of running past it\n\
-         \x20 --mem-budget-mb MB: allocation-churn budget; analysis degrades\n\
-         \x20                 (exit 1) instead of allocating past it; for\n\
-         \x20                 serve/client it sets the per-request default\n\
-         \x20 --trace-out DIR: write trace.json (Chrome trace) + metrics.jsonl\n\
-         \x20 --metrics FILE: write the JSONL metrics stream to FILE"
-    );
-    std::process::exit(2);
+/// Reports a bad command line with the usage text and exits 2.
+fn usage_error(msg: &str) -> ! {
+    sink::fatal("cli.usage", format!("{msg}\n{}", flags::usage()))
 }
 
-fn read_sources(paths: &[String]) -> Vec<(SourceFile, workloads::GenSource)> {
-    let mut out = Vec::new();
-    for p in paths {
-        let text = match std::fs::read_to_string(p) {
-            Ok(t) => t,
-            Err(e) => sink::fatal("io.read", format!("cannot read {p}: {e}")),
-        };
-        let lang = if p.ends_with(".c") { Lang::C } else { Lang::Fortran };
-        let name = std::path::Path::new(p)
-            .file_name()
-            .map(|f| f.to_string_lossy().into_owned())
-            .unwrap_or_else(|| p.clone());
-        out.push((
-            SourceFile::new(&name, &text, lang),
-            workloads::GenSource {
-                name,
-                text,
-                fortran: lang == Lang::Fortran,
-            },
-        ));
-    }
-    out
+fn read_sources(paths: &[String]) -> Vec<workloads::GenSource> {
+    let read = |p: &String| {
+        let text = std::fs::read_to_string(p)
+            .unwrap_or_else(|e| sink::fatal("io.read", format!("cannot read {p}: {e}")));
+        let name = Path::new(p).file_name().map(|f| f.to_string_lossy().into_owned());
+        let name = name.unwrap_or_else(|| p.clone());
+        workloads::GenSource { name, text, fortran: !p.ends_with(".c") }
+    };
+    paths.iter().map(read).collect()
 }
 
 /// Runs the pipeline, through a persistent cache when one is attached.
@@ -572,42 +512,15 @@ fn run_top(
 
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    let mut strict = false;
-    let mut no_cache = false;
-    let mut cache_dir: Option<String> = None;
-    let mut trace_out: Option<String> = None;
-    let mut metrics_out: Option<String> = None;
-    let mut timeout_secs: Option<f64> = None;
-    let mut mem_budget_mb: Option<u64> = None;
-    let mut args: Vec<String> = Vec::with_capacity(raw.len());
-    let mut it = raw.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--strict" => strict = true,
-            "--no-cache" => no_cache = true,
-            "--cache-dir" => cache_dir = Some(it.next().unwrap_or_else(|| usage())),
-            "--trace-out" => trace_out = Some(it.next().unwrap_or_else(|| usage())),
-            "--metrics" => metrics_out = Some(it.next().unwrap_or_else(|| usage())),
-            "--timeout" => {
-                timeout_secs = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|s: &f64| *s > 0.0)
-                    .or_else(|| usage())
-            }
-            "--mem-budget-mb" => {
-                mem_budget_mb =
-                    it.next().and_then(|v| v.parse().ok()).or_else(|| usage())
-            }
-            _ => args.push(a),
-        }
-    }
-    let store_dir = cache_dir.clone();
-    if no_cache {
-        cache_dir = None;
-    }
-    let cache_dir = cache_dir.as_deref();
-    let Some(cmd) = args.first() else { usage() };
+    let args = match flags::parse(&raw) {
+        Ok(args) => args,
+        Err(e) => usage_error(&e),
+    };
+    let cmd = args.cmd.name;
+    let strict = args.on("--strict");
+    let cache_dir = args.text("--cache-dir").filter(|_| !args.on("--no-cache"));
+    let trace_out = args.text("--trace-out");
+    let metrics_out = args.text("--metrics");
 
     // Observation is on when any export was requested or the command is
     // itself a profiling report. ARAA_OBS_CLOCK=logical swaps in the
@@ -628,44 +541,28 @@ fn main() {
     // Budget checkpoints observe it (worker threads inherit it), so a
     // stuck solve degrades conservatively instead of hanging; the expiry
     // itself is reported as a degradation below (exit 1, never a hang).
-    let deadline_token = timeout_secs.map(|s| {
-        support::deadline::DeadlineToken::after(std::time::Duration::from_secs_f64(s))
-    });
+    let deadline_token = args.secs("--timeout").map(support::deadline::DeadlineToken::after);
     let _deadline_scope = deadline_token.clone().map(support::deadline::enter);
 
     // `--mem-budget-mb` bounds the whole command's allocation churn the
     // same way (budget checkpoints observe the scope; workers inherit it).
-    // For `serve` the flag is a per-request default instead — a daemon-
-    // lifetime scope would conflate every request's charges.
-    let cli_mem_budget = if cmd == "serve" {
+    // For `serve` and `client` it is a per-request budget instead: the
+    // daemon's default, or the field the client sends. A daemon-lifetime
+    // scope would conflate every request's charges.
+    let cli_mem_budget = if matches!(cmd, "serve" | "client") {
         None
     } else {
-        mem_budget_mb.map(support::memory::MemoryBudget::mb)
+        args.num("--mem-budget-mb").map(support::memory::MemoryBudget::mb)
     };
     let _mem_scope = cli_mem_budget.clone().map(support::memory::enter);
 
-    match cmd.as_str() {
+    match cmd {
         "analyze" => {
-            let mut out_dir = ".".to_string();
-            let mut stem = "project".to_string();
-            let mut srcs = Vec::new();
-            let mut it = args[1..].iter();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--out" => out_dir = it.next().cloned().unwrap_or_else(|| usage()),
-                    "--stem" => stem = it.next().cloned().unwrap_or_else(|| usage()),
-                    other => srcs.push(other.to_string()),
-                }
-            }
-            if srcs.is_empty() {
-                usage();
-            }
-            let pairs = read_sources(&srcs);
-            let gens: Vec<_> = pairs.into_iter().map(|(_, g)| g).collect();
+            let gens = read_sources(&args.pos);
             let (analysis, _) = analyze(&gens, strict, cache_dir);
-            if let Err(e) =
-                analysis.write_project(std::path::Path::new(&out_dir), &stem)
-            {
+            let out_dir = args.text("--out").unwrap_or(".");
+            let stem = args.text("--stem").unwrap_or("project");
+            if let Err(e) = analysis.write_project(Path::new(out_dir), stem) {
                 sink::fatal("io.write", format!("{e}"));
             }
             println!(
@@ -675,40 +572,25 @@ fn main() {
             );
         }
         "view" => {
-            let Some(scope) = args.get(1) else { usage() };
-            let mut find = None;
-            let mut expand = false;
-            let mut srcs = Vec::new();
-            let mut it = args[2..].iter();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--find" => find = Some(it.next().cloned().unwrap_or_else(|| usage())),
-                    "--expand-dims" => expand = true,
-                    other => srcs.push(other.to_string()),
-                }
-            }
-            let gens: Vec<_> =
-                read_sources(&srcs).into_iter().map(|(_, g)| g).collect();
-            let (_, project) = analyze(&gens, strict, cache_dir);
+            let (_, project) = analyze(&read_sources(&args.pos[1..]), strict, cache_dir);
             print!("{}", render_procedure_list(&project));
-            let opts = ViewOptions { find, expand_dims: expand, color: true };
-            print!("{}", render_scope(&project, scope, &opts));
+            let opts = ViewOptions {
+                find: args.text("--find").map(str::to_string),
+                expand_dims: args.on("--expand-dims"),
+                color: true,
+            };
+            print!("{}", render_scope(&project, &args.pos[0], &opts));
         }
         "callgraph" => {
-            let gens: Vec<_> =
-                read_sources(&args[1..]).into_iter().map(|(_, g)| g).collect();
-            let (analysis, _) = analyze(&gens, strict, cache_dir);
+            let (analysis, _) = analyze(&read_sources(&args.pos), strict, cache_dir);
             print!("{}", analysis.callgraph.to_dot(&analysis.program));
         }
         "advise" => {
-            let gens: Vec<_> =
-                read_sources(&args[1..]).into_iter().map(|(_, g)| g).collect();
-            let (analysis, project) = analyze(&gens, strict, cache_dir);
+            let (analysis, project) = analyze(&read_sources(&args.pos), strict, cache_dir);
             print!("{}", advisor::render(&advisor::advise(&analysis, &project)));
         }
         "demo" => {
-            let Some(which) = args.get(1) else { usage() };
-            let gens = demo_sources(which);
+            let gens = demo_sources(&args.pos[0]);
             let (analysis, project) = analyze(&gens, strict, cache_dir);
             println!("== procedures ==");
             print!("{}", render_procedure_list(&project));
@@ -718,50 +600,13 @@ fn main() {
             print!("{}", advisor::render(&advisor::advise(&analysis, &project)));
         }
         "hotspots" => {
-            let mut top = 10usize;
-            let mut srcs = Vec::new();
-            let mut it = args[1..].iter();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--top" => {
-                        top = it
-                            .next()
-                            .and_then(|v| v.parse().ok())
-                            .unwrap_or_else(|| usage())
-                    }
-                    other => srcs.push(other.to_string()),
-                }
-            }
-            let gens: Vec<_> =
-                read_sources(&srcs).into_iter().map(|(_, g)| g).collect();
-            let (_, project) = analyze(&gens, strict, cache_dir);
+            let (_, project) = analyze(&read_sources(&args.pos), strict, cache_dir);
+            let top = args.num("--top").unwrap_or(10);
             print!("{}", dragon::view::render_hotspots(&project, top));
         }
         "lint" => {
-            let mut sarif_out: Option<String> = None;
-            let mut threads = 1usize;
-            let mut srcs = Vec::new();
-            let mut it = args[1..].iter();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--sarif" => {
-                        sarif_out = Some(it.next().cloned().unwrap_or_else(|| usage()))
-                    }
-                    "--threads" => {
-                        threads = it
-                            .next()
-                            .and_then(|v| v.parse().ok())
-                            .unwrap_or_else(|| usage())
-                    }
-                    other => srcs.push(other.to_string()),
-                }
-            }
-            if srcs.is_empty() {
-                usage();
-            }
-            let gens: Vec<_> =
-                read_sources(&srcs).into_iter().map(|(_, g)| g).collect();
-            let (analysis, _) = analyze(&gens, strict, cache_dir);
+            let (analysis, _) = analyze(&read_sources(&args.pos), strict, cache_dir);
+            let threads = args.num("--threads").unwrap_or(1);
             let report = lint::run(&analysis, &lint::LintOptions { threads });
             print!("{}", report.render());
             for d in &report.degradations {
@@ -771,7 +616,7 @@ fn main() {
                     format!("lint degraded for `{}`: {}", d.proc, d.detail),
                 );
             }
-            if let Some(path) = sarif_out.as_deref() {
+            if let Some(path) = args.text("--sarif") {
                 write_sarif(&report, path);
             }
             if report.definite_count() > 0 {
@@ -792,13 +637,10 @@ fn main() {
             }
         }
         "dynamic" => {
-            let Some(entry) = args.get(1) else { usage() };
-            let gens: Vec<_> =
-                read_sources(&args[2..]).into_iter().map(|(_, g)| g).collect();
-            let (analysis, _) = analyze(&gens, strict, cache_dir);
+            let (analysis, _) = analyze(&read_sources(&args.pos[1..]), strict, cache_dir);
             match araa::dynamic::run_dynamic(
                 &analysis.program,
-                entry,
+                &args.pos[0],
                 whirl::interp::Limits::default(),
             ) {
                 Ok(dynamic) => {
@@ -821,119 +663,18 @@ fn main() {
             }
         }
         "profile" => {
-            let mut top = 10usize;
-            let mut srcs = Vec::new();
-            let mut it = args[1..].iter();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--top" => {
-                        top = it
-                            .next()
-                            .and_then(|v| v.parse().ok())
-                            .unwrap_or_else(|| usage())
-                    }
-                    other => srcs.push(other.to_string()),
-                }
+            let _ = analyze(&read_sources(&args.pos), strict, cache_dir);
+            if let Some(c) = &collector {
+                print!("{}", render_profile(&c.snapshot(), args.num("--top").unwrap_or(10)));
             }
-            if srcs.is_empty() {
-                usage();
-            }
-            let gens: Vec<_> =
-                read_sources(&srcs).into_iter().map(|(_, g)| g).collect();
-            let _ = analyze(&gens, strict, cache_dir);
-            let Some(c) = &collector else { usage() };
-            print!("{}", render_profile(&c.snapshot(), top));
         }
         "serve" => {
-            let mut opts = dragon::serve::ServeOptions::default();
-            let mut socket: Option<String> = None;
-            let mut it = args[1..].iter();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--socket" => socket = it.next().cloned(),
-                    "--cache-root" => {
-                        opts.cache_root =
-                            Some(it.next().cloned().unwrap_or_else(|| usage()).into())
-                    }
-                    "--workers" => {
-                        opts.workers = it
-                            .next()
-                            .and_then(|v| v.parse().ok())
-                            .filter(|&n| n > 0)
-                            .unwrap_or_else(|| usage())
-                    }
-                    "--queue-depth" => {
-                        opts.queue_depth = it
-                            .next()
-                            .and_then(|v| v.parse().ok())
-                            .filter(|&n| n > 0)
-                            .unwrap_or_else(|| usage())
-                    }
-                    "--deadline-ms" => {
-                        opts.default_deadline_ms = it
-                            .next()
-                            .and_then(|v| v.parse().ok())
-                            .filter(|&n| n > 0)
-                            .unwrap_or_else(|| usage())
-                    }
-                    "--max-connections" => {
-                        opts.max_connections = it
-                            .next()
-                            .and_then(|v| v.parse().ok())
-                            .filter(|&n| n > 0)
-                            .unwrap_or_else(|| usage())
-                    }
-                    "--max-frame-bytes" => {
-                        opts.max_frame_bytes = it
-                            .next()
-                            .and_then(|v| v.parse().ok())
-                            .filter(|&n| n > 0)
-                            .unwrap_or_else(|| usage())
-                    }
-                    "--io-timeout-ms" => {
-                        opts.io_timeout_ms = it
-                            .next()
-                            .and_then(|v| v.parse().ok())
-                            .filter(|&n| n > 0)
-                            .unwrap_or_else(|| usage())
-                    }
-                    "--heartbeat-grace-ms" => {
-                        opts.heartbeat_grace_ms = it
-                            .next()
-                            .and_then(|v| v.parse().ok())
-                            .filter(|&n| n > 0)
-                            .unwrap_or_else(|| usage())
-                    }
-                    "--circuit-threshold" => {
-                        opts.circuit_threshold = it
-                            .next()
-                            .and_then(|v| v.parse().ok())
-                            .filter(|&n| n > 0)
-                            .unwrap_or_else(|| usage())
-                    }
-                    "--circuit-cooldown-ms" => {
-                        opts.circuit_cooldown_ms = it
-                            .next()
-                            .and_then(|v| v.parse().ok())
-                            .filter(|&n| n > 0)
-                            .unwrap_or_else(|| usage())
-                    }
-                    "--metrics-interval-ms" => {
-                        opts.metrics_interval_ms = it
-                            .next()
-                            .and_then(|v| v.parse().ok())
-                            .filter(|&n| n > 0)
-                            .unwrap_or_else(|| usage())
-                    }
-                    "--metrics-snapshot" => {
-                        opts.metrics_snapshot =
-                            Some(it.next().cloned().unwrap_or_else(|| usage()).into())
-                    }
-                    _ => usage(),
-                }
-            }
-            opts.socket = socket.unwrap_or_else(|| usage()).into();
-            opts.mem_budget_mb = mem_budget_mb;
+            let mut opts = ServeOptions {
+                cache_root: cache_dir.map(PathBuf::from),
+                mem_budget_mb: args.num("--mem-budget-mb"),
+                ..ServeOptions::default()
+            };
+            args.apply(&mut opts);
             if (opts.metrics_interval_ms > 0) != opts.metrics_snapshot.is_some() {
                 sink::fatal(
                     "serve.usage",
@@ -959,100 +700,30 @@ fn main() {
             eprintln!("dragon serve: drained and persisted; exiting");
         }
         "client" => {
-            let mut copts = dragon::serve::ClientOptions::default();
-            let mut socket: Option<String> = None;
-            let mut op: Option<String> = None;
-            let mut project: Option<String> = None;
-            let mut deadline_ms: Option<u64> = None;
-            let mut trace_id: Option<String> = None;
-            let mut format: Option<String> = None;
-            let mut limit: Option<u64> = None;
-            let mut top: Option<u64> = None;
-            let mut srcs = Vec::new();
-            let mut it = args[1..].iter();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--socket" => socket = it.next().cloned(),
-                    "--project" => {
-                        project = Some(it.next().cloned().unwrap_or_else(|| usage()))
-                    }
-                    "--deadline-ms" => {
-                        deadline_ms = Some(
-                            it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage()),
-                        )
-                    }
-                    "--trace" => {
-                        trace_id = Some(it.next().cloned().unwrap_or_else(|| usage()))
-                    }
-                    "--format" => {
-                        format = Some(it.next().cloned().unwrap_or_else(|| usage()))
-                    }
-                    "--limit" => {
-                        limit = Some(
-                            it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage()),
-                        )
-                    }
-                    "--top" => {
-                        top = Some(
-                            it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage()),
-                        )
-                    }
-                    "--retries" => {
-                        copts.retries = it
-                            .next()
-                            .and_then(|v| v.parse().ok())
-                            .unwrap_or_else(|| usage())
-                    }
-                    "--timeout-ms" => {
-                        copts.timeout = std::time::Duration::from_millis(
-                            it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage()),
-                        )
-                    }
-                    other if op.is_none() => op = Some(other.to_string()),
-                    other => srcs.push(other.to_string()),
-                }
-            }
-            copts.socket = socket.unwrap_or_else(|| usage()).into();
-            let op = op.unwrap_or_else(|| usage());
+            let d = ClientOptions::default();
+            let copts = ClientOptions {
+                socket: PathBuf::from(args.text("--socket").unwrap_or_default()),
+                retries: args.num("--retries").unwrap_or(d.retries),
+                timeout: args.num("--timeout-ms").map_or(d.timeout, Duration::from_millis),
+                ..d
+            };
             // `ping` is a liveness alias: a `health` request whose response
             // prints as a one-line summary instead of raw JSON.
-            let ping = op == "ping";
-            let wire_op = if ping { "health".to_string() } else { op };
-            if dragon::serve::proto::Op::parse(&wire_op).is_none() {
+            let ping = args.pos[0] == "ping";
+            let wire_op = if ping { "health" } else { args.pos[0].as_str() };
+            if dragon::serve::proto::Op::parse(wire_op).is_none() {
                 sink::fatal("client.usage", format!("unknown op `{wire_op}`"));
             }
             use support::json::Value;
-            let mut fields = vec![
-                ("id", Value::int(1)),
-                ("op", Value::str(wire_op.as_str())),
-            ];
-            // Omitted --project stays omitted on the wire: `query-log` and
+            // An omitted flag stays omitted on the wire: `query-log` and
             // `profile` treat an absent project as "all projects".
-            if let Some(p) = project {
-                fields.push(("project", Value::str(p)));
-            }
-            if let Some(t) = trace_id {
-                fields.push(("trace", Value::str(t)));
-            }
-            if let Some(f) = format {
-                fields.push(("format", Value::str(f)));
-            }
-            if let Some(n) = limit {
-                fields.push(("limit", Value::int(n)));
-            }
-            if let Some(n) = top {
-                fields.push(("top", Value::int(n)));
-            }
-            if let Some(ms) = deadline_ms {
-                fields.push(("deadline_ms", Value::int(ms)));
-            }
-            if let Some(mb) = mem_budget_mb {
-                fields.push(("mem_budget_mb", Value::int(mb)));
-            }
+            let mut fields = vec![("id", Value::int(1)), ("op", Value::str(wire_op))];
+            fields.extend(args.wire());
+            let srcs = &args.pos[1..];
             if !srcs.is_empty() {
-                let sources: Vec<Value> = read_sources(&srcs)
+                let sources: Vec<Value> = read_sources(srcs)
                     .into_iter()
-                    .map(|(_, g)| {
+                    .map(|g| {
                         support::json::obj([
                             ("name", Value::str(g.name)),
                             ("text", Value::str(g.text)),
@@ -1121,47 +792,23 @@ fn main() {
             }
         }
         "top" => {
-            let mut copts = dragon::serve::ClientOptions::default();
-            let mut socket: Option<String> = None;
-            let mut interval_ms = 1000u64;
-            let mut iterations: Option<u64> = None;
-            let mut top_n = 5u64;
-            let mut it = args[1..].iter();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--socket" => socket = it.next().cloned(),
-                    "--interval-ms" => {
-                        interval_ms = it
-                            .next()
-                            .and_then(|v| v.parse().ok())
-                            .filter(|&n| n > 0)
-                            .unwrap_or_else(|| usage())
-                    }
-                    "--iterations" => {
-                        iterations = Some(
-                            it.next()
-                                .and_then(|v| v.parse().ok())
-                                .filter(|&n| n > 0)
-                                .unwrap_or_else(|| usage()),
-                        )
-                    }
-                    "--once" => iterations = Some(1),
-                    "--top" => {
-                        top_n = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
-                    }
-                    _ => usage(),
-                }
-            }
-            copts.socket = socket.unwrap_or_else(|| usage()).into();
-            run_top(&copts, interval_ms, iterations, top_n);
+            let copts = ClientOptions {
+                socket: PathBuf::from(args.text("--socket").unwrap_or_default()),
+                ..ClientOptions::default()
+            };
+            // `--once`, which has no value and so reads as 1, is `--iterations
+            // 1`; the later of the two wins.
+            let iterations = args.last(&["--once", "--iterations"]).map(|v| v.parse().unwrap_or(1));
+            let interval_ms = args.num("--interval-ms").unwrap_or(1000);
+            run_top(&copts, interval_ms, iterations, args.num("--top").unwrap_or(5));
         }
         "cache" => {
-            let Some(op) = args.get(1) else { usage() };
-            let Some(dir) = store_dir.as_deref() else {
+            let op = args.pos[0].as_str();
+            let Some(dir) = cache_dir else {
                 sink::fatal("cache.usage", format!("cache {op} requires --cache-dir DIR"));
             };
             let store = SessionStore::new(dir, &AnalysisOptions::default());
-            match op.as_str() {
+            match op {
                 "stats" => match store.stats() {
                     Ok(s) => {
                         println!("cache directory: {dir}");
@@ -1204,10 +851,10 @@ fn main() {
                     Ok(n) => println!("removed {n} file(s) from {dir}"),
                     Err(e) => sink::fatal("cache.clear", format!("cache clear: {e}")),
                 },
-                _ => usage(),
+                _ => usage_error(&format!("unknown cache op `{op}`")),
             }
         }
-        _ => usage(),
+        other => unreachable!("`{other}` has a row in the flag table but no arm here"),
     }
     if let Some(token) = &deadline_token {
         if token.expired_now() {
@@ -1237,7 +884,7 @@ fn main() {
     // Exporters run last so the artifacts cover the whole run, including
     // any structured diagnostics reported above.
     if let Some(c) = &collector {
-        write_obs_artifacts(c, trace_out.as_deref(), metrics_out.as_deref());
+        write_obs_artifacts(c, trace_out, metrics_out);
     }
     std::process::exit(sink::exit_code(strict));
 }

@@ -383,6 +383,20 @@ mod tests {
         );
     }
 
+    /// A probe that never reports (shed before it reached a worker, or its
+    /// client vanished) must not hold the circuit shut for good: after one
+    /// more cool-down a fresh probe replaces it.
+    #[test]
+    fn an_abandoned_probe_is_replaced_after_one_cooldown() {
+        let s = Supervisor::new(1, 10, 1, 200);
+        s.record_failure("p");
+        std::thread::sleep(Duration::from_millis(210));
+        assert_eq!(s.circuit_check("p"), CircuitDecision::Admit, "probe admitted");
+        assert!(matches!(s.circuit_check("p"), CircuitDecision::Reject { .. }), "probe in flight");
+        std::thread::sleep(Duration::from_millis(210));
+        assert_eq!(s.circuit_check("p"), CircuitDecision::Admit, "the abandoned probe is replaced");
+    }
+
     #[test]
     fn circuits_are_per_project() {
         let s = Supervisor::new(1, 10, 1, 10_000);

@@ -1,5 +1,7 @@
 //! End-to-end tests of the `dragon` binary (the tool a user actually runs).
 
+mod serve_common;
+
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -321,12 +323,23 @@ fn missing_or_malformed_flag_values_are_usage_errors() {
     // listens on must never be reached.
     let socket = std::env::temp_dir().join("dragon_cli_tests/nobody-listens.sock");
     let socket = socket.to_str().unwrap();
+    let dir = std::env::temp_dir().join("dragon_cli_tests/never-written");
+    let dir = dir.to_str().unwrap();
     for args in [
         vec!["lint", src, "--sarif"],
         vec!["view", "@", src, "--find"],
         vec!["client", "--socket", socket, "stats", "--limit", "abc"],
         vec!["client", "--socket", socket, "profile", "--top", "abc"],
         vec!["client", "--socket", socket, "stats", "--deadline-ms", "soon"],
+        vec!["client", "--socket", socket, "stats", "--timeout-ms", "0"],
+        // A global flag the command does not read, before the command or
+        // after it.
+        vec!["--timeout", "5", "client", "--socket", socket, "stats"],
+        vec!["--cache-dir", dir, "client", "--socket", socket, "stats"],
+        vec!["top", "--socket", socket, "--once", "--mem-budget-mb", "64"],
+        // A positional too many, and a flag no command declares.
+        vec!["demo", "lu", "extra"],
+        vec!["lint", src, "--thread", "4"],
     ] {
         let out = dragon().args(&args).output().unwrap();
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -596,7 +609,9 @@ fn lint_sarif_fault_keeps_findings_end_to_end() {
 }
 
 // ---------------------------------------------------------------------------
-// Global `--timeout` (wall-clock deadline for any command)
+// Global `--timeout`: a wall-clock deadline for the commands that analyse
+// sources (analyze, view, callgraph, advise, demo, dynamic, hotspots, lint,
+// profile); cache, serve, client and top reject it.
 
 #[test]
 fn timeout_far_in_the_future_changes_nothing() {
@@ -649,4 +664,42 @@ fn timeout_degrades_wedged_analysis_instead_of_hanging() {
     assert!(stderr.contains("--timeout: deadline expired"), "{stderr}");
     // Degraded, not dead: the artifacts still land.
     assert!(dir.join("stall.rgn").exists(), "degraded run still writes artifacts");
+}
+
+// ---------------------------------------------------------------------------
+// `dragon hotspots` and `dragon top`
+
+#[test]
+fn hotspots_prints_the_densest_rows() {
+    let src = write_temp(
+        "hotspots.f",
+        "program main\n  real a(8), b(8), c(8), d(8)\n  common /g/ a, b, c, d\n  integer i\n  do i = 1, 8\n    a(i) = 1.0\n    b(i) = a(i)\n    c(i) = b(i)\n    d(i) = c(i)\n  end do\nend\n",
+    );
+    let out = dragon().args(["hotspots", src.to_str().unwrap(), "--top", "3"]).output().unwrap();
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("| Array | Scope  | Mode | References | Size_bytes | Acc_density |"));
+    let rows = stdout.lines().filter(|l| l.starts_with("| ") && !l.starts_with("| Array")).count();
+    assert_eq!(rows, 3, "--top 3 keeps three of the seven rows: {stdout}");
+}
+
+#[test]
+fn top_renders_one_frame_of_a_live_daemon() {
+    let dir = support::testdir::TestDir::new("dragon-cli-top");
+    let d = serve_common::Daemon::start(dir.join("d.sock"), &[], &[]);
+    let socket = d.socket.to_str().unwrap();
+    let o = serve_common::copts(&d.socket);
+    let v1 = serve_common::sources_v1();
+    serve_common::call_ok(&o, &serve_common::analyze_req(1, "analyze", "demo", &v1, None));
+
+    let out = dragon().args(["top", "--socket", socket, "--once"]).output().unwrap();
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.starts_with("dragon top — uptime "), "{stdout}");
+    assert!(stdout.lines().any(|l| l.starts_with("| analyze ")), "{stdout}");
+
+    let out = dragon().args(["top", "--socket", socket, "--iterations", "0"]).output().unwrap();
+    assert_eq!(out.status.code(), Some(2), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("usage:"));
+    serve_common::call_ok(&o, &serve_common::plain_req(2, "shutdown", "demo"));
 }

@@ -22,7 +22,7 @@ fn serve_lifecycle_analyze_lint_query_stats_shutdown() {
     let cache = dir.join("cache");
     let mut d = Daemon::start(
         dir.join("d.sock"),
-        &["--cache-root", cache.to_str().expect("utf8"), "--workers", "2"],
+        &["--cache-dir", cache.to_str().expect("utf8"), "--workers", "2"],
         &[],
     );
     let o = copts(&d.socket);
@@ -77,7 +77,7 @@ fn restart_recovers_sessions_and_serves_identical_bytes() {
     let dir = TestDir::new("serve-recover");
     let cache = dir.join("cache");
     let cache_str = cache.to_str().expect("utf8").to_string();
-    let cache_args = ["--cache-root", cache_str.as_str()];
+    let cache_args = ["--cache-dir", cache_str.as_str()];
 
     let rgn_before;
     {
@@ -468,7 +468,7 @@ mod faulty {
         let cache = dir.join("cache");
         let mut d = Daemon::start(
             dir.join("d.sock"),
-            &["--cache-root", cache.to_str().expect("utf8")],
+            &["--cache-dir", cache.to_str().expect("utf8")],
             &[("ARAA_FAULTPOINT", "persist::pre_manifest:1".to_string())],
         );
         let o = copts(&d.socket);

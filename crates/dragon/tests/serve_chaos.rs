@@ -76,7 +76,7 @@ fn kill_and_recover(point: &str, oracle: &str) {
     let dir = TestDir::new("serve-chaos");
     let cache = dir.join("cache");
     let cache_str = cache.to_str().expect("utf8").to_string();
-    let cache_args = ["--cache-root", cache_str.as_str(), "--workers", "1"];
+    let cache_args = ["--cache-dir", cache_str.as_str(), "--workers", "1"];
 
     let mut d = Daemon::start(
         dir.join("d.sock"),

@@ -33,7 +33,7 @@ fn every_response_echoes_the_request_trace() {
     let dir = TestDir::new("serve-obs-trace");
     let mut _d = Daemon::start(
         dir.join("d.sock"),
-        &["--cache-root", dir.join("cache").to_str().expect("utf8")],
+        &["--cache-dir", dir.join("cache").to_str().expect("utf8")],
         &[],
     );
     let o = copts(&dir.join("d.sock"));
@@ -83,7 +83,7 @@ fn concurrent_clients_never_observe_a_foreign_trace() {
     let socket = dir.join("d.sock");
     let mut _d = Daemon::start(
         socket.clone(),
-        &["--cache-root", dir.join("cache").to_str().expect("utf8"), "--workers", "2"],
+        &["--cache-dir", dir.join("cache").to_str().expect("utf8"), "--workers", "2"],
         &[],
     );
     let o = copts(&socket);
@@ -120,7 +120,7 @@ fn query_log_joins_server_records_with_client_traffic() {
     let dir = TestDir::new("serve-obs-log");
     let mut _d = Daemon::start(
         dir.join("d.sock"),
-        &["--cache-root", dir.join("cache").to_str().expect("utf8")],
+        &["--cache-dir", dir.join("cache").to_str().expect("utf8")],
         &[],
     );
     let o = copts(&dir.join("d.sock"));
@@ -166,7 +166,7 @@ fn metrics_op_serves_json_and_prometheus() {
     let dir = TestDir::new("serve-obs-metrics");
     let mut _d = Daemon::start(
         dir.join("d.sock"),
-        &["--cache-root", dir.join("cache").to_str().expect("utf8")],
+        &["--cache-dir", dir.join("cache").to_str().expect("utf8")],
         &[],
     );
     let o = copts(&dir.join("d.sock"));
@@ -220,7 +220,7 @@ fn profile_op_ranks_hot_procedures() {
     let dir = TestDir::new("serve-obs-profile");
     let mut _d = Daemon::start(
         dir.join("d.sock"),
-        &["--cache-root", dir.join("cache").to_str().expect("utf8")],
+        &["--cache-dir", dir.join("cache").to_str().expect("utf8")],
         &[],
     );
     let o = copts(&dir.join("d.sock"));
@@ -341,7 +341,7 @@ fn logical_metrics_run(dir: &TestDir, name: &str) -> String {
     let mut _d = Daemon::start(
         socket.clone(),
         &[
-            "--cache-root",
+            "--cache-dir",
             cache.to_str().expect("utf8"),
             "--workers",
             "2",
@@ -383,7 +383,7 @@ fn periodic_snapshot_file_is_checksum_sealed() {
     let mut d = Daemon::start(
         dir.join("d.sock"),
         &[
-            "--cache-root",
+            "--cache-dir",
             dir.join("cache").to_str().expect("utf8"),
             "--metrics-interval-ms",
             "50",

@@ -260,6 +260,61 @@ fn a_stalled_partial_frame_is_answered_and_closed() {
     assert!(d.wait_exit(Duration::from_secs(30)).success());
 }
 
+/// A client that pipelines requests and never reads the responses fills
+/// the socket buffers, so the daemon's response write blocks. The write
+/// timeout (10 s) drops that connection and frees the one slot
+/// `--max-connections 1` allows; without it every later client is shed as
+/// `overloaded` for good.
+#[test]
+fn a_client_that_never_reads_is_dropped_after_the_write_timeout() {
+    let dir = TestDir::new("serve-write-timeout");
+    let mut d = Daemon::start(dir.join("d.sock"), &["--max-connections", "1"], &[]);
+    let probe = dragon::serve::ClientOptions {
+        retries: 0,
+        timeout: Duration::from_secs(5),
+        ..copts(&d.socket)
+    };
+    let served = || {
+        dragon::serve::client::call(&probe, &plain_req(2, "health", "probe"))
+            .is_ok_and(|r| r.get("ok").and_then(Value::as_bool) == Some(true))
+    };
+
+    // The daemon's readiness probe may hold the slot for a moment, so the
+    // hog retries until one of its requests is served.
+    let admitted = || {
+        let s = UnixStream::connect(&d.socket).expect("connect");
+        s.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
+        let _ = (&s).write_all(format!("{}\n", plain_req(0, "health", "hog").render()).as_bytes());
+        let mut line = String::new();
+        let _ = BufReader::new(&s).read_line(&mut line);
+        if line.contains(r#""ok":true"#) {
+            return Some(s);
+        }
+        std::thread::sleep(Duration::from_millis(20));
+        None
+    };
+    let hog = (0..100).find_map(|_| admitted()).expect("the hog gets the slot");
+    let mut pipe = hog.try_clone().expect("clone");
+    let pump = std::thread::spawn(move || {
+        let line = format!("{}\n", plain_req(1, "metrics", "hog").render());
+        // Ends once the daemon drops the connection.
+        while pipe.write_all(line.as_bytes()).is_ok() {}
+    });
+    assert!(!served(), "the hog holds the only connection slot");
+    let start = std::time::Instant::now();
+    while !served() {
+        assert!(
+            start.elapsed() < Duration::from_secs(40),
+            "the hog's blocked connection was never dropped"
+        );
+        std::thread::sleep(Duration::from_millis(250));
+    }
+    pump.join().expect("the pump ends with the dropped connection");
+    drop(hog);
+    call_ok(&copts(&d.socket), &plain_req(3, "shutdown", "probe"));
+    assert!(d.wait_exit(Duration::from_secs(30)).success());
+}
+
 // ---------------------------------------------------------------------------
 // The misbehaving-project scenarios need deterministic faults: a sticky
 // per-project panic point and an off-checkpoint wedge loop.
