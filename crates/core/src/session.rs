@@ -7,11 +7,19 @@
 //! [`AnalysisSession::update`] call:
 //!
 //! 1. re-parses only the source files whose text changed (per-file parse
-//!    cache keyed by a content hash of name + language + text);
-//! 2. fingerprints every procedure of the re-assembled program
-//!    ([`whirl::hash::proc_fingerprint`]) and classifies it *clean* (cache
-//!    hit, verified structurally by [`whirl::hash::procs_correspond`] and
-//!    rebased onto the new symbol tables) or *dirty* (new or edited);
+//!    cache keyed by a content hash of name + language + text) and
+//!    re-assembles the program unit by unit, a unit being one source file
+//!    ([`frontend::units`]): a cached file whose numbering and global
+//!    segment are unchanged keeps its lowered unit, its trees moved out of
+//!    the previous program, and every other file is checked and lowered
+//!    again. The call graph re-scans only the re-lowered procedures;
+//! 2. classifies every procedure *clean* (cache hit, rebased onto the new
+//!    symbol tables) or *dirty* (new or edited). A reused unit's
+//!    procedures are their previous selves: they keep their fingerprints
+//!    and, when no global, procedure or name moved, are identity-clean
+//!    with no verification walk. Every other procedure is fingerprinted
+//!    ([`whirl::hash::proc_fingerprint`]), and a hash hit is verified
+//!    structurally by [`whirl::hash::procs_correspond`];
 //! 3. recomputes IPL summaries only for dirty procedures, fanned over the
 //!    same parallel workers as a cold run;
 //! 4. invalidates propagated summaries only for call-graph *ancestors* of
@@ -47,7 +55,7 @@ use crate::extract::{
     extract_proc_rows, extract_range_rows, resolve_formal_addresses, ExtractOptions,
 };
 use crate::row::RgnRow;
-use frontend::{ParsedSource, SourceFile};
+use frontend::{Assembly, ParsedSource, SourceFile, UnitInput, UnitTable};
 use ipa::callgraph::CallGraph;
 use ipa::isolate::{panic_message, summarize_subset_isolated};
 use ipa::propagate::{propagate_spliced, NO_SLICE};
@@ -82,6 +90,10 @@ pub struct AnalysisDelta {
     pub files_reparsed: usize,
     /// Source files served from the parse cache.
     pub files_cached: usize,
+    /// Per source file, in source order: its lowered unit moved over from
+    /// the previous update (every file when the source set is unchanged)
+    /// instead of being lowered afresh (sema, AST→VH, VH→H).
+    pub units_reused: Vec<bool>,
     /// `.rgn` rows carried over verbatim from the previous update: every
     /// row of a procedure whose summary and extraction environment are
     /// unchanged, and of a re-propagated caller its local rows and the
@@ -106,6 +118,9 @@ pub struct AnalysisDelta {
 /// Everything retained between updates.
 struct SessionState {
     analysis: Analysis,
+    /// Where each source file's lowered unit sits in `analysis.program`,
+    /// for the next update's assembly to reuse.
+    units: UnitTable,
     /// Pre-propagation (local) summaries, one per procedure.
     local: Vec<ProcSummary>,
     /// Fingerprint → procedure: the content-addressed cache index.
@@ -117,7 +132,7 @@ struct SessionState {
     /// summaries keep their widened shape until recomputed).
     prop_degr: Vec<Degradation>,
     /// Per-procedure fingerprints, parallel to the program's procedures
-    /// (reused for procedures whose file the parse cache served verbatim).
+    /// (carried over for the procedures of reused units).
     fps: Vec<u64>,
     /// Each procedure's row slice within `analysis.rows` (rows are emitted
     /// in call-graph pre-order, so every procedure's rows are contiguous).
@@ -260,6 +275,7 @@ impl AnalysisSession {
         if let Some(p) = &self.state {
             if keys == p.file_keys && !p.tainted && !p.stale_propagation {
                 delta.files_cached = sources.len();
+                delta.units_reused = vec![true; sources.len()];
                 delta.summary_cache_hits = p.analysis.program.procedure_count();
                 delta.rows_reused = p.analysis.rows.len();
                 delta.degradations = p.analysis.degradations.clone();
@@ -290,11 +306,13 @@ impl AnalysisSession {
             self.file_cache.clear();
         }
 
-        // 1. Parse, reusing cached per-file parses for unchanged text.
+        // 1. Parse, reusing cached per-file parses for unchanged text, and
+        // assemble, reusing every lowered unit `frontend::units` admits.
         let parse_span = support::obs::span("session.parse");
         let mut next_cache = BTreeMap::new();
-        // File name → served-from-cache, ambiguous duplicates demoted.
-        let mut hit_names: BTreeMap<&str, bool> = BTreeMap::new();
+        // Content key → served from the cache; a key seen twice is parsed
+        // afresh the second time, so it counts as fresh.
+        let mut hits: BTreeMap<u64, bool> = BTreeMap::new();
         for (s, &key) in sources.iter().zip(&keys) {
             // Move the cached parse into the next cache (rebuilt here so it
             // evicts files no longer in the source set).
@@ -308,42 +326,55 @@ impl AnalysisSession {
                     (frontend::parse_source_with_recovery(s), false)
                 }
             };
-            hit_names
-                .entry(s.name.as_str())
-                .and_modify(|h| *h = false)
-                .or_insert(hit);
+            hits.entry(key).and_modify(|h| *h = false).or_insert(hit);
             next_cache.insert(key, p);
         }
-        // Assembly borrows the cached parses, in source order.
-        let parsed = keys.iter().filter_map(|k| next_cache.get(k));
-        let (program, diags) =
-            match frontend::assemble_to_h_with_recovery(parsed, self.opts.layout_base) {
-                Ok(out) => out,
-                Err(e) => {
-                    // Keep the parses (they are valid) so the next attempt's
-                    // cache is no worse than before this failed one — unless
-                    // the effective memory budget is exhausted: then they may
-                    // be budget-truncated, and caching them would replay this
-                    // failure even after the caller raises the budget. Drop
-                    // everything so the retry reparses cold.
-                    let mem_exhausted =
-                        support::memory::current().is_some_and(|b| b.exhausted());
-                    if mem_exhausted {
-                        self.file_cache.clear();
-                    } else {
-                        self.file_cache.extend(next_cache);
-                    }
-                    return Err(e);
+        // Assembly borrows the cached parses, in source order, and moves the
+        // trees of reused units out of the previous program.
+        let assembled = {
+            let inputs: Vec<UnitInput<'_>> = keys
+                .iter()
+                .map(|&key| UnitInput { parse: &next_cache[&key], key, cached: hits[&key] })
+                .collect();
+            let prev = self.state.as_mut().map(|p| (&mut p.analysis.program, &p.units));
+            frontend::assemble_units(&inputs, prev, self.opts.layout_base)
+        };
+        let assembly = match assembled {
+            Ok(out) => out,
+            Err(e) => {
+                // Keep the parses (they are valid) so the next attempt's
+                // cache is no worse than before this failed one — unless
+                // the effective memory budget is exhausted: then they may
+                // be budget-truncated, and caching them would replay this
+                // failure even after the caller raises the budget. Drop
+                // everything so the retry reparses cold.
+                let mem_exhausted =
+                    support::memory::current().is_some_and(|b| b.exhausted());
+                if mem_exhausted {
+                    self.file_cache.clear();
+                } else {
+                    self.file_cache.extend(next_cache);
                 }
-            };
+                return Err(e);
+            }
+        };
         // Commit the parse cache only once assembly succeeded, evicting
         // entries for files no longer in the source set.
         self.file_cache = next_cache;
         drop(parse_span);
+        let reused = assembly.reused_procs();
+        let Assembly { program, diags, units, reused: units_reused, stable } = assembly;
+        delta.units_reused = units_reused;
         let mut degradations: Vec<Degradation> =
             diags.iter().map(Degradation::from_frontend).collect();
 
-        let cg = CallGraph::build(&program);
+        // A reused procedure keeps its `ProcId`, its call sites and its
+        // callees' `ProcId`s: only the others are scanned for calls.
+        let cg = CallGraph::rebuild(
+            &program,
+            self.state.as_ref().map(|p| &p.analysis.callgraph),
+            &reused,
+        );
         let n = cg.size();
         // Own the previous state: clean procedures *move* their cached
         // summaries and rows out instead of cloning. Nothing after this
@@ -352,37 +383,16 @@ impl AnalysisSession {
 
         // 2. Fingerprint and classify every procedure.
         let classify_span = support::obs::span("session.classify");
-        let (global_map, proc_map, old_by_name) = match &prev {
-            Some(p) => (
-                global_symbol_map(&p.analysis.program, &program),
-                old_to_new_procs(&p.analysis.program, &program),
-                procs_by_name(&p.analysis.program),
-            ),
-            None => (SymbolMaps::default(), BTreeMap::new(), BTreeMap::new()),
+        let proc_map = match &prev {
+            Some(p) => old_to_new_procs(&p.analysis.program, &program),
+            None => BTreeMap::new(),
         };
-        // The fingerprint of a procedure from a cache-hit file is unchanged
-        // from last update (the fingerprint only reads that file's tree plus
-        // symbol data the verifier re-checks anyway), so reuse it. A stale
-        // reuse can only cause a spurious hash hit, which structural
-        // verification then rejects — correctness never rides on this.
+        // Fingerprints travel with reused units: a reused procedure is its
+        // previous self. Every other procedure is fingerprinted afresh.
         let fps: Vec<u64> = (0..n)
-            .map(|i| {
-                let id = ProcId::from_usize(i);
-                if let Some(p) = &prev {
-                    let proc = program.procedure(id);
-                    let fname = program.interner.resolve(proc.file);
-                    if hit_names.get(fname).copied().unwrap_or(false) {
-                        if let Some(&old_id) =
-                            old_by_name.get(program.name_of(proc.name))
-                        {
-                            let op = p.analysis.program.procedure(old_id);
-                            if p.analysis.program.interner.resolve(op.file) == fname {
-                                return p.fps[old_id.as_usize()];
-                            }
-                        }
-                    }
-                }
-                proc_fingerprint(&program, id, self.salt)
+            .map(|i| match &prev {
+                Some(p) if reused[i] => p.fps[i],
+                _ => proc_fingerprint(&program, ProcId::from_usize(i), self.salt),
             })
             .collect();
         // When nothing shifted — same procedures in the same slots, every
@@ -397,7 +407,16 @@ impl AnalysisSession {
             }
             None => false,
         };
-        let global_identity = identity_maps(&global_map);
+        // Globals and names keep their numbers when the assembly was
+        // stable; otherwise the tables are compared name by name. The map
+        // is built at most once, when a rebase or this check needs it.
+        let mut global_map: Option<SymbolMaps> = None;
+        let global_identity = stable
+            || prev.as_ref().is_none_or(|p| {
+                identity_maps(
+                    global_map.insert(global_symbol_map(&p.analysis.program, &program)),
+                )
+            });
         let mut clean: Vec<Option<CleanProc>> = (0..n).map(|_| None).collect();
         let mut locals: Vec<Option<ProcSummary>> = (0..n).map(|_| None).collect();
         let mut dirty: Vec<ProcId> = Vec::new();
@@ -412,11 +431,21 @@ impl AnalysisSession {
             if let Some(p) = prev.as_mut() {
                 if let Some(&old_id) = p.by_hash.get(&fp) {
                     had_candidate = true;
-                    // A hash hit is only trusted after full structural
+                    // A reused procedure is its previous self: on a stable
+                    // assembly every symbol it names kept its number, else
+                    // its maps come from the procedure as it stands. Any
+                    // other hash hit is trusted only after full structural
                     // verification, which also yields the rebasing maps.
-                    if let Some(mut maps) =
+                    let maps = if reused[i] && old_id == id {
+                        if stable {
+                            Some(SymbolMaps::default())
+                        } else {
+                            procs_correspond(&program, id, &program, id)
+                        }
+                    } else {
                         procs_correspond(&p.analysis.program, old_id, &program, id)
-                    {
+                    };
+                    if let Some(mut maps) = maps {
                         // Identity maps on an identity program layout: move
                         // the cached summary; rebasing would copy it term by
                         // term only to reproduce it exactly.
@@ -424,7 +453,9 @@ impl AnalysisSession {
                             procs_identity && global_identity && identity_maps(&maps);
                         let local = if identity {
                             Some(std::mem::take(&mut p.local[old_id.as_usize()]))
-                        } else if maps.merge(&global_map) {
+                        } else if maps.merge(global_map.get_or_insert_with(|| {
+                            global_symbol_map(&p.analysis.program, &program)
+                        })) {
                             rebase_summary(&p.local[old_id.as_usize()], &maps, &proc_map)
                         } else {
                             None
@@ -837,6 +868,7 @@ impl AnalysisSession {
             .collect();
         self.state = Some(SessionState {
             analysis: Analysis { program, callgraph: cg, ipa, rows, degradations },
+            units,
             local: locals,
             by_hash,
             fps,
@@ -869,7 +901,10 @@ impl AnalysisSession {
 /// Publishes one update's delta to the observability layer. The cache
 /// counters obey the tested invariant
 /// `cache.hits + cache.recomputes == session.procedures` (rejects are a
-/// subset of recomputes: a hash hit whose verification or rebase failed).
+/// subset of recomputes: a hash hit whose verification or rebase failed),
+/// and the unit counters count every file of the update once:
+/// `units.reused + units.lowered == parse.files_reparsed +
+/// parse.files_cached`.
 fn record_update_obs(delta: &AnalysisDelta, rejects: u64, rebases: u64, procs: u64, rows: u64) {
     use support::obs::{self, Counter, Gauge};
     obs::add(Counter::CacheHits, delta.summary_cache_hits as u64);
@@ -878,6 +913,9 @@ fn record_update_obs(delta: &AnalysisDelta, rejects: u64, rebases: u64, procs: u
     obs::add(Counter::CacheRebases, rebases);
     obs::add(Counter::FilesReparsed, delta.files_reparsed as u64);
     obs::add(Counter::FilesCached, delta.files_cached as u64);
+    let reused = delta.units_reused.iter().filter(|&&r| r).count();
+    obs::add(Counter::UnitsReused, reused as u64);
+    obs::add(Counter::UnitsLowered, (delta.units_reused.len() - reused) as u64);
     obs::add(Counter::RowsReused, delta.rows_reused as u64);
     obs::add(Counter::RowsRecomputed, delta.rows_recomputed as u64);
     obs::add(Counter::DegradeEvents, delta.degradations.len() as u64);
@@ -901,20 +939,13 @@ fn file_key(s: &SourceFile) -> u64 {
 /// Old `ProcId` → new `ProcId`, matched by procedure name (names are unique
 /// per program — duplicates are degraded away during recovery).
 fn old_to_new_procs(old: &Program, new: &Program) -> BTreeMap<ProcId, ProcId> {
-    let mut map = BTreeMap::new();
-    for (old_id, proc) in old.procedures.iter_enumerated() {
-        if let Some(new_id) = new.find_procedure(old.name_of(proc.name)) {
-            map.insert(old_id, new_id);
-        }
-    }
-    map
-}
-
-/// Procedure name → `ProcId` for every procedure of `p`.
-fn procs_by_name(p: &Program) -> BTreeMap<String, ProcId> {
-    p.procedures
+    let index = new.proc_index();
+    old.procedures
         .iter_enumerated()
-        .map(|(id, proc)| (p.name_of(proc.name).to_string(), id))
+        .filter_map(|(old_id, proc)| {
+            let name = new.interner.get(old.name_of(proc.name))?;
+            Some((old_id, *index.get(&name)?))
+        })
         .collect()
 }
 

@@ -70,7 +70,7 @@ use super::{
 };
 use crate::driver::{Analysis, AnalysisOptions, Degradation};
 use crate::row::RgnRow;
-use frontend::{parse_source_with_recovery, SourceFile};
+use frontend::{parse_source_with_recovery, Assembly, SourceFile, UnitInput};
 use ipa::callgraph::CallGraph;
 use ipa::propagate::NO_SLICE;
 use ipa::ProcSummary;
@@ -702,18 +702,23 @@ impl AnalysisSession {
         // drift should be caught by the fingerprint first), start cold.
         let parsed: Vec<_> =
             manifest.sources.iter().map(parse_source_with_recovery).collect();
-        let (program, _diags) = match frontend::assemble_to_h_with_recovery(
-            &parsed,
-            self.opts.layout_base,
-        ) {
-            Ok(out) => out,
-            Err(e) => {
-                incidents.push(cache_incident(format!(
-                    "cached sources no longer assemble ({e}); starting cold"
-                )));
-                return false;
-            }
-        };
+        let keys: Vec<u64> = manifest.sources.iter().map(file_key).collect();
+        let inputs: Vec<UnitInput<'_>> = parsed
+            .iter()
+            .zip(&keys)
+            .map(|(parse, &key)| UnitInput { parse, key, cached: false })
+            .collect();
+        let Assembly { program, units, .. } =
+            match frontend::assemble_units(&inputs, None, self.opts.layout_base) {
+                Ok(out) => out,
+                Err(e) => {
+                    incidents.push(cache_incident(format!(
+                        "cached sources no longer assemble ({e}); starting cold"
+                    )));
+                    return false;
+                }
+            };
+        drop(inputs);
         let cg = CallGraph::build(&program);
         let n = cg.size();
         let fps: Vec<u64> = (0..n)
@@ -854,8 +859,8 @@ impl AnalysisSession {
             .map(|i| (fps[i], ProcId::from_usize(i)))
             .collect();
         // Prime the parse cache with the parses assembly borrowed: the next
-        // update reuses them for unchanged files.
-        let keys: Vec<u64> = manifest.sources.iter().map(file_key).collect();
+        // update reuses them, and the units lowered from them, for unchanged
+        // files.
         self.file_cache.extend(keys.iter().copied().zip(parsed));
         // Only a fully-validated state may satisfy the identical-input fast
         // path; a partial one must force the next update through the full
@@ -869,6 +874,7 @@ impl AnalysisSession {
                 rows,
                 degradations: manifest.degradations,
             },
+            units,
             local,
             by_hash,
             ipl_fail,

@@ -7,6 +7,7 @@ use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 use support::budget::BudgetConfig;
 use support::deadline::{self, DeadlineToken};
+use support::obs::{self, ClockKind, Collector, Counter};
 use support::persist::{ByteWriter, Persist};
 use support::testdir::TestDir;
 use workloads::GenSource;
@@ -171,6 +172,49 @@ fn warm_from_disk_matches_cold_after_edit() {
     let d2 = again.update(&edited).expect("second warm update");
     assert_eq!(d2.summary_cache_misses, 0, "{d2:?}");
     assert_eq!(again.analysis().expect("analysis").rows, oracle.rows);
+}
+
+/// `main` calls `a` and `b`. `a.f` declares the COMMON array `x` with
+/// `extent` elements; `b.f` names `x` through `common /g/ x` alone, so
+/// `b`'s IR takes its shape from another file.
+fn common_shape_sources(extent: u32) -> Vec<GenSource> {
+    vec![
+        GenSource::fortran("main.f", "program main\n  call a\n  call b\nend\n"),
+        GenSource::fortran(
+            "a.f",
+            format!("subroutine a\n  real x({extent})\n  common /g/ x\n  integer i\n  do i = 1, 5\n    x(i) = 1.0\n  end do\nend\n"),
+        ),
+        GenSource::fortran("b.f", "subroutine b\n  common /g/ x\n  x(2) = 3.0\nend\n"),
+    ]
+}
+
+#[test]
+fn a_reshaped_common_array_saves_fresh_fingerprints() {
+    // `b.f` is a parse-cache hit when `a.f` reshapes `x`, yet `b`'s
+    // fingerprint hashes `x`'s type: the saved manifest must carry the new
+    // fingerprint, or the next load finds `b`'s entry stale.
+    let _serial = serial();
+    let dir = TestDir::new("persist-reshape");
+    let mut s = AnalysisSession::with_cache_dir(AnalysisOptions::default(), dir.path());
+    s.update(common_shape_sources(10)).expect("first update");
+    assert!(s.persist(), "{:?}", s.cache_incidents());
+    let reshaped = common_shape_sources(20);
+    s.update(&reshaped).expect("reshaping update");
+    assert!(s.persist(), "{:?}", s.cache_incidents());
+    assert!(s.cache_incidents().is_empty(), "{:?}", s.cache_incidents());
+
+    let mut warm = AnalysisSession::with_cache_dir(AnalysisOptions::default(), dir.path());
+    let c = Collector::new(ClockKind::Logical);
+    {
+        let _g = obs::attach(c.clone());
+        assert!(warm.load());
+    }
+    assert!(warm.cache_incidents().is_empty(), "{:?}", warm.cache_incidents());
+    assert_eq!(c.counter(Counter::StorePrimed), 3, "every procedure primes");
+    assert_eq!(c.counter(Counter::StoreRejected), 0);
+    let delta = warm.update(&reshaped).expect("update after load");
+    assert_eq!(delta.summary_cache_misses, 0, "{delta:?}");
+    assert_equals_cold(warm.analysis().expect("analysis"), &cold(&reshaped));
 }
 
 #[test]

@@ -204,6 +204,41 @@ fn warm_cache_run_matches_cold_output() {
 }
 
 #[test]
+fn a_reshaped_common_array_leaves_no_stale_cache_entry() {
+    // `b.f` names `x` through `common /g/ x` alone, so `a.f` reshaping `x`
+    // changes `b`'s fingerprint while `b.f`'s text stays put. The second
+    // run must save that new fingerprint: the third run loads clean.
+    let dir = support::testdir::TestDir::new("dragon-cli-reshape");
+    let src = dir.join("src");
+    std::fs::create_dir_all(&src).unwrap();
+    let write = |name: &str, text: &str| std::fs::write(src.join(name), text).unwrap();
+    let a = |extent: u32| {
+        format!("subroutine a\n  real x({extent})\n  common /g/ x\n  integer i\n  do i = 1, 5\n    x(i) = 1.0\n  end do\nend\n")
+    };
+    write("main.f", "program main\n  call a\n  call b\nend\n");
+    write("a.f", &a(10));
+    write("b.f", "subroutine b\n  common /g/ x\n  x(2) = 3.0\nend\n");
+    let cache = dir.join("cache");
+    let out = dir.join("out");
+    let run = || {
+        let mut cmd = dragon();
+        cmd.arg("--strict").arg("--cache-dir").arg(&cache).arg("analyze");
+        for f in ["main.f", "a.f", "b.f"] {
+            cmd.arg(src.join(f));
+        }
+        cmd.arg("--out").arg(&out).output().unwrap()
+    };
+    let first = run();
+    assert_eq!(first.status.code(), Some(0), "{}", String::from_utf8_lossy(&first.stderr));
+    write("a.f", &a(20));
+    let reshaped = run();
+    assert_eq!(reshaped.status.code(), Some(0), "{}", String::from_utf8_lossy(&reshaped.stderr));
+    let again = run();
+    assert_eq!(again.status.code(), Some(0), "{}", String::from_utf8_lossy(&again.stderr));
+    assert!(again.stderr.is_empty(), "{}", String::from_utf8_lossy(&again.stderr));
+}
+
+#[test]
 fn no_cache_skips_the_cache_dir() {
     let src = write_temp("cache_skip.f", CACHE_SRC);
     let dir = support::testdir::TestDir::new("dragon-cli-nocache");

@@ -5,6 +5,7 @@
 #![allow(dead_code)] // each test binary uses its own subset
 
 use std::io::{BufRead, BufReader, Write};
+use std::os::unix::fs::FileTypeExt;
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -87,9 +88,13 @@ impl Daemon {
         }
         let child = cmd.spawn().expect("spawn dragon serve");
         let mut d = Daemon { child, socket };
+        // Ready once a socket sits at the path (not litter a test planted):
+        // the daemon binds it before serving, and connections queue in the
+        // backlog until the accept loop runs. A probing connection would
+        // hold a `--max-connections` slot until the daemon saw it close.
         let start = Instant::now();
         while start.elapsed() < Duration::from_secs(30) {
-            if UnixStream::connect(&d.socket).is_ok() {
+            if std::fs::metadata(&d.socket).is_ok_and(|m| m.file_type().is_socket()) {
                 return d;
             }
             if let Ok(Some(status)) = d.child.try_wait() {

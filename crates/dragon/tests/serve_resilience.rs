@@ -279,21 +279,14 @@ fn a_client_that_never_reads_is_dropped_after_the_write_timeout() {
             .is_ok_and(|r| r.get("ok").and_then(Value::as_bool) == Some(true))
     };
 
-    // The daemon's readiness probe may hold the slot for a moment, so the
-    // hog retries until one of its requests is served.
-    let admitted = || {
-        let s = UnixStream::connect(&d.socket).expect("connect");
-        s.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
-        let _ = (&s).write_all(format!("{}\n", plain_req(0, "health", "hog").render()).as_bytes());
-        let mut line = String::new();
-        let _ = BufReader::new(&s).read_line(&mut line);
-        if line.contains(r#""ok":true"#) {
-            return Some(s);
-        }
-        std::thread::sleep(Duration::from_millis(20));
-        None
-    };
-    let hog = (0..100).find_map(|_| admitted()).expect("the hog gets the slot");
+    let hog = UnixStream::connect(&d.socket).expect("connect");
+    hog.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
+    (&hog)
+        .write_all(format!("{}\n", plain_req(0, "health", "hog").render()).as_bytes())
+        .expect("the hog's request");
+    let mut line = String::new();
+    BufReader::new(&hog).read_line(&mut line).expect("the hog's response");
+    assert!(line.contains(r#""ok":true"#), "the hog gets the slot: {line}");
     let mut pipe = hog.try_clone().expect("clone");
     let pump = std::thread::spawn(move || {
         let line = format!("{}\n", plain_req(1, "metrics", "hog").render());

@@ -29,11 +29,13 @@ pub mod lex;
 pub mod lower;
 pub mod parse;
 pub mod sema;
+pub mod units;
 
 use ast::{Module, ProcDecl, Stmt};
 use std::borrow::{Borrow, Cow};
 use std::collections::BTreeSet;
 use support::{Error, Result};
+pub use units::{assemble_units, Assembly, UnitInput, UnitTable};
 use whirl::{Lang, Program};
 
 /// One input source file.
@@ -119,50 +121,20 @@ pub fn parse_source_with_recovery(s: &SourceFile) -> ParsedSource {
 /// an iterator of `&ParsedSource`) and never consumes a module: recovery
 /// copies only the modules it stubs a callee into or guts a unit of, so a
 /// caller that keeps its parses (the session's parse cache) pays no copy.
+/// This is [`assemble_units`] with nothing to reuse, stopped before VH→H
+/// lowering.
 pub fn assemble_with_recovery<I>(parsed: I) -> Result<(Program, Vec<Error>)>
 where
     I: IntoIterator,
     I::Item: Borrow<ParsedSource>,
 {
     let parsed: Vec<I::Item> = parsed.into_iter().collect();
-    let mut modules: Vec<Cow<'_, Module>> = Vec::with_capacity(parsed.len());
-    let mut langs = Vec::with_capacity(parsed.len());
-    let mut diags = Vec::new();
-    for p in parsed.iter().map(Borrow::borrow) {
-        diags.extend(p.diags.iter().cloned());
-        modules.push(Cow::Borrowed(&p.module));
-        langs.push(p.lang);
-    }
-    if modules.iter().all(|m| m.procs.is_empty()) {
-        // Nothing survived: degrading further would mean analyzing an empty
-        // program, which only hides the failure. Surface the first cause.
-        return Err(diags
-            .into_iter()
-            .next()
-            .unwrap_or_else(|| Error::semantic("no procedures found in any source file")));
-    }
-    let _span = support::obs::span("frontend.assemble");
-    stub_undefined_callees(&mut modules, &mut diags);
-    let env = {
-        let _sema = support::obs::span("frontend.sema");
-        loop {
-            match sema::analyze(&modules) {
-                Ok(env) => break env,
-                Err(e) => {
-                    if !degrade_offender(&mut modules, &e, &mut diags) {
-                        return Err(e);
-                    }
-                }
-            }
-        }
-    };
-    let _lower = support::obs::span("frontend.lower");
-    let program = lower::lower_modules(&modules, &env, &langs)?;
-    Ok((program, diags))
+    let assembly = units::lower_units(&cold_inputs(&parsed), None)?;
+    Ok((assembly.program, assembly.diags))
 }
 
 /// Like [`assemble_with_recovery`] but also lowers to H WHIRL and assigns
-/// the static data layout.
+/// the static data layout: [`assemble_units`] with nothing to reuse.
 pub fn assemble_to_h_with_recovery<I>(
     parsed: I,
     layout_base: u64,
@@ -171,10 +143,15 @@ where
     I: IntoIterator,
     I::Item: Borrow<ParsedSource>,
 {
-    let (mut program, diags) = assemble_with_recovery(parsed)?;
-    whirl::lower::lower_program(&mut program);
-    program.assign_layout(layout_base);
-    Ok((program, diags))
+    let parsed: Vec<I::Item> = parsed.into_iter().collect();
+    let assembly = assemble_units(&cold_inputs(&parsed), None, layout_base)?;
+    Ok((assembly.program, assembly.diags))
+}
+
+/// Inputs of a cold assembly: fresh parses, never matched to a previous
+/// unit.
+fn cold_inputs<P: Borrow<ParsedSource>>(parsed: &[P]) -> Vec<UnitInput<'_>> {
+    parsed.iter().map(|p| UnitInput { parse: p.borrow(), key: 0, cached: false }).collect()
 }
 
 /// Parses, checks, and lowers a set of source files into one VH-level
@@ -233,7 +210,7 @@ pub fn compile_to_h_with_recovery(
 /// defined) with empty stub definitions, so one unparseable unit doesn't
 /// take every caller down with it. Stubs have no formals and no effects —
 /// [`ipa`] propagation treats them as pure no-ops.
-fn stub_undefined_callees(modules: &mut [Cow<'_, Module>], diags: &mut Vec<Error>) {
+pub(crate) fn stub_undefined_callees(modules: &mut [Cow<'_, Module>], diags: &mut Vec<Error>) {
     // Defined procedures plus the stubs added so far, so a callee missing
     // from several modules is stubbed once.
     let mut defined: BTreeSet<String> = modules
@@ -298,7 +275,7 @@ fn quoted_name(msg: &str) -> Option<&str> {
 /// enclosing procedure to an empty shell (kept so callers still resolve).
 /// Returns `false` when the error cannot be attributed — the caller then
 /// fails hard rather than looping.
-fn degrade_offender(modules: &mut [Cow<'_, Module>], e: &Error, diags: &mut Vec<Error>) -> bool {
+pub(crate) fn degrade_offender(modules: &mut [Cow<'_, Module>], e: &Error, diags: &mut Vec<Error>) -> bool {
     let Some(pos) = e.pos() else { return false };
     let msg = e.to_string();
     let name = quoted_name(&msg).map(str::to_string);

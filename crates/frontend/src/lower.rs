@@ -13,7 +13,7 @@ use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use support::{Error, Result};
 use whirl::builder::TreeBuilder;
-use whirl::symtab::{DataType, DimBound, StClass, StIdx, TyIdx};
+use whirl::symtab::{DataType, DimBound, StClass, StIdx, TyKind};
 use whirl::{Lang, Level, Procedure, Program};
 
 /// Maps a source type name to the WHIRL scalar type.
@@ -43,32 +43,74 @@ pub fn lower_modules<M: Borrow<Module>>(
 ) -> Result<Program> {
     assert_eq!(modules.len(), langs.len(), "one language tag per module");
     let mut program = Program::new();
-
-    // Global symbols first (shared by every procedure).
-    let mut globals: BTreeMap<String, (StIdx, VarInfo)> = BTreeMap::new();
-    for (name, info) in &env.globals {
-        let st = add_symbol(&mut program, name, info, StClass::Global);
-        globals.insert(name.clone(), (st, info.clone()));
-    }
-
-    // Procedure symbols next so calls resolve in any order.
-    let mut proc_sts: BTreeMap<String, StIdx> = BTreeMap::new();
-    for m in modules.iter().map(Borrow::borrow) {
-        for p in &m.procs {
-            let ty = program.types.add(whirl::TyKind::Proc(DataType::Void));
-            let sym = program.interner.intern(&p.name);
-            let st = program.symbols.add(sym, ty, StClass::Proc);
-            proc_sts.insert(p.name.clone(), st);
-        }
-    }
-
-    for (m, &lang) in modules.iter().map(Borrow::borrow).zip(langs) {
-        for p in &m.procs {
-            let proc = lower_proc(&mut program, m, p, env, lang, &globals, &proc_sts)?;
-            program.add_procedure(proc);
-        }
+    let names = modules.iter().flat_map(|m| m.borrow().procs.iter().map(|p| p.name.as_str()));
+    let segment = lower_segment(&mut program, env, names);
+    for (m, &lang) in modules.iter().zip(langs) {
+        lower_unit(&mut program, m.borrow(), lang, env, &segment)?;
     }
     Ok(program)
+}
+
+/// The symbols of the global segment, as every unit's lowering resolves
+/// them.
+pub(crate) struct SegmentSymbols {
+    /// Merged globals: name → (symbol, shape).
+    globals: BTreeMap<String, (StIdx, VarInfo)>,
+    /// Procedure name → its symbol, so calls resolve in any order.
+    procs: BTreeMap<String, StIdx>,
+}
+
+/// Adds the global segment to an empty `program`: the merged globals in
+/// name order, then one symbol per procedure name in `proc_names` order.
+/// Every unit's entries follow it.
+pub(crate) fn lower_segment<'a>(
+    program: &mut Program,
+    env: &ProgramEnv,
+    proc_names: impl IntoIterator<Item = &'a str>,
+) -> SegmentSymbols {
+    let mut globals: BTreeMap<String, (StIdx, VarInfo)> = BTreeMap::new();
+    for (name, info) in &env.globals {
+        let st = add_symbol(program, name, info, StClass::Global);
+        globals.insert(name.clone(), (st, info.clone()));
+    }
+    let mut procs: BTreeMap<String, StIdx> = BTreeMap::new();
+    for name in proc_names {
+        let ty = program.types.add(TyKind::Proc(DataType::Void));
+        let sym = program.interner.intern(name);
+        let st = program.symbols.add(sym, ty, StClass::Proc);
+        procs.insert(name.to_string(), st);
+    }
+    SegmentSymbols { globals, procs }
+}
+
+/// Lowers one module's procedures to VH and adds them to `program`. Each
+/// procedure's own symbols, types and names are appended to the tables as
+/// it is lowered, so the module's entries form one contiguous run after
+/// those of the modules lowered before it. `env` must hold the module's
+/// procedure environments ([`crate::sema::check_module`]).
+pub(crate) fn lower_unit(
+    program: &mut Program,
+    m: &Module,
+    lang: Lang,
+    env: &ProgramEnv,
+    segment: &SegmentSymbols,
+) -> Result<()> {
+    for p in &m.procs {
+        let proc = lower_proc(program, m, p, env, lang, &segment.globals, &segment.procs)?;
+        program.add_procedure(proc);
+    }
+    Ok(())
+}
+
+/// The type-table entry a variable of shape `info` lowers to.
+pub(crate) fn var_type(info: &VarInfo) -> TyKind {
+    let elem = data_type(info.ty);
+    if info.dims.is_empty() {
+        TyKind::Scalar(elem)
+    } else {
+        let dims = info.dims.iter().map(|&d| dim_bound(d)).collect();
+        TyKind::Array { elem, dims, contiguous: true }
+    }
 }
 
 fn add_symbol(
@@ -77,14 +119,7 @@ fn add_symbol(
     info: &VarInfo,
     class: StClass,
 ) -> StIdx {
-    let dt = data_type(info.ty);
-    let ty: TyIdx = if info.dims.is_empty() {
-        program.types.scalar(dt)
-    } else {
-        program
-            .types
-            .array(dt, info.dims.iter().map(|&d| dim_bound(d)).collect())
-    };
+    let ty = program.types.add(var_type(info));
     let sym = program.interner.intern(name);
     program.symbols.add(sym, ty, class)
 }

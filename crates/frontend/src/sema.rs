@@ -92,16 +92,27 @@ pub fn implicit_type(name: &str) -> TypeName {
 /// Runs semantic analysis over all modules of a program. Takes owned or
 /// borrowed modules alike (`Module`, `&Module`, `Cow<Module>`).
 pub fn analyze<M: Borrow<Module>>(modules: &[M]) -> Result<ProgramEnv> {
+    let mut env = resolve_globals(modules)?;
+    for m in modules {
+        check_module(&mut env, m.borrow())?;
+    }
+    Ok(env)
+}
+
+/// The program-wide half of [`analyze`]: merges the globals of every
+/// module, patches COMMON placeholders from unit-level declarations, and
+/// collects the procedure names. The result holds no per-procedure
+/// environments yet; [`check_module`] adds them module by module.
+pub fn resolve_globals<M: Borrow<Module>>(modules: &[M]) -> Result<ProgramEnv> {
     let mut env = ProgramEnv::default();
 
     // Pass 1: merge globals. A placeholder from a COMMON statement (no dims)
     // is upgraded by any declaration with dims/type information.
     for m in modules.iter().map(Borrow::borrow) {
         for g in &m.globals {
-            let info = VarInfo { ty: g.ty, dims: g.dims.clone(), scope: VarScope::Global, coarray: g.coarray };
             match env.globals.get(&g.name) {
                 Some(existing) if existing.is_array() => {
-                    if info.is_array() && existing.dims != info.dims {
+                    if !g.dims.is_empty() && existing.dims != g.dims {
                         return Err(Error::semantic_at(
                             g.pos,
                             format!(
@@ -112,6 +123,12 @@ pub fn analyze<M: Borrow<Module>>(modules: &[M]) -> Result<ProgramEnv> {
                     }
                 }
                 _ => {
+                    let info = VarInfo {
+                        ty: g.ty,
+                        dims: g.dims.clone(),
+                        scope: VarScope::Global,
+                        coarray: g.coarray,
+                    };
                     env.globals.insert(g.name.clone(), info);
                 }
             }
@@ -151,16 +168,19 @@ pub fn analyze<M: Borrow<Module>>(modules: &[M]) -> Result<ProgramEnv> {
             }
         }
     }
-
-    // Pass 2: build per-procedure environments and check bodies.
-    for m in modules.iter().map(Borrow::borrow) {
-        for p in &m.procs {
-            let penv = build_proc_env(p, &env)?;
-            check_body(p, &penv, &env)?;
-            env.proc_envs.insert(p.name.clone(), penv);
-        }
-    }
     Ok(env)
+}
+
+/// The per-module half of [`analyze`]: builds the environment of each of
+/// `m`'s procedures and checks its body against `env`'s globals and
+/// procedure names. Its outcome depends on `m` and on those two alone.
+pub fn check_module(env: &mut ProgramEnv, m: &Module) -> Result<()> {
+    for p in &m.procs {
+        let penv = build_proc_env(p, env)?;
+        check_body(p, &penv, env)?;
+        env.proc_envs.insert(p.name.clone(), penv);
+    }
+    Ok(())
 }
 
 fn build_proc_env(p: &ProcDecl, env: &ProgramEnv) -> Result<ProcEnv> {

@@ -9,7 +9,9 @@
 //! bottom-up order for summary propagation, and per-node call-site
 //! iteration.
 
+use std::collections::HashMap;
 use support::idx::IndexVec;
+use support::intern::Symbol;
 use whirl::{Opr, ProcId, Program, StIdx, WnId};
 
 /// One call site inside a caller.
@@ -52,37 +54,33 @@ impl CallGraph {
     /// nodes. Calls to symbols with no matching procedure are ignored
     /// (external library calls).
     pub fn build(program: &Program) -> Self {
-        let _span = support::obs::span("ipa.callgraph");
-        let mut nodes: IndexVec<ProcId, CgNode> =
-            (0..program.procedure_count()).map(|_| CgNode::default()).collect();
+        Self::rebuild(program, None, &[])
+    }
 
-        for (caller, proc) in program.procedures.iter_enumerated() {
-            for wn in proc.tree.iter() {
-                let node = proc.tree.node(wn);
-                if node.operator != Opr::Call {
-                    continue;
-                }
-                let Some(callee_st) = node.st_idx else { continue };
-                let callee_name = program.symbols.get(callee_st).name;
-                let Some(callee) = program.proc_by_symbol(callee_name) else {
-                    continue;
+    /// Like [`build`](Self::build), but a procedure `keep` marks takes its
+    /// call sites from `prev` instead of a scan of its tree. That is exact
+    /// when it is the procedure with the same `ProcId` in the program `prev`
+    /// was built for, and every procedure kept its `ProcId`.
+    pub fn rebuild(program: &Program, prev: Option<&CallGraph>, keep: &[bool]) -> Self {
+        use support::idx::Idx;
+        let _span = support::obs::span("ipa.callgraph");
+        let by_name = program.proc_index();
+        let mut nodes: IndexVec<ProcId, CgNode> = program
+            .procedures
+            .iter_enumerated()
+            .map(|(caller, proc)| {
+                let calls = match prev {
+                    Some(prev) if keep.get(caller.as_usize()) == Some(&true) => {
+                        prev.nodes[caller].calls.clone()
+                    }
+                    _ => scan_calls(program, caller, proc, &by_name),
                 };
-                let array_actuals = node
-                    .kids
-                    .iter()
-                    .map(|&parm| {
-                        let v = proc.tree.node(parm).kids.first().copied()?;
-                        let vn = proc.tree.node(v);
-                        (vn.operator == Opr::Lda).then_some(vn.st_idx).flatten()
-                    })
-                    .collect();
-                nodes[caller].calls.push(CallSite {
-                    caller,
-                    callee,
-                    wn,
-                    line: node.linenum,
-                    array_actuals,
-                });
+                CgNode { calls, callers: Vec::new() }
+            })
+            .collect();
+        for caller in (0..nodes.len()).map(ProcId::from_usize) {
+            for k in 0..nodes[caller].calls.len() {
+                let callee = nodes[caller].calls[k].callee;
                 if !nodes[callee].callers.contains(&caller) {
                     nodes[callee].callers.push(caller);
                 }
@@ -281,6 +279,38 @@ impl CallGraph {
         out.push_str("}\n");
         out
     }
+}
+
+/// The call sites in `proc`'s tree, in tree order. `by_name` resolves a
+/// callee symbol's name to its procedure.
+fn scan_calls(
+    program: &Program,
+    caller: ProcId,
+    proc: &whirl::Procedure,
+    by_name: &HashMap<Symbol, ProcId>,
+) -> Vec<CallSite> {
+    let mut calls = Vec::new();
+    for wn in proc.tree.iter() {
+        let node = proc.tree.node(wn);
+        if node.operator != Opr::Call {
+            continue;
+        }
+        let Some(callee_st) = node.st_idx else { continue };
+        let Some(&callee) = by_name.get(&program.symbols.get(callee_st).name) else {
+            continue;
+        };
+        let array_actuals = node
+            .kids
+            .iter()
+            .map(|&parm| {
+                let v = proc.tree.node(parm).kids.first().copied()?;
+                let vn = proc.tree.node(v);
+                (vn.operator == Opr::Lda).then_some(vn.st_idx).flatten()
+            })
+            .collect();
+        calls.push(CallSite { caller, callee, wn, line: node.linenum, array_actuals });
+    }
+    calls
 }
 
 /// Dragon's display name for a procedure: entry points show as `MAIN__`

@@ -45,6 +45,14 @@ pub struct Interner {
     strings: Vec<Box<str>>,
 }
 
+/// Two interners are equal when they hold the same strings in the same
+/// order, so every symbol resolves alike in both.
+impl PartialEq for Interner {
+    fn eq(&self, other: &Self) -> bool {
+        self.strings == other.strings
+    }
+}
+
 impl Interner {
     /// Creates an empty interner.
     pub fn new() -> Self {
@@ -88,6 +96,14 @@ impl Interner {
     /// True when nothing has been interned yet.
     pub fn is_empty(&self) -> bool {
         self.strings.is_empty()
+    }
+
+    /// The strings interned at positions `range`, in interning order.
+    ///
+    /// # Panics
+    /// Panics if `range` reaches past [`len`](Self::len).
+    pub fn strings(&self, range: std::ops::Range<usize>) -> impl Iterator<Item = &str> {
+        self.strings[range].iter().map(|s| s.as_ref())
     }
 
     /// Iterates over `(symbol, string)` pairs in interning order.

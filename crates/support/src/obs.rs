@@ -102,6 +102,12 @@ catalog! {
         FilesReparsed => "parse.files_reparsed",
         /// Source files served from the parse cache.
         FilesCached => "parse.files_cached",
+        /// Source files whose lowered unit an update moved over from the
+        /// previous program. Each update counts every file once:
+        /// `units.reused + units.lowered` equals its files.
+        UnitsReused => "units.reused",
+        /// Source files an update lowered afresh (sema, AST→VH, VH→H).
+        UnitsLowered => "units.lowered",
         /// `.rgn` rows carried over verbatim from the previous update: the
         /// rows of reused procedures, and of a re-propagated caller its
         /// local rows and the rows of its kept call-site slices.

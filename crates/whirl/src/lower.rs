@@ -38,13 +38,12 @@ pub fn lower_procedure(
     proc.level = Level::High;
 }
 
-/// Lowers every procedure of a program.
+/// Lowers every procedure of a program still at [`Level::VeryHigh`].
 pub fn lower_program(program: &mut Program) {
-    // Split borrows: the tables are read-only during lowering.
-    let symbols = program.symbols.clone();
-    let types = program.types.clone();
-    for proc in program.procedures.iter_mut() {
-        lower_procedure(proc, &symbols, &types);
+    let _span = support::obs::span("whirl.lower");
+    let Program { symbols, types, procedures, .. } = program;
+    for proc in procedures.iter_mut() {
+        lower_procedure(proc, symbols, types);
     }
 }
 

@@ -184,7 +184,7 @@ impl WhirlNode {
 
 /// A WHIRL tree for one procedure: an arena of nodes plus the `FuncEntry`
 /// root.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct WhirlTree {
     nodes: IndexVec<WnId, WhirlNode>,
     root: Option<WnId>,

@@ -7,6 +7,7 @@
 
 use crate::node::WhirlTree;
 use crate::symtab::{StIdx, SymbolTable, TypeTable};
+use std::collections::HashMap;
 use support::define_idx;
 use support::idx::IndexVec;
 use support::intern::Symbol;
@@ -42,7 +43,7 @@ pub enum Level {
 }
 
 /// One procedure: its tree plus metadata.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Procedure {
     /// Procedure name.
     pub name: Symbol,
@@ -75,7 +76,7 @@ impl Procedure {
 }
 
 /// A whole program after front-end processing.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq)]
 pub struct Program {
     /// Identifier interner shared by every table.
     pub interner: Interner,
@@ -135,9 +136,20 @@ impl Program {
             .map(|(id, _)| id)
     }
 
+    /// Every procedure by its name symbol, built in one pass for callers
+    /// that resolve many names; agrees with [`proc_by_symbol`](Self::proc_by_symbol).
+    pub fn proc_index(&self) -> HashMap<Symbol, ProcId> {
+        let mut index = HashMap::with_capacity(self.procedures.len());
+        for (id, p) in self.procedures.iter_enumerated() {
+            index.entry(p.name).or_insert(id);
+        }
+        index
+    }
+
     /// Assigns static memory addresses to every array symbol (the Dragon
     /// `Mem_Loc` column). Returns the first free address.
     pub fn assign_layout(&mut self, base: u64) -> u64 {
+        let _span = support::obs::span("whirl.layout");
         self.symbols.assign_layout(&self.types, base)
     }
 }

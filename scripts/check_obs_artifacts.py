@@ -17,7 +17,10 @@ Checks, stdlib only (CI runners install nothing):
      or carries every procedure once);
   6. the row-accounting invariant holds: rows.reused + rows.recomputed
      == session.rows (each row of an update moved over or was extracted);
-  7. counter lines cover the full catalog exactly once (zeros included).
+  7. the unit-accounting invariant holds: units.reused + units.lowered
+     == parse.files_reparsed + parse.files_cached (each update counts every
+     source file once, its lowered unit reused or lowered afresh);
+  8. counter lines cover the full catalog exactly once (zeros included).
 
 Exit 0 on success; prints the first failure and exits 1 otherwise.
 """
@@ -139,6 +142,10 @@ def check_metrics(path: Path, schemas: Path) -> None:
         "store.carried",
         "rows.reused",
         "rows.recomputed",
+        "units.reused",
+        "units.lowered",
+        "parse.files_reparsed",
+        "parse.files_cached",
     ):
         if needed not in counters:
             fail(f"{path}: counter `{needed}` missing from the catalog dump")
@@ -166,6 +173,13 @@ def check_metrics(path: Path, schemas: Path) -> None:
         fail(
             f"{path}: row accounting broken: reused {counters['rows.reused']} + "
             f"recomputed {counters['rows.recomputed']} != rows {rows}"
+        )
+    units = counters["units.reused"] + counters["units.lowered"]
+    files = counters["parse.files_reparsed"] + counters["parse.files_cached"]
+    if units != files:
+        fail(
+            f"{path}: unit accounting broken: reused {counters['units.reused']} + "
+            f"lowered {counters['units.lowered']} != files {files}"
         )
     print(
         f"{path.name}: {len(counters)} counters, invariant "

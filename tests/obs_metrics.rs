@@ -13,7 +13,10 @@
 //! - a warm-from-disk run profiles every procedure as primed, none as
 //!   recomputed;
 //! - every save counts each procedure once, encoded or carried:
-//!   `store.encoded + store.carried == session.procedures`.
+//!   `store.encoded + store.carried == session.procedures`;
+//! - every update counts each source file's unit once, reused or lowered:
+//!   `units.reused + units.lowered == parse.files_reparsed +
+//!   parse.files_cached`, the same at one and at eight threads.
 
 use araa::{Analysis, AnalysisOptions, AnalysisSession, SessionStore};
 use support::budget::BudgetConfig;
@@ -206,6 +209,38 @@ fn saves_count_every_procedure_encoded_or_carried() {
         delta.propagation_recomputed
     );
     assert!(carried > 0);
+}
+
+#[test]
+fn updates_count_every_unit_reused_or_lowered() {
+    // Cold, one-file edit, unchanged: each update counts every file's unit
+    // once, and the counts do not depend on the worker count.
+    let run = |threads: usize| {
+        let mut sources = workloads::mini_lu::sources();
+        let files = sources.len() as u64;
+        let mut session = AnalysisSession::new(AnalysisOptions::builder().threads(threads).build());
+        let mut counts = Vec::new();
+        for step in 0..3 {
+            if step == 1 {
+                edit_rhs(&mut sources);
+            }
+            let c = Collector::new(ClockKind::Logical);
+            {
+                let _g = obs::attach(c.clone());
+                session.update(sources.clone()).expect("update");
+            }
+            let (reused, lowered) = (c.counter(Counter::UnitsReused), c.counter(Counter::UnitsLowered));
+            let parsed = c.counter(Counter::FilesReparsed) + c.counter(Counter::FilesCached);
+            assert_eq!(reused + lowered, parsed, "step {step}: every unit counted once");
+            assert_eq!(parsed, files, "step {step}");
+            counts.push((reused, lowered));
+        }
+        counts
+    };
+    let serial = run(1);
+    let files = workloads::mini_lu::sources().len() as u64;
+    assert_eq!(serial, [(0, files), (files - 1, 1), (files, 0)], "cold, one edit, unchanged");
+    assert_eq!(serial, run(8), "unit counters must not depend on thread count");
 }
 
 #[test]

@@ -2,17 +2,23 @@
 //! through a seeded edit script over a generated multi-file program must,
 //! after every step, equal a cold [`Analysis::analyze`] of the same
 //! sources in rows, `.rgn`/`.dgn`/`.cfg`, degradations and lint findings,
-//! at one and at four worker threads.
+//! and hold a `Program` equal to a cold assembly, at one, four and eight
+//! worker threads.
 //!
 //! The programs are shaped to stress call-site reuse: `main` and a
 //! mid-level caller `mid` call the workers one to three times each, so
 //! one callee's records reach a caller through several call sites and
 //! through two levels; the workers share a COMMON block; one worker takes
-//! a formal array and a constant scalar, so translation substitutes. The
-//! script edits a worker's loop bound, edits a worker called at two sites
-//! of one caller, adds or removes a call, adds a global, reorders the
-//! files, renames a worker, and persists the session and reloads it into
-//! a fresh one.
+//! a formal array and a constant scalar, so translation substitutes; one
+//! worker alone declares the COMMON array `r`, which the others name
+//! through `common` only. The script edits a worker's loop bound, edits a
+//! worker called at two sites of one caller, adds or removes a call, adds
+//! a global, reorders the files, renames a worker, splits a file in two,
+//! merges two files, deletes a worker with its calls, adds a local (which
+//! renumbers every later file), reshapes `r`, and persists the session and
+//! reloads it into a fresh one, with one entry file flipped or deleted
+//! in between or none. Every save encodes or carries each procedure once
+//! and leaves a directory that verifies clean.
 //!
 //! The case count defaults to a few seconds' worth; set `PROPTEST_CASES`
 //! to run more.
@@ -20,7 +26,9 @@
 use araa::{Analysis, AnalysisOptions, AnalysisSession};
 use lint::LintOptions;
 use proptest::prelude::*;
+use support::obs::{self, ClockKind, Collector, Counter};
 use support::testdir::TestDir;
+use whirl::Program;
 use workloads::GenSource;
 
 /// SplitMix64: every choice of one case derives from its seed.
@@ -59,6 +67,10 @@ struct Worker {
     writes_a: bool,
     /// Extra COMMON arrays this worker declares and writes, by number.
     globals: Vec<usize>,
+    /// Local arrays this worker declares and writes, by number.
+    locals: Vec<usize>,
+    /// False once the worker and its calls are deleted.
+    live: bool,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -68,15 +80,27 @@ enum Call {
     Worker(usize, bool, i64),
 }
 
+/// A program unit of the model: `main`, `mid`, or a worker by index.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Unit {
+    Main,
+    Mid,
+    Worker(usize),
+}
+
 #[derive(Debug, Clone)]
 struct Model {
     workers: Vec<Worker>,
     main_calls: Vec<Call>,
     mid_calls: Vec<Call>,
-    /// File order, as indices into `files()` before reordering: 0 is
-    /// `main.f`, 1 is `mid.f`, `2 + w` is worker `w`'s file.
-    order: Vec<usize>,
+    /// The source files in order: a name and the units it holds.
+    files: Vec<(String, Vec<Unit>)>,
     next_global: usize,
+    next_local: usize,
+    /// Worker `r_owner` alone declares the COMMON array `r(r_extent)`;
+    /// every other worker names it through `common /rsh/ r` and reads it.
+    r_owner: usize,
+    r_extent: i64,
 }
 
 const SHARED: &str = "  real a(100)\n  real b(100)\n  common /shr/ a, b\n";
@@ -93,6 +117,8 @@ impl Model {
                 formal: w == formal,
                 writes_a: rng.below(2) == 0,
                 globals: Vec::new(),
+                locals: Vec::new(),
+                live: true,
             })
             .collect();
         let mut main_calls = vec![Call::Mid];
@@ -115,7 +141,36 @@ impl Model {
         }
         rng.shuffle(&mut main_calls);
         rng.shuffle(&mut mid_calls);
-        Model { workers, main_calls, mid_calls, order: (0..n + 2).collect(), next_global: 0 }
+        // One file per unit, except that the last two workers share one,
+        // so there is a file to split from the start.
+        let mut files = vec![
+            ("main.f".to_string(), vec![Unit::Main]),
+            ("mid.f".to_string(), vec![Unit::Mid]),
+        ];
+        for w in 0..n - 1 {
+            files.push((format!("w{w}.f"), vec![Unit::Worker(w)]));
+        }
+        files[n].1.push(Unit::Worker(n - 1));
+        Model {
+            workers,
+            main_calls,
+            mid_calls,
+            files,
+            next_global: 0,
+            next_local: 0,
+            r_owner: rng.below(n),
+            r_extent: 40,
+        }
+    }
+
+    /// Indices of the workers not deleted.
+    fn live(&self) -> Vec<usize> {
+        (0..self.workers.len()).filter(|&w| self.workers[w].live).collect()
+    }
+
+    fn pick_live(&self, rng: &mut Rng) -> usize {
+        let live = self.live();
+        live[rng.below(live.len())]
     }
 
     fn render_calls(&self, calls: &[Call]) -> String {
@@ -137,7 +192,8 @@ impl Model {
         s
     }
 
-    fn render_worker(&self, w: &Worker) -> String {
+    fn render_worker(&self, wi: usize) -> String {
+        let w = &self.workers[wi];
         let (dst, src) = if w.writes_a { ("a", "b") } else { ("b", "a") };
         let mut s = String::new();
         if w.formal {
@@ -148,6 +204,13 @@ impl Model {
         s.push_str(SHARED);
         for g in &w.globals {
             s.push_str(&format!("  real e{g}(50)\n  common /ext{g}/ e{g}\n"));
+        }
+        if wi == self.r_owner {
+            s.push_str(&format!("  real r({})\n", self.r_extent));
+        }
+        s.push_str("  common /rsh/ r\n");
+        for l in &w.locals {
+            s.push_str(&format!("  real t{l}(10)\n"));
         }
         s.push_str("  integer i\n");
         if w.formal {
@@ -161,24 +224,39 @@ impl Model {
         for g in &w.globals {
             s.push_str(&format!("  e{g}(1) = {dst}(1)\n"));
         }
+        if wi == self.r_owner {
+            s.push_str(&format!("  r(1) = {src}(1)\n"));
+        } else {
+            s.push_str(&format!("  {dst}(2) = r(2)\n"));
+        }
+        for l in &w.locals {
+            s.push_str(&format!("  t{l}(1) = {src}(1)\n"));
+        }
         s.push_str("end\n");
         s
     }
 
-    fn sources(&self) -> Vec<GenSource> {
-        let main = format!(
-            "program main\n{SHARED}  integer i\n  do i = 1, 5\n    a(i) = 0.0\n  end do\n{}end\n",
-            self.render_calls(&self.main_calls)
-        );
-        let mid = format!(
-            "subroutine mid\n{SHARED}  b(1) = 1.0\n{}end\n",
-            self.render_calls(&self.mid_calls)
-        );
-        let mut files = vec![GenSource::fortran("main.f", main), GenSource::fortran("mid.f", mid)];
-        for (w, wk) in self.workers.iter().enumerate() {
-            files.push(GenSource::fortran(format!("w{w}.f"), self.render_worker(wk)));
+    fn render(&self, unit: Unit) -> String {
+        match unit {
+            Unit::Main => format!(
+                "program main\n{SHARED}  integer i\n  do i = 1, 5\n    a(i) = 0.0\n  end do\n{}end\n",
+                self.render_calls(&self.main_calls)
+            ),
+            Unit::Mid => format!(
+                "subroutine mid\n{SHARED}  b(1) = 1.0\n{}end\n",
+                self.render_calls(&self.mid_calls)
+            ),
+            Unit::Worker(w) => self.render_worker(w),
         }
-        self.order.iter().map(|&i| files[i].clone()).collect()
+    }
+
+    fn sources(&self) -> Vec<GenSource> {
+        self.files
+            .iter()
+            .map(|(name, units)| {
+                GenSource::fortran(name.clone(), units.iter().map(|&u| self.render(u)).collect::<String>())
+            })
+            .collect()
     }
 
     /// Toggles worker `w`'s loop bound (the formal worker's lower bound).
@@ -201,6 +279,19 @@ impl Model {
             })
             .expect("the generator calls one worker twice from one caller")
     }
+
+    /// Merges two files into the first of them; returns a label.
+    fn merge(&mut self, rng: &mut Rng) -> String {
+        let i = rng.below(self.files.len());
+        let mut j = rng.below(self.files.len() - 1);
+        if j >= i {
+            j += 1;
+        }
+        let (gone, units) = self.files.remove(j);
+        let into = if j < i { i - 1 } else { i };
+        self.files[into].1.extend(units);
+        format!("{gone} merged into {}", self.files[into].0)
+    }
 }
 
 fn is_worker(c: &Call, w: usize) -> bool {
@@ -215,6 +306,11 @@ enum Step {
     AddGlobal,
     Reorder,
     Rename,
+    Split,
+    Merge,
+    Delete,
+    AddLocal,
+    Reshape,
     PersistAndLoad,
 }
 
@@ -222,7 +318,7 @@ enum Step {
 fn apply(step: Step, m: &mut Model, rng: &mut Rng, round: usize) -> String {
     match step {
         Step::Bound => {
-            let w = rng.below(m.workers.len());
+            let w = m.pick_live(rng);
             m.edit_bound(w);
             format!("bound edit of {}", m.workers[w].name)
         }
@@ -233,7 +329,7 @@ fn apply(step: Step, m: &mut Model, rng: &mut Rng, round: usize) -> String {
         }
         Step::AddOrRemoveCall => {
             let in_mid = rng.below(2) == 0;
-            let nw = m.workers.len();
+            let w = m.pick_live(rng);
             let calls = if in_mid { &mut m.mid_calls } else { &mut m.main_calls };
             // Never remove the last call of the twice-called worker's pair.
             let removable: Vec<usize> = (0..calls.len())
@@ -248,27 +344,65 @@ fn apply(step: Step, m: &mut Model, rng: &mut Rng, round: usize) -> String {
                 format!("call removed from {}", if in_mid { "mid" } else { "main" })
             } else {
                 let at = rng.below(calls.len() + 1);
-                let (w, on_a) = (rng.below(nw), rng.below(2) == 0);
-                let call = Call::Worker(w, on_a, 10 + rng.below(80) as i64);
+                let call = Call::Worker(w, rng.below(2) == 0, 10 + rng.below(80) as i64);
                 calls.insert(at, call);
                 format!("call added to {}", if in_mid { "mid" } else { "main" })
             }
         }
         Step::AddGlobal => {
-            let w = rng.below(m.workers.len());
+            let w = m.pick_live(rng);
             let g = m.next_global;
             m.next_global += 1;
             m.workers[w].globals.push(g);
             format!("global e{g} added to {}", m.workers[w].name)
         }
         Step::Reorder => {
-            rng.shuffle(&mut m.order);
+            rng.shuffle(&mut m.files);
             "file reorder".to_string()
         }
         Step::Rename => {
-            let w = rng.below(m.workers.len());
+            let w = m.pick_live(rng);
             m.workers[w].name = format!("w{w}r{round}");
             format!("rename to {}", m.workers[w].name)
+        }
+        Step::Split => {
+            let multi: Vec<usize> = (0..m.files.len()).filter(|&f| m.files[f].1.len() > 1).collect();
+            if multi.is_empty() {
+                return format!("{} (nothing to split)", m.merge(rng));
+            }
+            let f = multi[rng.below(multi.len())];
+            let at = 1 + rng.below(m.files[f].1.len() - 1);
+            let moved = m.files[f].1.split_off(at);
+            let name = format!("s{round}.f");
+            m.files.insert(f + 1, (name.clone(), moved));
+            format!("{} split, tail into {name}", m.files[f].0)
+        }
+        Step::Merge => m.merge(rng),
+        Step::Delete => {
+            // Keep the twice-called worker (the step above needs it) and
+            // the one declaring `r` (the others read it).
+            let keep = [m.twice_called(), m.r_owner];
+            let candidates: Vec<usize> = m.live().into_iter().filter(|w| !keep.contains(w)).collect();
+            let w = candidates[rng.below(candidates.len())];
+            m.workers[w].live = false;
+            m.main_calls.retain(|c| !is_worker(c, w));
+            m.mid_calls.retain(|c| !is_worker(c, w));
+            for (_, units) in &mut m.files {
+                units.retain(|&u| u != Unit::Worker(w));
+            }
+            m.files.retain(|(_, units)| !units.is_empty());
+            format!("{} deleted with its calls", m.workers[w].name)
+        }
+        Step::AddLocal => {
+            let w = m.pick_live(rng);
+            let l = m.next_local;
+            m.next_local += 1;
+            m.workers[w].locals.push(l);
+            format!("local t{l} added to {}", m.workers[w].name)
+        }
+        Step::Reshape => {
+            m.r_extent = if m.r_extent == 40 { 60 } else { 40 };
+            format!("r reshaped to {} by {}", m.r_extent, m.workers[m.r_owner].name)
         }
         Step::PersistAndLoad => "persist and load".to_string(),
     }
@@ -278,7 +412,8 @@ fn opts(threads: usize) -> AnalysisOptions {
     AnalysisOptions::builder().threads(threads).build()
 }
 
-/// Asserts the session's analysis equals a cold run in every artifact.
+/// Asserts the session's analysis equals a cold run in every artifact, and
+/// its program equals a cold assembly of the same sources.
 fn assert_matches_cold(session: &AnalysisSession, sources: &[GenSource], threads: usize, at: &str) {
     let cold = Analysis::analyze(sources, opts(threads)).expect("cold run");
     assert!(cold.degradations.is_empty(), "{at}: program degrades: {:?}", cold.degradations);
@@ -294,6 +429,117 @@ fn assert_matches_cold(session: &AnalysisSession, sources: &[GenSource], threads
         lint::run(&cold, &lint_opts).findings,
         "{at}: lint findings diverge"
     );
+    assert_program_matches_cold(&warm.program, sources, at);
+}
+
+/// Asserts `program` equals a cold assembly of `sources`, table by table.
+fn assert_program_matches_cold(program: &Program, sources: &[GenSource], at: &str) {
+    let parsed: Vec<_> = sources
+        .iter()
+        .map(|s| frontend::parse_source_with_recovery(&s.into()))
+        .collect();
+    let (cold, _) = frontend::assemble_to_h_with_recovery(&parsed, opts(1).layout_base)
+        .expect("cold assembly");
+    assert!(program.interner == cold.interner, "{at}: interners diverge");
+    assert!(program.symbols == cold.symbols, "{at}: symbol tables diverge");
+    assert!(program.types == cold.types, "{at}: type tables diverge");
+    assert_eq!(program.procedure_count(), cold.procedure_count(), "{at}: procedure counts");
+    for (id, p) in cold.procedures.iter_enumerated() {
+        assert!(
+            program.procedure(id) == p,
+            "{at}: procedure `{}` diverges",
+            cold.name_of(p.name)
+        );
+    }
+}
+
+/// Saves the session and checks the save: every procedure encoded or
+/// carried once, and a directory that verifies clean with no orphans.
+fn persist_checked(s: &mut AnalysisSession, at: &str) {
+    let c = Collector::new(ClockKind::Logical);
+    {
+        let _g = obs::attach(c.clone());
+        assert!(s.persist(), "{at}: persist failed: {:?}", s.cache_incidents());
+    }
+    let procs = s.analysis().expect("analysis").program.procedure_count() as u64;
+    let saved = c.counter(Counter::StoreEncoded) + c.counter(Counter::StoreCarried);
+    assert_eq!(saved, procs, "{at}: a save encodes or carries each procedure once");
+    let report = s.store().expect("store").verify().expect("verify");
+    assert!(report.clean(), "{at}: {:?}", report.problems);
+    assert_eq!(report.orphans, 0, "{at}: orphan entries after a save");
+}
+
+/// Entry files of a cache directory, by name.
+fn entry_files(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
+    let mut out: Vec<_> = std::fs::read_dir(dir)
+        .expect("cache dir")
+        .flatten()
+        .map(|e| e.path())
+        .filter(|p| {
+            let n = p.file_name().and_then(|n| n.to_str()).unwrap_or_default();
+            n.len() == 22 && n.starts_with('e') && n.ends_with(".araa")
+        })
+        .collect();
+    out.sort();
+    out
+}
+
+/// What happens to the cache between a persist and the reload.
+#[derive(Debug, Clone, Copy)]
+enum Damage {
+    None,
+    /// One byte of the `n`th entry file (mod their count) flipped.
+    Flip(usize),
+    /// The `n`th entry file deleted.
+    Delete(usize),
+}
+
+/// Persists `s`, applies `damage` to its cache, and replaces `s` with a
+/// fresh session loaded from it. The load reports no incident, or exactly
+/// one naming the damaged entry's procedure, which the next update alone
+/// recomputes (`sources` is what the session was last updated with).
+fn persist_and_reload(
+    s: &mut AnalysisSession,
+    dir: &TestDir,
+    threads: usize,
+    damage: Damage,
+    sources: &[GenSource],
+    at: &str,
+) {
+    persist_checked(s, at);
+    let entries = entry_files(dir.path());
+    match damage {
+        Damage::None => {}
+        Damage::Flip(n) => {
+            let path = &entries[n % entries.len()];
+            let mut bytes = std::fs::read(path).expect("entry");
+            let mid = bytes.len() / 2;
+            bytes[mid] ^= 0x20;
+            std::fs::write(path, bytes).expect("entry");
+        }
+        Damage::Delete(n) => std::fs::remove_file(&entries[n % entries.len()]).expect("entry"),
+    }
+    let mut fresh = AnalysisSession::with_cache_dir(opts(threads), dir.path());
+    assert!(fresh.load(), "{at}: load failed: {:?}", fresh.cache_incidents());
+    let incidents = fresh.cache_incidents().to_vec();
+    let delta = fresh.update(sources).unwrap_or_else(|e| panic!("{at}: update failed: {e}"));
+    if let Damage::None = damage {
+        assert!(incidents.is_empty(), "{at}: {incidents:?}");
+        assert!(delta.summaries_recomputed.is_empty(), "{at}: {delta:?}");
+    } else {
+        let word = if let Damage::Flip(_) = damage { "rejected" } else { "missing" };
+        assert_eq!(incidents.len(), 1, "{at}: one damaged entry, one incident: {incidents:?}");
+        let proc = incidents[0]
+            .detail
+            .strip_prefix("cache entry for `")
+            .and_then(|rest| rest.split_once('`'))
+            .filter(|(_, rest)| rest.contains(word))
+            .map(|(proc, _)| proc.to_string())
+            .unwrap_or_else(|| panic!("{at}: not an entry incident: {incidents:?}"));
+        assert_eq!(delta.summaries_recomputed, vec![proc], "{at}: {delta:?}");
+    }
+    assert_matches_cold(&fresh, sources, threads, at);
+    *s = fresh;
 }
 
 fn run_script(seed: u64) {
@@ -306,16 +552,22 @@ fn run_script(seed: u64) {
         Step::AddGlobal,
         Step::Reorder,
         Step::Rename,
+        Step::Split,
+        Step::Merge,
+        Step::Delete,
+        Step::AddLocal,
+        Step::Reshape,
         Step::PersistAndLoad,
     ];
     rng.shuffle(&mut steps);
-    let dirs = [TestDir::new("edit-oracle-t1"), TestDir::new("edit-oracle-t4")];
-    let mut sessions: Vec<(usize, AnalysisSession)> = [1, 4]
+    const THREADS: [usize; 3] = [1, 4, 8];
+    let dirs = THREADS.map(|t| TestDir::new(&format!("edit-oracle-t{t}")));
+    let mut sessions: Vec<(usize, AnalysisSession)> = THREADS
         .iter()
         .zip(&dirs)
         .map(|(&t, d)| (t, AnalysisSession::with_cache_dir(opts(t), d.path())))
         .collect();
-    let sources = model.sources();
+    let mut sources = model.sources();
     for (t, s) in &mut sessions {
         s.update(&sources).expect("cold update");
         assert_matches_cold(s, &sources, *t, "cold start");
@@ -324,19 +576,28 @@ fn run_script(seed: u64) {
     // so the step after a reload is always an edit.
     for (round, step) in steps.into_iter().chain([Step::Bound]).enumerate() {
         let label = apply(step, &mut model, &mut rng, round);
+        let damage = match rng.below(3) {
+            0 => Damage::None,
+            1 => Damage::Flip(rng.below(64)),
+            _ => Damage::Delete(rng.below(64)),
+        };
         let at = format!("seed {seed}, step {round} ({label})");
-        let sources = model.sources();
         for ((t, s), dir) in sessions.iter_mut().zip(&dirs) {
             if let Step::PersistAndLoad = step {
-                assert!(s.persist(), "{at}: persist failed: {:?}", s.cache_incidents());
-                let mut fresh = AnalysisSession::with_cache_dir(opts(*t), dir.path());
-                assert!(fresh.load(), "{at}: load failed: {:?}", fresh.cache_incidents());
-                assert!(fresh.cache_incidents().is_empty(), "{at}: {:?}", fresh.cache_incidents());
-                *s = fresh;
+                let at = format!("{at}, {damage:?}");
+                persist_and_reload(s, dir, *t, damage, &sources, &at);
+                continue;
             }
-            s.update(&sources).unwrap_or_else(|e| panic!("{at}: update failed: {e}"));
-            assert_matches_cold(s, &sources, *t, &at);
+            let next = model.sources();
+            s.update(&next).unwrap_or_else(|e| panic!("{at}: update failed: {e}"));
+            assert_matches_cold(s, &next, *t, &at);
+            // A reshape is checked again through the cache: the save must
+            // carry fingerprints of the reshaped program.
+            if let Step::Reshape = step {
+                persist_and_reload(s, dir, *t, Damage::None, &next, &format!("{at}, reloaded"));
+            }
         }
+        sources = model.sources();
     }
 }
 
