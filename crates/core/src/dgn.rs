@@ -55,7 +55,7 @@ impl DgnProject {
             let p = program.procedure(id);
             procs.push(DgnProc {
                 name: program.name_of(p.name).to_string(),
-                display: display_name(program, p),
+                display: display_name(program, p).to_string(),
                 file: program.name_of(p.file).to_string(),
                 line: p.linenum,
             });

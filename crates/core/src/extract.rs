@@ -209,7 +209,7 @@ fn build_row(
     };
 
     RgnRow {
-        proc: display_name(program, proc),
+        proc: display_name(program, proc).to_string(),
         array,
         file,
         mode: rec.mode,

@@ -39,6 +39,11 @@
 //!    all of its sites. Every other row moves over from the previous table,
 //!    and only re-extracted rows are diffed against it.
 //!
+//! A summary moved over by step 4 keeps its [`ipa::Revision`] when its
+//! rows move too; every other summary, and every summary of an update
+//! whose extraction environment changed, has a new one. A consumer that
+//! keys on revisions (the lint cache) needs no hashing.
+//!
 //! Every reuse is verified, never assumed: a fingerprint collision fails
 //! structural verification and degrades to a cache miss; a summary that
 //! mentions a symbol the verifier could not re-identify fails its rebase
@@ -621,7 +626,7 @@ impl AnalysisSession {
                 },
             }
         }
-        let (ipa, lens, raised) = propagate_contained(
+        let (mut ipa, lens, raised) = propagate_contained(
             &program,
             &cg,
             summaries,
@@ -686,6 +691,19 @@ impl AnalysisSession {
             (Some(p), Some(e)) => p.extract_env == Some(e),
             _ => false,
         };
+        // A revision outlives the update only with everything read beside
+        // the summary: every summary built this update has a new one, and a
+        // moved one (identity clean, unaffected) keeps its own only if its
+        // rows move verbatim too. (A renamed source file needs no rule:
+        // fingerprints and `procs_correspond` compare source names, so its
+        // procedures are never clean.)
+        if !env_matches {
+            for (i, s) in ipa.summaries.iter_mut().enumerate() {
+                if clean[i].as_ref().is_some_and(|c| c.identity && !affected[i]) {
+                    s.remint();
+                }
+            }
+        }
         let order = cg.pre_order();
         let mut rows: Vec<RgnRow> = Vec::new();
         let mut proc_rows: Vec<std::ops::Range<usize>> = vec![0..0; n];
@@ -1051,7 +1069,7 @@ fn fallback_ipa(cg: &CallGraph, locals: &[ProcSummary]) -> IpaResult {
 fn extract_env_hash(program: &Program, formal_addr: &BTreeMap<whirl::StIdx, u64>) -> u64 {
     let mut h = StableHasher::new();
     for (_, proc) in program.procedures.iter_enumerated() {
-        h.write_str(&ipa::callgraph::display_name(program, proc));
+        h.write_str(ipa::callgraph::display_name(program, proc));
         h.write_str(&proc.object_file(&program.interner));
         h.write_u8(match proc.lang {
             Lang::C => 0,
@@ -1077,7 +1095,7 @@ fn extract_env_hash(program: &Program, formal_addr: &BTreeMap<whirl::StIdx, u64>
         for d in program.types.dim_sizes(ty) {
             h.write_i64(d);
         }
-        for b in program.types.dim_bounds(ty) {
+        for &b in program.types.dim_bounds(ty) {
             match b {
                 whirl::DimBound::Const { lb, ub } => {
                     h.write_u8(0);

@@ -177,9 +177,9 @@ fn pad(n: usize) -> String {
 
 /// `main` calls `a`, `b` and `c`, one file each, all over COMMON `g`.
 /// Recovery attributes a semantic error to the procedure whose header
-/// line is closest at or before the error's line, in any file, so the
-/// headers sit on distinct lines: `main` and `c` on 1, `a` on 10, `b` on
-/// 20.
+/// line is closest at or before the error's line in the file that holds
+/// it. The headers sit on distinct lines, `main` and `c` on 1, `a` on 10,
+/// `b` on 20, so an error attributed across files would show.
 fn recovery_base() -> Vec<GenSource> {
     let g = "  real g(20)\n  common /cg/ g\n";
     vec![
@@ -221,14 +221,11 @@ fn recovery_rewrites_are_lowered_and_match_cold_runs() {
     let script = [
         // `main` calls `c`, which is renamed away: `main.f` gets a stub.
         (Edit::Text("c.f", "subroutine c\n", "subroutine cc\n"), "main.f", "empty stub"),
-        // An error on line 25 of `c.f` lies closest to `b`'s header.
-        (
-            Edit::Text("c.f", "  g(3) = 3.0\n", "  g(3) = 3.0\n\n\n\n\n\n\n\n\n\n\n\n\n\n\n\n\n\n\n\n\n  g(1, 2) = 4.0\n"),
-            "b.f",
-            "procedure emptied",
-        ),
-        // A second `a` at the very position of `a.f`'s: recovery drops
-        // the first definition it finds there, `a.f`'s.
+        // `main.f` reshapes `g`: `a.f`'s declaration of it now conflicts,
+        // which empties `a`.
+        (Edit::Text("main.f", "  real g(20)\n", "  real g(4, 5)\n"), "a.f", "procedure emptied"),
+        // A second `a`, in a file ahead of `a.f` and at the very position
+        // of `a.f`'s: recovery drops the later definition, `a.f`'s.
         (Edit::AddFile("d.f", format!("{}subroutine a\n  return\nend\n", pad(9))), "a.f", "duplicate definition"),
         // `c.f` redeclares `g` with another shape.
         (Edit::Text("c.f", "  real g(20)\n", "  real g(30)\n"), "c.f", "conflicting redeclaration"),
@@ -241,7 +238,7 @@ fn recovery_rewrites_are_lowered_and_match_cold_runs() {
         let mut broken = base.clone();
         match change {
             Edit::Text(file, from, to) => edit(&mut broken, file, from, to),
-            Edit::AddFile(name, text) => broken.push(GenSource::fortran(name, text)),
+            Edit::AddFile(name, text) => broken.insert(0, GenSource::fortran(name, text)),
         }
         let degraded = &cold(&broken).degradations;
         assert!(degraded.iter().any(|d| d.detail.contains(what)), "{what}: {degraded:?}");
@@ -283,4 +280,97 @@ fn a_renamed_local_relowers_every_later_file() {
     let delta = session.update(&renamed).expect("rename update");
     assert_session_matches_cold(&session, &renamed, "renamed local");
     assert_eq!(delta.units_reused, [true, false, false], "{delta:?}");
+}
+
+#[test]
+fn a_sema_error_empties_only_the_procedure_of_its_own_file() {
+    // `c.f`'s error sits on line 25, past the headers of `a` (line 10 of
+    // `a.f`), `b` (line 20 of `b.f`) and `main`: only `c` is emptied.
+    let sources = vec![
+        GenSource::fortran(
+            "main.f",
+            "program main\n  real w(5)\n  w(1) = 0.0\n  call a\n  call b\n  call c\nend\n",
+        ),
+        GenSource::fortran("a.f", format!("{}subroutine a\n  real x(10)\n  x(1) = 1.0\nend\n", pad(9))),
+        GenSource::fortran("b.f", format!("{}subroutine b\n  real y(10)\n  y(2) = 2.0\nend\n", pad(19))),
+        GenSource::fortran(
+            "c.f",
+            format!("subroutine c\n  real z(10)\n{}  z(1, 2) = 3.0\nend\n", pad(22)),
+        ),
+    ];
+    let a = cold(&sources);
+    let emptied: Vec<&str> = a.degradations.iter().map(|d| d.proc.as_str()).collect();
+    assert_eq!(emptied, ["c"], "{:?}", a.degradations);
+    assert!(a.degradations[0].detail.contains("25:3"), "{:?}", a.degradations);
+    for (proc, array) in [("MAIN__", "w"), ("a", "x"), ("b", "y")] {
+        let rows = a.rows_for_proc(proc);
+        assert!(rows.iter().any(|r| r.array == array), "{proc} keeps its rows: {rows:?}");
+    }
+}
+
+#[test]
+fn a_duplicate_definition_drops_the_later_files() {
+    // `d.f` repeats `a.f` line for line, so both definitions of `a` sit at
+    // the same position: the later file's goes.
+    let a_text = format!("{}subroutine a\n  real x(10)\n  x(1) = 1.0\nend\n", pad(9));
+    let sources = vec![
+        GenSource::fortran("main.f", "program main\n  call a\nend\n"),
+        GenSource::fortran("a.f", a_text.clone()),
+        GenSource::fortran("d.f", a_text),
+    ];
+    let a = cold(&sources);
+    assert_eq!(a.degradations.len(), 1, "{:?}", a.degradations);
+    assert!(a.degradations[0].detail.contains("duplicate definition"), "{:?}", a.degradations);
+    let kept = a.program.find_procedure("a").expect("one `a` stays");
+    assert_eq!(a.program.name_of(a.program.procedure(kept).file), "a.f");
+    let rows = a.rows_for_proc("a");
+    assert!(!rows.is_empty() && rows.iter().all(|r| r.file == "a.o"), "{rows:?}");
+}
+
+#[test]
+fn revisions_outlive_an_update_only_in_an_unchanged_environment() {
+    // `q` writes `b`, laid out after `p`'s `a`: growing `a` moves `b`
+    // without touching `q`, which stays clean and outside every ancestor
+    // chain of the edit.
+    let sources = |a_len: u32, hi: u32| {
+        vec![
+            GenSource::fortran("main.f", "program main\n  call p\n  call q\nend\n"),
+            GenSource::fortran(
+                "p.f",
+                format!(
+                    "subroutine p\n  real a({a_len})\n  common /ca/ a\n  integer i\n  do i = 1, {hi}\n    a(i) = 1.0\n  end do\nend\n"
+                ),
+            ),
+            GenSource::fortran("q.f", "subroutine q\n  real b(10)\n  common /cb/ b\n  b(1) = 2.0\nend\n"),
+        ]
+    };
+    let revisions = |s: &AnalysisSession| -> Vec<ipa::Revision> {
+        s.analysis().expect("analysis").ipa.summaries.iter().map(|s| s.revision()).collect()
+    };
+    let mem_loc = |s: &AnalysisSession| s.analysis().expect("analysis").rows_for_proc("q")[0].mem_loc.clone();
+    let mut session = AnalysisSession::new(AnalysisOptions::default());
+    session.update(sources(10, 5)).expect("cold update");
+    let q = session.analysis().expect("analysis").program.find_procedure("q").expect("q").as_usize();
+    let (before, loc) = (revisions(&session), mem_loc(&session));
+
+    // A bound edit in `p`: the environment stays, so `q` keeps its
+    // revision while `p` and `main` get new ones.
+    session.update(sources(10, 6)).expect("bound edit");
+    let bound = revisions(&session);
+    for (i, r) in bound.iter().enumerate() {
+        assert_eq!(before.contains(r), i == q, "procedure {i}: {before:?} -> {bound:?}");
+    }
+    assert_eq!(mem_loc(&session), loc);
+
+    // Growing `a` moves `b`: `q` is as clean as before, yet every
+    // revision is new.
+    let delta = session.update(sources(20, 6)).expect("reshape");
+    assert!(mem_loc(&session) != loc, "`b` must move");
+    let touched = |name: &str| {
+        delta.summaries_recomputed.iter().chain(&delta.propagation_recomputed).any(|n| n == name)
+    };
+    assert!(!touched("q"), "{delta:?}");
+    let reshaped = revisions(&session);
+    assert!(reshaped.iter().all(|r| !bound.contains(r)), "{bound:?} -> {reshaped:?}");
+    assert_session_matches_cold(&session, &sources(20, 6), "reshape");
 }

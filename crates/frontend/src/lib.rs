@@ -269,76 +269,58 @@ fn quoted_name(msg: &str) -> Option<&str> {
     Some(&msg[start..end])
 }
 
-/// Degrades whatever construct a semantic error points at: the second
-/// definition of a duplicated procedure is removed, a conflicting global
-/// redeclaration is dropped, and any other attributable error guts the
-/// enclosing procedure to an empty shell (kept so callers still resolve).
-/// Returns `false` when the error cannot be attributed — the caller then
-/// fails hard rather than looping.
-pub(crate) fn degrade_offender(modules: &mut [Cow<'_, Module>], e: &Error, diags: &mut Vec<Error>) -> bool {
+/// Degrades whatever construct a semantic error in module `m` points at:
+/// the second definition of a duplicated procedure is removed, a
+/// conflicting global redeclaration is dropped, and any other attributable
+/// error guts the enclosing procedure to an empty shell (kept so callers
+/// still resolve). The error is attributed within `m` alone: positions
+/// repeat across files. Returns `false` when the error cannot be attributed
+/// — the caller then fails hard rather than looping.
+pub(crate) fn degrade_offender(m: &mut Cow<'_, Module>, e: &Error, diags: &mut Vec<Error>) -> bool {
     let Some(pos) = e.pos() else { return false };
     let msg = e.to_string();
     let name = quoted_name(&msg).map(str::to_string);
 
     // A duplicated procedure: remove the definition the error points at.
     if msg.contains("more than once") {
-        if let Some(name) = &name {
-            for m in modules.iter_mut() {
-                if let Some(i) =
-                    m.procs.iter().position(|p| &p.name == name && p.pos == pos)
-                {
-                    m.to_mut().procs.remove(i);
-                    diags.push(Error::degraded(
-                        name.clone(),
-                        "sema",
-                        format!("duplicate definition at {pos} dropped"),
-                    ));
-                    return true;
-                }
-            }
-        }
-        return false;
+        let Some(name) = name else { return false };
+        let Some(i) = m.procs.iter().position(|p| p.name == name && p.pos == pos) else {
+            return false;
+        };
+        m.to_mut().procs.remove(i);
+        diags.push(Error::degraded(name, "sema", format!("duplicate definition at {pos} dropped")));
+        return true;
     }
 
     // A conflicting global redeclaration: drop the redeclaration.
     if msg.contains("conflicting dimensions") {
         if let Some(name) = &name {
-            for m in modules.iter_mut() {
-                if let Some(i) =
-                    m.globals.iter().position(|g| &g.name == name && g.pos == pos)
-                {
-                    m.to_mut().globals.remove(i);
-                    diags.push(Error::degraded(
-                        name.clone(),
-                        "sema",
-                        format!("conflicting redeclaration at {pos} dropped"),
-                    ));
-                    return true;
-                }
+            if let Some(i) = m.globals.iter().position(|g| &g.name == name && g.pos == pos) {
+                m.to_mut().globals.remove(i);
+                diags.push(Error::degraded(
+                    name.clone(),
+                    "sema",
+                    format!("conflicting redeclaration at {pos} dropped"),
+                ));
+                return true;
             }
         }
         // The conflict may come from a unit-level declaration instead; fall
         // through to gutting the enclosing procedure.
     }
 
-    // Otherwise: gut the procedure enclosing the error position. Candidates
-    // are the procedures starting at or before the error line; the closest
-    // non-empty one across all modules is the best attribution we have.
-    let mut best: Option<(usize, usize, u32)> = None;
-    for (mi, m) in modules.iter().enumerate() {
-        for (pi, p) in m.procs.iter().enumerate() {
-            if p.pos.line > pos.line || (p.body.is_empty() && p.decls.is_empty()) {
-                continue;
-            }
-            let dist = pos.line - p.pos.line;
-            if best.is_none_or(|(_, _, d)| dist < d) {
-                best = Some((mi, pi, dist));
-            }
-        }
-    }
+    // Otherwise: gut the procedure enclosing the error position, the
+    // closest non-empty one starting at or before the error line.
+    let best = m
+        .procs
+        .iter()
+        .enumerate()
+        .filter(|(_, p)| p.pos.line <= pos.line && !(p.body.is_empty() && p.decls.is_empty()))
+        .min_by_key(|(_, p)| pos.line - p.pos.line)
+        .map(|(i, _)| i);
     match best {
-        Some((mi, pi, _)) => {
-            let p = &mut modules[mi].to_mut().procs[pi];
+        Some(i) => {
+            let p = &mut m.to_mut().procs[i];
             diags.push(Error::degraded(
                 p.name.clone(),
                 "sema",

@@ -92,7 +92,7 @@ pub fn implicit_type(name: &str) -> TypeName {
 /// Runs semantic analysis over all modules of a program. Takes owned or
 /// borrowed modules alike (`Module`, `&Module`, `Cow<Module>`).
 pub fn analyze<M: Borrow<Module>>(modules: &[M]) -> Result<ProgramEnv> {
-    let mut env = resolve_globals(modules)?;
+    let mut env = resolve_globals(modules).map_err(|(_, e)| e)?;
     for m in modules {
         check_module(&mut env, m.borrow())?;
     }
@@ -102,22 +102,29 @@ pub fn analyze<M: Borrow<Module>>(modules: &[M]) -> Result<ProgramEnv> {
 /// The program-wide half of [`analyze`]: merges the globals of every
 /// module, patches COMMON placeholders from unit-level declarations, and
 /// collects the procedure names. The result holds no per-procedure
-/// environments yet; [`check_module`] adds them module by module.
-pub fn resolve_globals<M: Borrow<Module>>(modules: &[M]) -> Result<ProgramEnv> {
+/// environments yet; [`check_module`] adds them module by module. An
+/// error comes with the index of the module holding the definition it
+/// names.
+pub fn resolve_globals<M: Borrow<Module>>(
+    modules: &[M],
+) -> std::result::Result<ProgramEnv, (usize, Error)> {
     let mut env = ProgramEnv::default();
 
     // Pass 1: merge globals. A placeholder from a COMMON statement (no dims)
     // is upgraded by any declaration with dims/type information.
-    for m in modules.iter().map(Borrow::borrow) {
+    for (at, m) in modules.iter().map(Borrow::borrow).enumerate() {
         for g in &m.globals {
             match env.globals.get(&g.name) {
                 Some(existing) if existing.is_array() => {
                     if !g.dims.is_empty() && existing.dims != g.dims {
-                        return Err(Error::semantic_at(
-                            g.pos,
-                            format!(
-                                "global array `{}` redeclared with conflicting dimensions",
-                                g.name
+                        return Err((
+                            at,
+                            Error::semantic_at(
+                                g.pos,
+                                format!(
+                                    "global array `{}` redeclared with conflicting dimensions",
+                                    g.name
+                                ),
                             ),
                         ));
                     }
@@ -135,9 +142,12 @@ pub fn resolve_globals<M: Borrow<Module>>(modules: &[M]) -> Result<ProgramEnv> {
         }
         for p in &m.procs {
             if !env.proc_names.insert(p.name.clone()) {
-                return Err(Error::semantic_at(
-                    p.pos,
-                    format!("procedure `{}` defined more than once", p.name),
+                return Err((
+                    at,
+                    Error::semantic_at(
+                        p.pos,
+                        format!("procedure `{}` defined more than once", p.name),
+                    ),
                 ));
             }
         }
@@ -145,7 +155,7 @@ pub fn resolve_globals<M: Borrow<Module>>(modules: &[M]) -> Result<ProgramEnv> {
 
     // Patch COMMON placeholders whose declaration lives inside a unit: any
     // later unit declaring the same name with dims supplies the real shape.
-    for m in modules.iter().map(Borrow::borrow) {
+    for (at, m) in modules.iter().map(Borrow::borrow).enumerate() {
         for p in &m.procs {
             for d in &p.decls {
                 if let Some(g) = env.globals.get_mut(&d.name) {
@@ -156,11 +166,14 @@ pub fn resolve_globals<M: Borrow<Module>>(modules: &[M]) -> Result<ProgramEnv> {
                         && !d.dims.is_empty()
                         && g.dims != d.dims
                     {
-                        return Err(Error::semantic_at(
-                            d.pos,
-                            format!(
-                                "global array `{}` redeclared with conflicting dimensions",
-                                d.name
+                        return Err((
+                            at,
+                            Error::semantic_at(
+                                d.pos,
+                                format!(
+                                    "global array `{}` redeclared with conflicting dimensions",
+                                    d.name
+                                ),
                             ),
                         ));
                     }

@@ -204,22 +204,23 @@ pub(crate) fn lower_units(
     let (mut env, same_segment) = {
         let _sema = support::obs::span("frontend.sema");
         loop {
+            // An error comes with the module it belongs to.
             let checked = sema::resolve_globals(&modules).and_then(|mut env| {
                 let same = match (old.as_deref(), table) {
                     (Some(old), Some(t)) => t.same_segment(old, &env, &modules),
                     _ => false,
                 };
-                for (m, &u) in modules.iter().zip(&prev_unit) {
+                for (at, (m, &u)) in modules.iter().zip(&prev_unit).enumerate() {
                     if !(same && reusable(m, u)) {
-                        sema::check_module(&mut env, m)?;
+                        sema::check_module(&mut env, m).map_err(|e| (at, e))?;
                     }
                 }
                 Ok((env, same))
             });
             match checked {
                 Ok(done) => break done,
-                Err(e) => {
-                    if !crate::degrade_offender(&mut modules, &e, &mut diags) {
+                Err((at, e)) => {
+                    if !crate::degrade_offender(&mut modules[at], &e, &mut diags) {
                         return Err(e);
                     }
                 }

@@ -316,13 +316,13 @@ fn scan_calls(
 /// Dragon's display name for a procedure: entry points show as `MAIN__`
 /// (the Fortran main convention visible in Fig. 11), everything else by
 /// source name.
-pub fn display_name(program: &Program, proc: &whirl::Procedure) -> String {
+pub fn display_name<'p>(program: &'p Program, proc: &whirl::Procedure) -> &'p str {
     let raw = program.name_of(proc.name);
     // Entry detection mirrors CallGraph::build.
     if raw == "main" || raw == "applu" {
-        "MAIN__".to_string()
+        "MAIN__"
     } else {
-        raw.to_string()
+        raw
     }
 }
 

@@ -115,7 +115,7 @@ pub fn conservative_summary(program: &Program, id: ProcId) -> ProcSummary {
             accesses.push(rec);
         }
     }
-    ProcSummary { accesses, index_facts: Default::default() }
+    ProcSummary::new(accesses, Default::default())
 }
 
 /// Serial isolated IPL over every procedure.

@@ -33,7 +33,7 @@ pub use callgraph::{CallGraph, CallSite};
 pub use index_facts::IndexArrayFact;
 pub use interval_ai::RecoveredBounds;
 pub use isolate::{IplFailure, IplOutcome};
-pub use local::{AccessRecord, ProcSummary};
+pub use local::{AccessRecord, ProcSummary, Revision};
 pub use loop_parallel::{analyze_proc_loops, analyze_proc_loops_with_facts, LoopVerdict, ScalarUse};
 pub use propagate::{analyze, validated_index_facts, IpaResult};
 pub use sideeffect::{find_parallel_pairs, independent, CallEffects, ParallelPair};

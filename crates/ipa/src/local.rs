@@ -17,6 +17,7 @@ use regions::summarize::{summarize_reference_detailed, LoopInfo, LoopNest, Subsc
 use regions::triplet::{Bound, Triplet, TripletRegion};
 use regions::ConvexRegion;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use support::obs::{self, Counter};
 use whirl::{Opr, ProcId, Procedure, Program, StIdx, TyKind, WhirlTree, WnId};
 
@@ -66,17 +67,64 @@ pub struct AccessRecord {
     pub via_index: Option<IndirectIndex>,
 }
 
-/// The summary of one procedure.
-#[derive(Debug, Clone, Default)]
+/// Names one summary as built: equal revisions mean the same records,
+/// read against the same symbol and type tables. Every summary built,
+/// copied or rewritten gets a fresh one from a process-wide counter, so a
+/// revision outlives an update only where the summary itself was moved
+/// over. Never persisted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Revision(u64);
+
+impl Revision {
+    fn mint() -> Revision {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        Revision(NEXT.fetch_add(1, Ordering::Relaxed))
+    }
+}
+
+/// The summary of one procedure. Cloning mints a new [`Revision`].
+#[derive(Debug)]
 pub struct ProcSummary {
     /// All records, in visit order.
     pub accesses: Vec<AccessRecord>,
     /// Facts derived for this procedure's index arrays (sparse; only
     /// populated when the interval fallback ran).
     pub index_facts: BTreeMap<StIdx, IndexArrayFact>,
+    revision: Revision,
+}
+
+impl Default for ProcSummary {
+    fn default() -> Self {
+        ProcSummary::new(Vec::new(), BTreeMap::new())
+    }
+}
+
+impl Clone for ProcSummary {
+    fn clone(&self) -> Self {
+        ProcSummary::new(self.accesses.clone(), self.index_facts.clone())
+    }
 }
 
 impl ProcSummary {
+    /// A summary of `accesses` and `index_facts` under a new revision.
+    pub fn new(
+        accesses: Vec<AccessRecord>,
+        index_facts: BTreeMap<StIdx, IndexArrayFact>,
+    ) -> Self {
+        ProcSummary { accesses, index_facts, revision: Revision::mint() }
+    }
+
+    /// This summary's revision.
+    pub fn revision(&self) -> Revision {
+        self.revision
+    }
+
+    /// Gives this summary a new revision: its records were rewritten in
+    /// place, or what they are read against changed.
+    pub fn remint(&mut self) {
+        self.revision = Revision::mint();
+    }
+
     /// Records touching `array`.
     pub fn for_array(&self, array: StIdx) -> impl Iterator<Item = &AccessRecord> {
         self.accesses.iter().filter(move |a| a.array == array)
@@ -297,7 +345,7 @@ pub fn summarize_procedure(program: &Program, proc_id: ProcId) -> ProcSummary {
             }
         }
     }
-    ProcSummary { accesses: w.out, index_facts: facts }
+    ProcSummary::new(w.out, facts)
 }
 
 /// Fills `Messy`/`Unprojected` sides of `rec`'s bad dimensions from the

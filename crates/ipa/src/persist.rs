@@ -99,7 +99,7 @@ impl Persist for ProcSummary {
             let st = StIdx(r.u32()?);
             index_facts.insert(st, IndexArrayFact::load(r)?);
         }
-        Ok(ProcSummary { accesses, index_facts })
+        Ok(ProcSummary::new(accesses, index_facts))
     }
 }
 
@@ -149,7 +149,7 @@ mod tests {
                 init_end_pos: 42,
             },
         );
-        ProcSummary { accesses: vec![record(10), record(11)], index_facts }
+        ProcSummary::new(vec![record(10), record(11)], index_facts)
     }
 
     #[test]

@@ -137,6 +137,9 @@ pub const NO_SLICE: u32 = u32::MAX;
 /// would reproduce it: its callee is unaffected, and the call site, the
 /// callee and the symbols they name are unchanged since it was made.
 ///
+/// Every affected slot gets a new [`Revision`](crate::Revision); the others
+/// keep theirs.
+///
 /// Returns the recursion-cut flag and, per call site, its slice length
 /// (every site of an affected procedure; [`NO_SLICE`] elsewhere).
 pub fn propagate_spliced(
@@ -192,7 +195,9 @@ pub fn propagate_spliced(
         }
         drop(kept_recs);
         accesses.extend(slices);
-        summaries[id.as_usize()].accesses = accesses;
+        let slot = &mut summaries[id.as_usize()];
+        slot.accesses = accesses;
+        slot.remint();
     }
     (recursion_cut, lengths)
 }

@@ -42,7 +42,7 @@ pub fn rebase_summary(
         .iter()
         .map(|(st, f)| Some((*maps.st.get(st)?, f.clone())))
         .collect::<Option<BTreeMap<_, _>>>()?;
-    Some(ProcSummary { accesses, index_facts })
+    Some(ProcSummary::new(accesses, index_facts))
 }
 
 fn rebase_record(

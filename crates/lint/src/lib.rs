@@ -23,20 +23,29 @@
 //! is driven by what the polyhedral machinery can prove, exactly like the
 //! paper's MUST/MAY region distinction.
 //!
-//! The engine lints every procedure on each run (parallelizable,
-//! deterministically merged, panic-contained behind the `lint::contain`
-//! faultpoint), then runs the whole-program dead-store pass. There is no
-//! lint cache: keying one cost more than the rules it would skip.
-//! [`sarif`] renders the findings as SARIF 2.1.0 for editor/CI ingestion.
+//! The per-procedure rules read a procedure only through
+//! [`inputs::ProcInputs`]: its propagated summary, its call sites with each
+//! callee's formals and summary, and the symbol, type and procedure
+//! entries those name. Every [`ipa::ProcSummary`] carries a
+//! [`Revision`](ipa::Revision), and an
+//! [`AnalysisSession`](araa::AnalysisSession) keeps a summary's revision
+//! across an update only where the summary and what it is read against
+//! are unchanged. So a [`LintCache`] keeps each procedure's findings under
+//! its revision and its callees' revisions, and [`run_with_cache`]
+//! re-runs the rules (parallelizable, deterministically merged,
+//! panic-contained behind the `lint::contain` faultpoint) only where one of
+//! them changed. Keying costs one comparison per revision, no hashing.
+//! The whole-program dead-store pass runs over every row each time.
+//! [`run`] is [`run_with_cache`] from an empty cache. [`sarif`] renders
+//! the findings as SARIF 2.1.0 for editor/CI ingestion.
 
 pub mod engine;
 pub mod facts;
+pub mod inputs;
 pub mod rules;
 pub mod sarif;
 
-#[doc(hidden)]
-pub use engine::{run_with_cache, LintCache};
-pub use engine::{run, LintOptions};
+pub use engine::{run, run_with_cache, LintCache, LintOptions};
 
 use std::fmt;
 
@@ -204,12 +213,11 @@ pub struct LintReport {
     /// Procedures whose lint evaluation failed and was contained (stage
     /// `"lint"`); their findings are absent, everything else is intact.
     pub degradations: Vec<araa::Degradation>,
-    /// Procedures evaluated this run.
+    /// Procedures the per-procedure rules ran on this run.
     pub procs_linted: usize,
-    /// Always 0: there is no lint cache. Still rendered (`0 cached`, SARIF
-    /// `procsCached`) so the output format is unchanged; `perfbench/` is
-    /// its only outside reader.
-    #[doc(hidden)]
+    /// Procedures whose findings came from the [`LintCache`] unchanged
+    /// (0 for [`run`]). With `procs_linted` and the lint degradations it
+    /// counts every procedure once.
     pub procs_cached: usize,
     /// Candidates Fourier–Motzkin (or exact footprint arithmetic) refuted.
     pub suppressed: u64,

@@ -18,13 +18,15 @@
 //!   be guesswork, so nothing fires (zero false positives beats recall);
 //! - refuted candidates increment the `suppressed` count instead.
 
+use crate::inputs::ProcInputs;
 use crate::{Finding, Rule, Severity};
 use araa::{Analysis, RgnRow};
 use ipa::callgraph::display_name;
-use ipa::AccessRecord;
+use ipa::{AccessRecord, ProcSummary};
 use regions::access::{AccessMode, Precision};
 use regions::triplet::Triplet;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
 use whirl::lower::source_dim;
 use whirl::{DimBound, Lang, ProcId, StClass, StIdx};
 
@@ -41,16 +43,16 @@ pub struct ProcLint {
 /// checks; larger constant regions fall back to hull reasoning.
 const ELEMENT_CAP: u64 = 65_536;
 
-/// Runs the per-procedure rules for `id`. May panic on malformed input —
-/// callers contain it (see `engine::lint_procedure`).
-pub fn lint_proc(a: &Analysis, id: ProcId) -> ProcLint {
+/// Runs the per-procedure rules on one procedure's inputs. May panic on
+/// malformed input — callers contain it (see `engine::lint_procedure`).
+pub fn lint_proc(p: &ProcInputs<'_>) -> ProcLint {
     support::faultpoint::hit("lint::contain");
     let mut out = ProcLint::default();
-    oob(a, id, &mut out);
-    ubd(a, id, &mut out);
-    shp(a, id, &mut out);
-    ali(a, id, &mut out);
-    naf(a, id, &mut out);
+    oob(p, &mut out);
+    ubd(p, &mut out);
+    shp(p, &mut out);
+    ali(p, &mut out);
+    naf(p, &mut out);
     out
 }
 
@@ -62,16 +64,26 @@ fn interval_or_worse(rec: &AccessRecord) -> bool {
     rec.precision >= Precision::Interval
 }
 
-fn proc_name(a: &Analysis, id: ProcId) -> String {
-    display_name(&a.program, a.program.procedure(id))
-}
-
-fn proc_file(a: &Analysis, id: ProcId) -> String {
-    a.program.name_of(a.program.procedure(id).file).to_string()
-}
-
-fn array_name(a: &Analysis, st: StIdx) -> String {
-    a.program.name_of(a.program.symbols.get(st).name).to_string()
+/// A finding of `rule` anchored in the procedure `p` reads.
+fn finding(
+    p: &ProcInputs<'_>,
+    rule: Rule,
+    severity: Severity,
+    line: u32,
+    array: &str,
+    precision: Precision,
+    message: String,
+) -> Finding {
+    Finding {
+        rule,
+        severity,
+        file: p.file().to_string(),
+        line,
+        proc: p.name().to_string(),
+        array: array.to_string(),
+        precision,
+        message,
+    }
 }
 
 /// The last element a normalized `lo..=hi` step-`step` range accesses.
@@ -83,30 +95,30 @@ fn last_accessed(lo: i64, hi: i64, step: i64) -> i64 {
     }
 }
 
-/// Declared extents mapped to H (row-major) dimension order, `None` when
-/// the rank disagrees with the region or any dimension is runtime-sized.
-fn h_extents(a: &Analysis, st: StIdx, ndims: usize, lang: Lang) -> Option<Vec<i64>> {
-    let ty = a.program.symbols.get(st).ty;
-    let declared = a.program.types.dim_bounds(ty);
-    if declared.len() != ndims || ndims == 0 {
-        return None;
-    }
-    let mut exts = vec![0i64; ndims];
-    for hd in 0..ndims {
-        match declared[source_dim(lang, ndims, hd)] {
-            DimBound::Const { lb, ub } => exts[hd] = (ub - lb + 1).max(0),
-            DimBound::Runtime => return None,
-        }
-    }
-    Some(exts)
+/// Whether a declaration fits an `n`-dimensional region: same rank, at
+/// least one dimension, and no runtime-sized dimension.
+fn const_rank(declared: &[DimBound], n: usize) -> bool {
+    n > 0 && declared.len() == n && declared.iter().all(|d| matches!(d, DimBound::Const { .. }))
 }
 
-/// The language whose dimension order a record's region follows: the
-/// procedure that *built* the region (the callee for propagated records).
-fn record_lang(a: &Analysis, id: ProcId, rec: &AccessRecord) -> Lang {
-    match rec.from_call {
-        Some(callee) => a.program.procedure(callee).lang,
-        None => a.program.procedure(id).lang,
+/// The declared extent of H (row-major) dimension `hd` of an
+/// `n`-dimensional region, for a declaration [`const_rank`] admits.
+fn h_extent(declared: &[DimBound], lang: Lang, n: usize, hd: usize) -> i64 {
+    match declared[source_dim(lang, n, hd)] {
+        DimBound::Const { lb, ub } => (ub - lb + 1).max(0),
+        DimBound::Runtime => 0,
+    }
+}
+
+/// The ` via call to `callee`` suffix of a propagated record's message.
+struct Via<'a>(Option<&'a str>);
+
+impl fmt::Display for Via<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            Some(callee) => write!(f, " via call to `{callee}`"),
+            None => Ok(()),
+        }
     }
 }
 
@@ -114,26 +126,26 @@ fn record_lang(a: &Analysis, id: ProcId, rec: &AccessRecord) -> Lang {
 // OOB-01: accessed region exceeds the declared extents
 // ---------------------------------------------------------------------------
 
-fn oob(a: &Analysis, id: ProcId, out: &mut ProcLint) {
-    let proc = proc_name(a, id);
-    let file = proc_file(a, id);
-    for rec in &a.ipa.summary(id).accesses {
+fn oob(p: &ProcInputs<'_>, out: &mut ProcLint) {
+    for rec in &p.summary().accesses {
         if !rec.mode.moves_data() || rec.remote || rec.approx {
             continue;
         }
         let n = rec.region.ndims();
-        let lang = record_lang(a, id, rec);
-        let Some(exts) = h_extents(a, rec.array, n, lang) else { continue };
+        let declared = p.types().dim_bounds(p.ty(rec.array));
+        if !const_rank(declared, n) {
+            continue;
+        }
+        // The region follows the dimension order of the procedure that
+        // built it: the callee, for a propagated record.
+        let lang = p.lang(rec.from_call);
+        let via = || Via(rec.from_call.map(|c| p.proc_name(c)));
+        let verb = if rec.mode == AccessMode::Def { "written" } else { "read" };
         for (hd, trip) in rec.region.dims.iter().enumerate() {
-            let ext = exts[hd];
+            let ext = h_extent(declared, lang, n, hd);
             if ext <= 0 {
                 continue;
             }
-            let via = rec
-                .from_call
-                .map(|c| format!(" via call to `{}`", proc_name(a, c)))
-                .unwrap_or_default();
-            let verb = if rec.mode == AccessMode::Def { "written" } else { "read" };
             match trip.as_const() {
                 Some((lo, hi, step)) => {
                     let last = last_accessed(lo, hi, step.max(1));
@@ -145,21 +157,22 @@ fn oob(a: &Analysis, id: ProcId, out: &mut ProcLint) {
                         } else {
                             (Severity::Definite, "is")
                         };
-                        out.findings.push(Finding {
-                            rule: Rule::Oob01,
+                        let array = p.array_name(rec.array);
+                        let message = format!(
+                            "`{array}` {hedge} {verb} at [{lo}:{last}] (zero-based) but \
+                             dimension {hd} declares only [0:{}]{}",
+                            ext - 1,
+                            via()
+                        );
+                        out.findings.push(finding(
+                            p,
+                            Rule::Oob01,
                             severity,
-                            file: file.clone(),
-                            line: rec.line,
-                            proc: proc.clone(),
-                            array: array_name(a, rec.array),
-                            precision: rec.precision,
-                            message: format!(
-                                "`{}` {hedge} {verb} at [{lo}:{last}] (zero-based) but \
-                                 dimension {hd} declares only [0:{}]{via}",
-                                array_name(a, rec.array),
-                                ext - 1
-                            ),
-                        });
+                            rec.line,
+                            array,
+                            rec.precision,
+                            message,
+                        ));
                     } else if interval_or_worse(rec) {
                         // The over-approximation fits the declaration, so
                         // the real accesses do too: candidate refuted.
@@ -178,23 +191,24 @@ fn oob(a: &Analysis, id: ProcId, out: &mut ProcLint) {
                     } else if hi_b.is_some_and(|hi| hi > ext - 1)
                         || lo_b.is_some_and(|lo| lo < 0)
                     {
-                        out.findings.push(Finding {
-                            rule: Rule::Oob01,
-                            severity: Severity::Possible,
-                            file: file.clone(),
-                            line: rec.line,
-                            proc: proc.clone(),
-                            array: array_name(a, rec.array),
-                            precision: rec.precision,
-                            message: format!(
-                                "`{}` may be {verb} outside dimension {hd}'s declared \
-                                 [0:{}] (FM bounds the access to [{}:{}]){via}",
-                                array_name(a, rec.array),
-                                ext - 1,
-                                lo_b.map_or("-inf".into(), |v| v.to_string()),
-                                hi_b.map_or("+inf".into(), |v| v.to_string()),
-                            ),
-                        });
+                        let array = p.array_name(rec.array);
+                        let message = format!(
+                            "`{array}` may be {verb} outside dimension {hd}'s declared \
+                             [0:{}] (FM bounds the access to [{}:{}]){}",
+                            ext - 1,
+                            lo_b.map_or("-inf".into(), |v| v.to_string()),
+                            hi_b.map_or("+inf".into(), |v| v.to_string()),
+                            via()
+                        );
+                        out.findings.push(finding(
+                            p,
+                            Rule::Oob01,
+                            Severity::Possible,
+                            rec.line,
+                            array,
+                            rec.precision,
+                            message,
+                        ));
                     }
                 }
             }
@@ -206,23 +220,22 @@ fn oob(a: &Analysis, id: ProcId, out: &mut ProcLint) {
 // UBD-02: a USE of a local array no DEF reaches
 // ---------------------------------------------------------------------------
 
-fn ubd(a: &Analysis, id: ProcId, out: &mut ProcLint) {
-    let proc = proc_name(a, id);
-    let file = proc_file(a, id);
+fn ubd(p: &ProcInputs<'_>, out: &mut ProcLint) {
+    let proc = p.name();
     let mut per: BTreeMap<StIdx, (Vec<&AccessRecord>, Vec<&AccessRecord>, bool)> =
         BTreeMap::new();
     // Arrays with coindexed (PGAS) accesses: a sibling image's symmetric
     // copy of this code may write our local memory remotely, so "no local
     // DEF" is not evidence of an uninitialized read.
-    let mut pgas: std::collections::BTreeSet<StIdx> = Default::default();
-    for rec in &a.ipa.summary(id).accesses {
+    let mut pgas: BTreeSet<StIdx> = Default::default();
+    for rec in &p.summary().accesses {
         if rec.remote {
             pgas.insert(rec.array);
             continue;
         }
         // Only procedure-locals: a global's definitions can live anywhere
         // in the program, and a formal's reach is the caller's business.
-        if a.program.symbols.get(rec.array).class != StClass::Local {
+        if p.class(rec.array) != StClass::Local {
             continue;
         }
         let slot = per.entry(rec.array).or_default();
@@ -237,7 +250,7 @@ fn ubd(a: &Analysis, id: ProcId, out: &mut ProcLint) {
         if uses.is_empty() || approx || pgas.contains(&st) {
             continue;
         }
-        let array = array_name(a, st);
+        let array = p.array_name(st);
         if defs.is_empty() {
             // Nothing — not even a callee reached through this procedure —
             // ever writes the array, yet it is read.
@@ -250,19 +263,11 @@ fn ubd(a: &Analysis, id: ProcId, out: &mut ProcLint) {
             };
             let worst =
                 uses.iter().map(|u| u.precision).fold(Precision::Exact, Precision::worst);
-            out.findings.push(Finding {
-                rule: Rule::Ubd02,
-                severity,
-                file: file.clone(),
-                line,
-                proc: proc.clone(),
-                array: array.clone(),
-                precision: worst,
-                message: format!(
-                    "local array `{array}` is read but never written \
-                     (no DEF in `{proc}` or any procedure it calls)"
-                ),
-            });
+            let message = format!(
+                "local array `{array}` is read but never written \
+                 (no DEF in `{proc}` or any procedure it calls)"
+            );
+            out.findings.push(finding(p, Rule::Ubd02, severity, line, array, worst, message));
             continue;
         }
         // Interval-recovered DEF regions over-approximate what is actually
@@ -277,37 +282,26 @@ fn ubd(a: &Analysis, id: ProcId, out: &mut ProcLint) {
             let worst = defs.iter().map(|d| d.precision).fold(u.precision, Precision::worst);
             match uncovered_element(u, &exact_defs) {
                 CoverVerdict::Uncovered(e) => {
-                    let finding = if capped {
-                        Finding {
-                            rule: Rule::Ubd02,
-                            severity: Severity::Possible,
-                            file: file.clone(),
-                            line: u.line,
-                            proc: proc.clone(),
-                            array: array.clone(),
-                            precision: worst,
-                            message: format!(
+                    let (severity, message) = if capped {
+                        (
+                            Severity::Possible,
+                            format!(
                                 "element {e} (zero-based) of local array `{array}` may \
                                  be read before any DEF writes it (only interval-\
                                  approximate regions reach it)"
                             ),
-                        }
+                        )
                     } else {
-                        Finding {
-                            rule: Rule::Ubd02,
-                            severity: Severity::Definite,
-                            file: file.clone(),
-                            line: u.line,
-                            proc: proc.clone(),
-                            array: array.clone(),
-                            precision: worst,
-                            message: format!(
+                        (
+                            Severity::Definite,
+                            format!(
                                 "element {e} (zero-based) of local array `{array}` is read \
                                  but no DEF ever writes it"
                             ),
-                        }
+                        )
                     };
-                    out.findings.push(finding);
+                    let f = finding(p, Rule::Ubd02, severity, u.line, array, worst, message);
+                    out.findings.push(f);
                 }
                 CoverVerdict::DisjointFromAllDefs => {
                     let (severity, adverb) = if capped {
@@ -315,19 +309,12 @@ fn ubd(a: &Analysis, id: ProcId, out: &mut ProcLint) {
                     } else {
                         (Severity::Definite, "provably")
                     };
-                    out.findings.push(Finding {
-                        rule: Rule::Ubd02,
-                        severity,
-                        file: file.clone(),
-                        line: u.line,
-                        proc: proc.clone(),
-                        array: array.clone(),
-                        precision: worst,
-                        message: format!(
-                            "the region of local array `{array}` read here is {adverb} \
-                             disjoint from every DEF of the array"
-                        ),
-                    });
+                    let message = format!(
+                        "the region of local array `{array}` read here is {adverb} \
+                         disjoint from every DEF of the array"
+                    );
+                    let f = finding(p, Rule::Ubd02, severity, u.line, array, worst, message);
+                    out.findings.push(f);
                 }
                 CoverVerdict::Covered => out.suppressed += 1,
                 CoverVerdict::Unknown => {}
@@ -409,24 +396,21 @@ fn uncovered_element(u: &AccessRecord, defs: &[&AccessRecord]) -> CoverVerdict {
 // SHP-04: a call-site actual smaller than the callee's footprint
 // ---------------------------------------------------------------------------
 
-fn shp(a: &Analysis, id: ProcId, out: &mut ProcLint) {
-    let proc = proc_name(a, id);
-    let file = proc_file(a, id);
-    for site in a.callgraph.calls(id) {
-        let callee = a.program.procedure(site.callee);
+fn shp(p: &ProcInputs<'_>, out: &mut ProcLint) {
+    let types = p.types();
+    for site in p.sites() {
         for (pos, act) in site.array_actuals.iter().enumerate() {
             let Some(actual) = *act else { continue };
-            let Some(&formal) = callee.formals.get(pos) else { continue };
-            let fty = a.program.symbols.get(formal).ty;
-            if a.program.types.num_dims(fty) == 0 {
+            let Some(&formal) = site.callee_formals.get(pos) else { continue };
+            let fty = p.ty(formal);
+            if types.num_dims(fty) == 0 {
                 continue;
             }
-            let actual_bytes =
-                a.program.types.size_bytes(a.program.symbols.get(actual).ty);
+            let actual_bytes = types.size_bytes(p.ty(actual));
             if actual_bytes <= 0 {
                 continue; // runtime-sized actual: nothing to compare against
             }
-            let elem = a.program.types.element_size(fty).abs();
+            let elem = types.element_size(fty).abs();
             if elem == 0 {
                 continue;
             }
@@ -435,7 +419,7 @@ fn shp(a: &Analysis, id: ProcId, out: &mut ProcLint) {
             let mut max_linear: Option<i64> = Some(-1);
             let mut touched = false;
             let mut worst = Precision::Exact;
-            for rec in a.ipa.summary(site.callee).for_array(formal) {
+            for rec in site.callee_summary.for_array(formal) {
                 if !rec.mode.moves_data() || rec.remote {
                     continue;
                 }
@@ -445,7 +429,7 @@ fn shp(a: &Analysis, id: ProcId, out: &mut ProcLint) {
                     max_linear = None;
                     break;
                 }
-                match (linear_extent(a, site.callee, rec), &mut max_linear) {
+                match (linear_extent(p, site.callee, rec), &mut max_linear) {
                     (Some(m), Some(acc)) => *acc = (*acc).max(m),
                     _ => {
                         max_linear = None;
@@ -456,9 +440,9 @@ fn shp(a: &Analysis, id: ProcId, out: &mut ProcLint) {
             if !touched {
                 continue;
             }
-            let aname = array_name(a, actual);
-            let fname = array_name(a, formal);
-            let cname = proc_name(a, site.callee);
+            let aname = p.array_name(actual);
+            let fname = p.array_name(formal);
+            let cname = p.proc_name(site.callee);
             match max_linear {
                 Some(m) => {
                     let need = (m + 1) * elem;
@@ -470,21 +454,21 @@ fn shp(a: &Analysis, id: ProcId, out: &mut ProcLint) {
                         } else {
                             (Severity::Definite, "accesses")
                         };
-                        out.findings.push(Finding {
-                            rule: Rule::Shp04,
+                        let message = format!(
+                            "call to `{cname}` passes `{aname}` ({actual_bytes} \
+                             bytes) but the callee {verb} {need} bytes through \
+                             formal `{fname}`"
+                        );
+                        out.findings.push(finding(
+                            p,
+                            Rule::Shp04,
                             severity,
-                            file: file.clone(),
-                            line: site.line,
-                            proc: proc.clone(),
-                            array: aname.clone(),
-                            precision: worst,
-                            message: format!(
-                                "call to `{cname}` passes `{aname}` ({actual_bytes} \
-                                 bytes) but the callee {verb} {need} bytes through \
-                                 formal `{fname}`"
-                            ),
-                        });
-                    } else if a.program.types.size_bytes(fty) > actual_bytes {
+                            site.line,
+                            aname,
+                            worst,
+                            message,
+                        ));
+                    } else if types.size_bytes(fty) > actual_bytes {
                         // Declared shapes mismatch, but the footprint proof
                         // shows every access fits: refuted. (Sound even for
                         // interval footprints — over-approximations that fit
@@ -493,22 +477,22 @@ fn shp(a: &Analysis, id: ProcId, out: &mut ProcLint) {
                     }
                 }
                 None => {
-                    let fbytes = a.program.types.size_bytes(fty);
+                    let fbytes = types.size_bytes(fty);
                     if fbytes > actual_bytes {
-                        out.findings.push(Finding {
-                            rule: Rule::Shp04,
-                            severity: Severity::Possible,
-                            file: file.clone(),
-                            line: site.line,
-                            proc: proc.clone(),
-                            array: aname.clone(),
-                            precision: worst,
-                            message: format!(
-                                "call to `{cname}` passes `{aname}` ({actual_bytes} \
-                                 bytes) where formal `{fname}` declares {fbytes} bytes \
-                                 and the accessed footprint could not be bounded"
-                            ),
-                        });
+                        let message = format!(
+                            "call to `{cname}` passes `{aname}` ({actual_bytes} \
+                             bytes) where formal `{fname}` declares {fbytes} bytes \
+                             and the accessed footprint could not be bounded"
+                        );
+                        out.findings.push(finding(
+                            p,
+                            Rule::Shp04,
+                            Severity::Possible,
+                            site.line,
+                            aname,
+                            worst,
+                            message,
+                        ));
                     }
                 }
             }
@@ -519,21 +503,22 @@ fn shp(a: &Analysis, id: ProcId, out: &mut ProcLint) {
 /// Largest zero-based linear element index a constant record reaches,
 /// linearized through the accessed array's own declared extents. `None`
 /// when the region is symbolic or the declaration is runtime-sized.
-fn linear_extent(a: &Analysis, owner: ProcId, rec: &AccessRecord) -> Option<i64> {
+fn linear_extent(p: &ProcInputs<'_>, owner: ProcId, rec: &AccessRecord) -> Option<i64> {
     let n = rec.region.ndims();
-    let lang = record_lang(a, owner, rec);
-    let exts = h_extents(a, rec.array, n, lang)?;
-    let mut stride = 1i64;
-    let mut strides = vec![1i64; n];
-    for hd in (0..n).rev() {
-        strides[hd] = stride;
-        stride = stride.saturating_mul(exts[hd].max(1));
+    let lang = p.lang(Some(rec.from_call.unwrap_or(owner)));
+    let declared = p.types().dim_bounds(p.ty(rec.array));
+    if !const_rank(declared, n) {
+        return None;
     }
     let mut max = 0i64;
     for (hd, trip) in rec.region.dims.iter().enumerate() {
         let (lo, hi, step) = trip.as_const()?;
         let last = last_accessed(lo, hi, step.max(1));
-        max += last.max(lo) * strides[hd];
+        // Row-major: the product of the later dimensions' extents.
+        let stride = ((hd + 1)..n)
+            .rev()
+            .fold(1i64, |s, k| s.saturating_mul(h_extent(declared, lang, n, k).max(1)));
+        max += last.max(lo) * stride;
     }
     Some(max)
 }
@@ -542,13 +527,10 @@ fn linear_extent(a: &Analysis, owner: ProcId, rec: &AccessRecord) -> Option<i64>
 // ALI-05: the same memory reaches a callee under two names
 // ---------------------------------------------------------------------------
 
-fn ali(a: &Analysis, id: ProcId, out: &mut ProcLint) {
-    let proc = proc_name(a, id);
-    let file = proc_file(a, id);
-    for site in a.callgraph.calls(id) {
-        let callee = a.program.procedure(site.callee);
-        let callee_sum = a.ipa.summary(site.callee);
-        let cname = proc_name(a, site.callee);
+fn ali(p: &ProcInputs<'_>, out: &mut ProcLint) {
+    for site in p.sites() {
+        let callee_sum = site.callee_summary;
+        let cname = p.proc_name(site.callee);
         // (a) the same actual bound to two different array formals.
         for i in 0..site.array_actuals.len() {
             let Some(act_i) = site.array_actuals[i] else { continue };
@@ -557,66 +539,55 @@ fn ali(a: &Analysis, id: ProcId, out: &mut ProcLint) {
                     continue;
                 }
                 let (Some(&fi), Some(&fj)) =
-                    (callee.formals.get(i), callee.formals.get(j))
+                    (site.callee_formals.get(i), site.callee_formals.get(j))
                 else {
                     continue;
                 };
-                let recs_i: Vec<&AccessRecord> = moves(callee_sum.for_array(fi));
-                let recs_j: Vec<&AccessRecord> = moves(callee_sum.for_array(fj));
+                let recs_i: Vec<&AccessRecord> = moving(callee_sum, fi).collect();
+                let recs_j: Vec<&AccessRecord> = moving(callee_sum, fj).collect();
                 let detail = format!(
                     "call to `{cname}` passes `{}` as both argument {} (formal \
                      `{}`) and argument {} (formal `{}`)",
-                    array_name(a, act_i),
+                    p.array_name(act_i),
                     i + 1,
-                    array_name(a, fi),
+                    p.array_name(fi),
                     j + 1,
-                    array_name(a, fj),
+                    p.array_name(fj),
                 );
-                report_alias(
-                    a,
-                    &recs_i,
-                    &recs_j,
-                    &detail,
-                    (site.line, &proc, &file, &array_name(a, act_i)),
-                    out,
-                );
+                report_alias(p, &recs_i, &recs_j, &detail, (site.line, p.array_name(act_i)), out);
             }
         }
         // (b) a global passed as an actual while the callee also touches
         // that global directly.
         for (pos, act) in site.array_actuals.iter().enumerate() {
             let Some(actual) = *act else { continue };
-            if a.program.symbols.get(actual).class != StClass::Global {
+            if p.class(actual) != StClass::Global {
                 continue;
             }
-            let Some(&formal) = callee.formals.get(pos) else { continue };
-            let via_formal: Vec<&AccessRecord> = moves(callee_sum.for_array(formal));
-            let direct: Vec<&AccessRecord> = moves(callee_sum.for_array(actual));
-            if via_formal.is_empty() || direct.is_empty() {
+            let Some(&formal) = site.callee_formals.get(pos) else { continue };
+            if moving(callee_sum, formal).next().is_none()
+                || moving(callee_sum, actual).next().is_none()
+            {
                 continue;
             }
+            let via_formal: Vec<&AccessRecord> = moving(callee_sum, formal).collect();
+            let direct: Vec<&AccessRecord> = moving(callee_sum, actual).collect();
             let detail = format!(
                 "call to `{cname}` passes global `{}` as argument {} (formal `{}`) \
                  while the callee also accesses `{}` directly",
-                array_name(a, actual),
+                p.array_name(actual),
                 pos + 1,
-                array_name(a, formal),
-                array_name(a, actual),
+                p.array_name(formal),
+                p.array_name(actual),
             );
-            report_alias(
-                a,
-                &via_formal,
-                &direct,
-                &detail,
-                (site.line, &proc, &file, &array_name(a, actual)),
-                out,
-            );
+            report_alias(p, &via_formal, &direct, &detail, (site.line, p.array_name(actual)), out);
         }
     }
 }
 
-fn moves<'s>(it: impl Iterator<Item = &'s AccessRecord>) -> Vec<&'s AccessRecord> {
-    it.filter(|r| r.mode.moves_data() && !r.remote).collect()
+/// The records of `sum` that move data of `array` on this image.
+fn moving(sum: &ProcSummary, array: StIdx) -> impl Iterator<Item = &AccessRecord> {
+    sum.for_array(array).filter(|r| r.mode.moves_data() && !r.remote)
 }
 
 /// Decides whether two record sets over the *same memory* conflict: a
@@ -624,11 +595,11 @@ fn moves<'s>(it: impl Iterator<Item = &'s AccessRecord>) -> Vec<&'s AccessRecord
 /// one that cannot be refuted is Possible; all pairs refuted increments
 /// `suppressed`.
 fn report_alias(
-    a: &Analysis,
+    p: &ProcInputs<'_>,
     left: &[&AccessRecord],
     right: &[&AccessRecord],
     detail: &str,
-    (line, proc, file, array): (u32, &str, &str, &str),
+    (line, array): (u32, &str),
     out: &mut ProcLint,
 ) {
     let mut any_pair = false;
@@ -642,21 +613,21 @@ fn report_alias(
             }
             any_pair = true;
             worst_seen = worst_seen.worst(worst(l, r));
-            match alias_overlap(a, l, r) {
+            match alias_overlap(p, l, r) {
                 Some(true) => {
-                    out.findings.push(Finding {
-                        rule: Rule::Ali05,
-                        severity: Severity::Definite,
-                        file: file.to_string(),
+                    let message = format!(
+                        "{detail}; the two names' accessed regions overlap and \
+                         one is written"
+                    );
+                    out.findings.push(finding(
+                        p,
+                        Rule::Ali05,
+                        Severity::Definite,
                         line,
-                        proc: proc.to_string(),
-                        array: array.to_string(),
-                        precision: worst(l, r),
-                        message: format!(
-                            "{detail}; the two names' accessed regions overlap and \
-                             one is written"
-                        ),
-                    });
+                        array,
+                        worst(l, r),
+                        message,
+                    ));
                     return;
                 }
                 Some(false) => {}
@@ -668,19 +639,12 @@ fn report_alias(
         return;
     }
     if unknown {
-        out.findings.push(Finding {
-            rule: Rule::Ali05,
-            severity: Severity::Possible,
-            file: file.to_string(),
-            line,
-            proc: proc.to_string(),
-            array: array.to_string(),
-            precision: worst_seen,
-            message: format!(
-                "{detail}; a write through one name may overlap accesses through \
-                 the other"
-            ),
-        });
+        let message = format!(
+            "{detail}; a write through one name may overlap accesses through \
+             the other"
+        );
+        let f = finding(p, Rule::Ali05, Severity::Possible, line, array, worst_seen, message);
+        out.findings.push(f);
     } else {
         out.suppressed += 1; // every def-involving pair proven disjoint
     }
@@ -688,14 +652,14 @@ fn report_alias(
 
 /// Do two records over the same base memory overlap? `Some(true)` /
 /// `Some(false)` are proofs; `None` is unknown.
-fn alias_overlap(a: &Analysis, l: &AccessRecord, r: &AccessRecord) -> Option<bool> {
+fn alias_overlap(p: &ProcInputs<'_>, l: &AccessRecord, r: &AccessRecord) -> Option<bool> {
     if l.approx || r.approx {
         return None;
     }
     // Same rank and both exact: element-space comparison is exact (our
     // formals alias whole arrays, so element i is element i).
-    let le = a.program.types.element_size(a.program.symbols.get(l.array).ty).abs();
-    let re = a.program.types.element_size(a.program.symbols.get(r.array).ty).abs();
+    let le = p.types().element_size(p.ty(l.array)).abs();
+    let re = p.types().element_size(p.ty(r.array)).abs();
     if l.region.ndims() == r.region.ndims() && le == re {
         if let Some(d) = l.region.disjoint_from(&r.region) {
             if d {
@@ -732,10 +696,8 @@ fn alias_overlap(a: &Analysis, l: &AccessRecord, r: &AccessRecord) -> Option<boo
 /// already covers the access. Budget-exhaustion fallbacks (`approx`) are
 /// skipped too — they are a resource artifact, not an analysis limit, and
 /// would make findings depend on the budget configuration.
-fn naf(a: &Analysis, id: ProcId, out: &mut ProcLint) {
-    let proc = proc_name(a, id);
-    let file = proc_file(a, id);
-    for rec in &a.ipa.summary(id).accesses {
+fn naf(p: &ProcInputs<'_>, out: &mut ProcLint) {
+    for rec in &p.summary().accesses {
         if rec.precision != Precision::Unbounded
             || rec.from_call.is_some()
             || !rec.mode.moves_data()
@@ -745,21 +707,21 @@ fn naf(a: &Analysis, id: ProcId, out: &mut ProcLint) {
             continue;
         }
         let verb = if rec.mode == AccessMode::Def { "written" } else { "read" };
-        out.findings.push(Finding {
-            rule: Rule::Naf06,
-            severity: Severity::Possible,
-            file: file.clone(),
-            line: rec.line,
-            proc: proc.clone(),
-            array: array_name(a, rec.array),
-            precision: rec.precision,
-            message: format!(
-                "`{}` is {verb} through a subscript neither the affine analysis \
-                 nor the interval fallback could bound; bounds checks are blind \
-                 to this access",
-                array_name(a, rec.array)
-            ),
-        });
+        let array = p.array_name(rec.array);
+        let message = format!(
+            "`{array}` is {verb} through a subscript neither the affine analysis \
+             nor the interval fallback could bound; bounds checks are blind \
+             to this access"
+        );
+        out.findings.push(finding(
+            p,
+            Rule::Naf06,
+            Severity::Possible,
+            rec.line,
+            array,
+            rec.precision,
+            message,
+        ));
     }
 }
 
@@ -767,118 +729,165 @@ fn naf(a: &Analysis, id: ProcId, out: &mut ProcLint) {
 // DST-03: stores no use ever reads (global pass over the extracted rows)
 // ---------------------------------------------------------------------------
 
-/// Runs the dead-store rule over the extracted rows. `file_of` maps a
-/// procedure display name to its source file (rows carry object files).
+/// Runs the dead-store rule over the extracted rows, in one pass.
+///
+/// Globals group program-wide by name (any procedure may read what
+/// another wrote); locals and formals group per scope. Only the rows that
+/// can change a verdict are grouped: a global group can fire only through
+/// a 1-D DEF row that is not a `via` restatement, so its other rows are
+/// kept (USE and FORMAL rows, which can veto one) only once such a row
+/// is on hand, and PASSED rows decide nothing anywhere.
 pub fn dead_stores(a: &Analysis) -> ProcLint {
     let mut out = ProcLint::default();
-    // Globals group program-wide by name (any procedure may read what
-    // another wrote); locals and formals group per scope.
-    let mut groups: BTreeMap<(String, String), Vec<&RgnRow>> = BTreeMap::new();
     // Procedures performing coindexed (PGAS) communication: sibling images
     // run the same code and may consume this image's stores through the
     // symmetric remote accesses, so one image's rows cannot witness that a
-    // store is dead. Skip every array such a procedure touches.
-    let pgas_procs: std::collections::BTreeSet<&str> = a
-        .rows
-        .iter()
-        .filter(|r| r.remote)
-        .map(|r| r.proc.as_str())
-        .collect();
+    // store is dead. Every row of such a procedure is set aside.
+    let mut pgas: BTreeSet<&str> = BTreeSet::new();
+    let mut scoped: BTreeMap<(&str, &str), Group<'_>> = BTreeMap::new();
+    let mut global_defs: Vec<&RgnRow> = Vec::new();
+    let mut global_refs: Vec<&RgnRow> = Vec::new();
     for row in &a.rows {
-        if row.remote || pgas_procs.contains(row.proc.as_str()) {
+        if row.remote {
+            pgas.insert(&row.proc);
+        } else if row.is_global {
+            match row.mode {
+                AccessMode::Def if row.via.is_none() && row.dims == 1 => global_defs.push(row),
+                AccessMode::Use | AccessMode::Formal => global_refs.push(row),
+                AccessMode::Def | AccessMode::Passed => {}
+            }
+        } else if row.mode != AccessMode::Passed {
+            scoped.entry((&row.proc, &row.array)).or_default().add(row);
+        }
+    }
+    let mut files = SourceFiles { a, by_name: None };
+    for ((scope, array), g) in &scoped {
+        if pgas.contains(scope) {
             continue;
         }
-        let scope = if row.is_global { "@".to_string() } else { row.proc.clone() };
-        groups.entry((scope, row.array.clone())).or_default().push(row);
-    }
-    for ((scope, array), rows) in groups {
-        let is_global = scope == "@";
-        let is_formal_scope =
-            rows.iter().any(|r| r.mode == AccessMode::Formal);
-        let uses: Vec<&&RgnRow> =
-            rows.iter().filter(|r| r.mode == AccessMode::Use).collect();
-        // `via` def rows restate a callee's store at the call line; the
-        // store itself is judged in the scope that owns it.
-        let defs: Vec<&&RgnRow> = rows
-            .iter()
-            .filter(|r| r.mode == AccessMode::Def && r.via.is_none())
-            .collect();
-
         // Case A: a local array written (by this procedure or a callee it
         // passes the array to) and never read anywhere.
-        if !is_global && !is_formal_scope && uses.is_empty() {
-            let all_defs: Vec<&&RgnRow> =
-                rows.iter().filter(|r| r.mode == AccessMode::Def).collect();
-            if let Some(first) = all_defs.iter().min_by_key(|r| r.line) {
+        if !g.formal && g.uses.is_empty() {
+            if let Some(first) = g.first_def {
                 out.findings.push(Finding {
                     rule: Rule::Dst03,
                     severity: Severity::Definite,
-                    file: source_file_of(a, &first.proc),
+                    file: files.of(&first.proc),
                     line: first.line,
                     proc: first.proc.clone(),
-                    array: array.clone(),
+                    array: array.to_string(),
                     precision: first.precision,
-                    message: format!(
-                        "local array `{array}` is written but never read"
-                    ),
+                    message: format!("local array `{array}` is written but never read"),
                 });
             }
             continue;
         }
-
-        // Case B: 1-D arrays with fully constant USE rows — any DEF
-        // element outside every USE region is a dead store. (fig10:
-        // `DEF aarr (1:8)` against uses hulled at (0:7) ⇒ the store to
-        // index 8 is dead, which is why the paper shrinks to `aarr[8]`.)
-        if is_formal_scope || uses.is_empty() {
-            continue; // a formal's remaining elements belong to the caller
+        unread_stores(array, g, &mut files, &mut out);
+    }
+    let mut globals: BTreeMap<&str, Group<'_>> = BTreeMap::new();
+    for row in global_defs.into_iter().filter(|r| !pgas.contains(r.proc.as_str())) {
+        globals.entry(&row.array).or_default().defs.push(row);
+    }
+    if !globals.is_empty() {
+        for row in global_refs {
+            if let Some(g) = globals.get_mut(row.array.as_str()) {
+                if !pgas.contains(row.proc.as_str()) {
+                    g.add(row);
+                }
+            }
         }
-        let use_trips: Option<Vec<Triplet>> = uses.iter().map(|r| row_triplet_1d(r)).collect();
-        let Some(use_trips) = use_trips else { continue };
-        for def in defs {
-            let Some(dt) = row_triplet_1d(def) else { continue };
-            let Some(count) = dt.count() else { continue };
-            if count == 0 || count > ELEMENT_CAP {
-                continue;
-            }
-            let Some(elems) = dt.iter() else { continue };
-            let dead: Vec<i64> = elems
-                .filter(|&e| !use_trips.iter().any(|u| u.contains(e) == Some(true)))
-                .collect();
-            if dead.is_empty() {
-                continue;
-            }
-            let span = if dead.len() == 1 {
-                format!("element {}", dead[0])
-            } else {
-                format!("elements {}..{}", dead[0], dead[dead.len() - 1])
-            };
-            // An interval-precision DEF row over-approximates the store:
-            // the "dead" elements may never be written at all, so the
-            // violation is only possible. (Interval USE rows need no such
-            // cap — over-approximated reads only *shrink* the dead set.)
-            let (severity, verb) = if def.precision >= Precision::Interval {
-                (Severity::Possible, "may be")
-            } else if dead.len() == 1 {
-                (Severity::Definite, "is")
-            } else {
-                (Severity::Definite, "are")
-            };
-            out.findings.push(Finding {
-                rule: Rule::Dst03,
-                severity,
-                file: source_file_of(a, &def.proc),
-                line: def.line,
-                proc: def.proc.clone(),
-                array: array.clone(),
-                precision: def.precision,
-                message: format!(
-                    "{span} of `{array}` {verb} written here but never read anywhere"
-                ),
-            });
+        for (array, g) in &globals {
+            unread_stores(array, g, &mut files, &mut out);
         }
     }
     out
+}
+
+/// The rows of one dead-store group that can change its verdict.
+#[derive(Default)]
+struct Group<'r> {
+    /// A FORMAL row: the array's remaining elements belong to the caller.
+    formal: bool,
+    uses: Vec<&'r RgnRow>,
+    /// DEF rows that are not `via` restatements: a `via` row restates a
+    /// callee's store at the call line, and the store itself is judged in
+    /// the scope that owns it.
+    defs: Vec<&'r RgnRow>,
+    /// The first DEF row of smallest line, `via` rows included.
+    first_def: Option<&'r RgnRow>,
+}
+
+impl<'r> Group<'r> {
+    fn add(&mut self, row: &'r RgnRow) {
+        match row.mode {
+            AccessMode::Formal => self.formal = true,
+            AccessMode::Use => self.uses.push(row),
+            AccessMode::Def => {
+                if self.first_def.is_none_or(|f| row.line < f.line) {
+                    self.first_def = Some(row);
+                }
+                if row.via.is_none() {
+                    self.defs.push(row);
+                }
+            }
+            AccessMode::Passed => {}
+        }
+    }
+}
+
+/// Case B: 1-D arrays with fully constant USE rows — any DEF element
+/// outside every USE region is a dead store. (fig10: `DEF aarr (1:8)`
+/// against uses hulled at (0:7) ⇒ the store to index 8 is dead, which is
+/// why the paper shrinks to `aarr[8]`.)
+fn unread_stores(array: &str, g: &Group<'_>, files: &mut SourceFiles<'_>, out: &mut ProcLint) {
+    if g.formal || g.uses.is_empty() {
+        return;
+    }
+    let use_trips: Option<Vec<Triplet>> = g.uses.iter().map(|r| row_triplet_1d(r)).collect();
+    let Some(use_trips) = use_trips else { return };
+    for def in &g.defs {
+        let Some(dt) = row_triplet_1d(def) else { continue };
+        let Some(count) = dt.count() else { continue };
+        if count == 0 || count > ELEMENT_CAP {
+            continue;
+        }
+        let Some(elems) = dt.iter() else { continue };
+        // The unread elements: how many, the first and the last.
+        let mut dead: Option<(usize, i64, i64)> = None;
+        for e in elems.filter(|&e| !use_trips.iter().any(|u| u.contains(e) == Some(true))) {
+            dead = Some(match dead {
+                None => (1, e, e),
+                Some((n, first, _)) => (n + 1, first, e),
+            });
+        }
+        let Some((n, first, last)) = dead else { continue };
+        let span = if n == 1 {
+            format!("element {first}")
+        } else {
+            format!("elements {first}..{last}")
+        };
+        // An interval-precision DEF row over-approximates the store: the
+        // "dead" elements may never be written at all, so the violation is
+        // only possible. (Interval USE rows need no such cap —
+        // over-approximated reads only *shrink* the dead set.)
+        let (severity, verb) = if def.precision >= Precision::Interval {
+            (Severity::Possible, "may be")
+        } else if n == 1 {
+            (Severity::Definite, "is")
+        } else {
+            (Severity::Definite, "are")
+        };
+        out.findings.push(Finding {
+            rule: Rule::Dst03,
+            severity,
+            file: files.of(&def.proc),
+            line: def.line,
+            proc: def.proc.clone(),
+            array: array.to_string(),
+            precision: def.precision,
+            message: format!("{span} of `{array}` {verb} written here but never read anywhere"),
+        });
+    }
 }
 
 /// The 1-D constant triplet of a row (source bounds), `None` when the row
@@ -887,22 +896,29 @@ fn row_triplet_1d(row: &RgnRow) -> Option<Triplet> {
     if row.dims != 1 {
         return None;
     }
-    let lb = crate::facts::parse_bounds(&row.lb)?;
-    let ub = crate::facts::parse_bounds(&row.ub)?;
-    let stride = crate::facts::parse_bounds(&row.stride)?;
-    if lb.len() != 1 || ub.len() != 1 || stride.len() != 1 {
-        return None;
-    }
-    Some(Triplet::constant(lb[0], ub[0], stride[0].max(1)))
+    // One `|`-free integer per column.
+    let one = |col: &str| if col.contains('|') { None } else { col.trim().parse::<i64>().ok() };
+    Some(Triplet::constant(one(&row.lb)?, one(&row.ub)?, one(&row.stride)?.max(1)))
 }
 
-/// Maps a row's procedure display name back to its source file.
-fn source_file_of(a: &Analysis, proc: &str) -> String {
-    for (id, p) in a.program.procedures.iter_enumerated() {
-        if display_name(&a.program, p) == proc {
-            let _ = id;
-            return a.program.name_of(p.file).to_string();
-        }
+/// Maps a row's procedure display name back to its source file (rows carry
+/// object files): the first procedure of that name, else the name itself.
+/// The map is built on the first lookup, once per run.
+struct SourceFiles<'a> {
+    a: &'a Analysis,
+    by_name: Option<BTreeMap<&'a str, &'a str>>,
+}
+
+impl SourceFiles<'_> {
+    fn of(&mut self, proc: &str) -> String {
+        let program = &self.a.program;
+        let by_name = self.by_name.get_or_insert_with(|| {
+            let mut map = BTreeMap::new();
+            for p in program.procedures.iter() {
+                map.entry(display_name(program, p)).or_insert(program.name_of(p.file));
+            }
+            map
+        });
+        by_name.get(proc).copied().unwrap_or(proc).to_string()
     }
-    proc.to_string()
 }

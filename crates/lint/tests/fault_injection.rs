@@ -9,7 +9,7 @@
 #![cfg(feature = "fault-injection")]
 
 use araa::{Analysis, AnalysisOptions};
-use lint::{LintOptions, LintReport, Rule};
+use lint::{LintCache, LintOptions, LintReport, Rule};
 use std::sync::Mutex;
 use support::faultpoint;
 
@@ -120,4 +120,35 @@ fn unarmed_faultpoints_change_nothing() {
     let report = lint::run(&a, &LintOptions::default());
     assert!(report.degradations.is_empty());
     assert_eq!(report.findings.len(), 4);
+}
+
+#[test]
+fn a_contained_panic_is_reported_again_and_never_cached() {
+    let _guard = ARMED.lock().unwrap_or_else(|p| p.into_inner());
+    faultpoint::disarm_all();
+    let a = analyze();
+    let opts = LintOptions::default();
+    let mut cache = LintCache::empty();
+    let first = {
+        faultpoint::arm("lint::contain", 2);
+        let r = lint::run_with_cache(&a, &opts, &mut cache);
+        faultpoint::disarm_all();
+        r
+    };
+    assert_eq!(first.degradations.len(), 1, "{:?}", first.degradations);
+    assert!(first.degradations[0].proc.contains("one"), "{:?}", first.degradations);
+    // `one` failed, so it relints first on the next run, alone: the same
+    // fault lands on it again and is reported again, as a cold lint under
+    // the same fault reports it.
+    faultpoint::arm("lint::contain", 1);
+    let second = lint::run_with_cache(&a, &opts, &mut cache);
+    faultpoint::disarm_all();
+    assert_eq!(second.degradations, first.degradations);
+    assert_eq!((second.procs_linted, second.procs_cached), (0, 2));
+    assert_eq!(second.findings, lint_with_fault(&a, "lint::contain", 2).findings);
+    // Unarmed, `one` relints clean and the run equals a cold lint.
+    let third = lint::run_with_cache(&a, &opts, &mut cache);
+    assert!(third.degradations.is_empty(), "{:?}", third.degradations);
+    assert_eq!((third.procs_linted, third.procs_cached), (1, 2));
+    assert_eq!(third.findings, lint::run(&a, &opts).findings);
 }

@@ -2,8 +2,9 @@
 //! positives on the clean programs, exactly the paper's own dead store on
 //! Fig. 10, and byte-identical output at any thread count.
 
-use araa::{Analysis, AnalysisOptions};
-use lint::{LintOptions, Rule, Severity};
+use araa::{Analysis, AnalysisOptions, AnalysisSession};
+use ipa::Revision;
+use lint::{LintCache, LintOptions, LintReport, Rule, Severity};
 
 fn analyze(srcs: &[workloads::GenSource]) -> Analysis {
     Analysis::analyze(srcs, AnalysisOptions::default()).expect("analysis succeeds")
@@ -50,13 +51,54 @@ fn fig10_reports_exactly_the_papers_dead_store() {
 #[test]
 fn editing_one_file_relints_only_affected_procedures() {
     let mut srcs = workloads::mini_lu::sources();
+    let mut session = AnalysisSession::new(AnalysisOptions::default());
+    session.update(&srcs).expect("cold update");
+    let mut cache = LintCache::empty();
+    lint::run_with_cache(session.analysis().expect("analysis"), &LintOptions::default(), &mut cache);
+    let before: Vec<Revision> = revisions(session.analysis().expect("analysis"));
+
     // Shrink one loop in rhs.f: the edited program lints as clean as the
     // original.
     let rhs = srcs.iter_mut().find(|s| s.name == "rhs.f").expect("rhs.f");
     rhs.text = rhs.text.replace("do k = 1, 10", "do k = 1, 7");
-    let edited = analyze(&srcs);
-    let report = lint::run(&edited, &LintOptions::default());
+    let delta = session.update(&srcs).expect("edit");
+    let a = session.analysis().expect("analysis");
+    let report = lint::run_with_cache(a, &LintOptions::default(), &mut cache);
     assert!(report.findings.is_empty(), "the edit introduces no defect");
+
+    // Exactly the recomputed procedures relint: their summaries, and only
+    // theirs, carry new revisions. Every other procedure is cached.
+    let mut recomputed: Vec<&str> = delta
+        .summaries_recomputed
+        .iter()
+        .chain(&delta.propagation_recomputed)
+        .map(String::as_str)
+        .collect();
+    recomputed.sort_unstable();
+    recomputed.dedup();
+    let renewed: Vec<&str> = a
+        .program
+        .procedures
+        .iter()
+        .zip(revisions(a))
+        .filter(|(_, r)| !before.contains(r))
+        .map(|(p, _)| a.program.name_of(p.name))
+        .collect();
+    let mut renewed_sorted = renewed.clone();
+    renewed_sorted.sort_unstable();
+    assert_eq!(renewed_sorted, recomputed, "{delta:?}");
+    assert!(recomputed.contains(&"rhs"), "{delta:?}");
+    assert_eq!(report.procs_linted, recomputed.len());
+    assert_eq!(report.procs_cached, a.program.procedure_count() - recomputed.len());
+
+    // Apart from its counts, the report renders as a cold lint's does.
+    let cold = lint::run(&analyze(&srcs), &LintOptions::default());
+    let counted_as_cold = LintReport { procs_linted: cold.procs_linted, procs_cached: 0, ..report };
+    assert_eq!(counted_as_cold.render(), cold.render());
+}
+
+fn revisions(a: &Analysis) -> Vec<Revision> {
+    a.ipa.summaries.iter().map(|s| s.revision()).collect()
 }
 
 #[test]

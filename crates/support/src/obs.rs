@@ -168,6 +168,10 @@ catalog! {
         /// Procedures the per-procedure lint rules ran on without
         /// degrading.
         LintRelinted => "lint.relinted",
+        /// Procedures whose findings a lint run reused from its cache.
+        /// Each run counts every procedure once: `lint.relinted +
+        /// lint.reused` plus its lint degradations equals its procedures.
+        LintReused => "lint.reused",
         /// Fourier–Motzkin give-up events: a projection or summary bailed
         /// out with a typed `ImpreciseReason` (budget, non-affine,
         /// symbolic) instead of an exact answer.

@@ -59,9 +59,9 @@ fn lower_array(
         (node.num_dim(), node.array_base_kid(), node.linenum)
     };
     // Resolve the declared bounds through the base symbol.
-    let bounds: Vec<DimBound> = match tree.node(base_kid).st_idx {
+    let bounds: &[DimBound] = match tree.node(base_kid).st_idx {
         Some(st) => types.dim_bounds(symbols.get(st).ty),
-        None => Vec::new(),
+        None => &[],
     };
 
     let mut dims: Vec<WnId> =

@@ -223,11 +223,11 @@ impl TypeTable {
         }
     }
 
-    /// Declared bounds in source order.
-    pub fn dim_bounds(&self, idx: TyIdx) -> Vec<DimBound> {
+    /// Declared bounds in source order (none for a scalar), borrowed.
+    pub fn dim_bounds(&self, idx: TyIdx) -> &[DimBound] {
         match &self.get(idx).kind {
-            TyKind::Array { dims, .. } => dims.clone(),
-            _ => Vec::new(),
+            TyKind::Array { dims, .. } => dims,
+            _ => &[],
         }
     }
 

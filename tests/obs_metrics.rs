@@ -16,9 +16,14 @@
 //!   `store.encoded + store.carried == session.procedures`;
 //! - every update counts each source file's unit once, reused or lowered:
 //!   `units.reused + units.lowered == parse.files_reparsed +
-//!   parse.files_cached`, the same at one and at eight threads.
+//!   parse.files_cached`, the same at one and at eight threads;
+//! - every lint run counts each procedure once, relinted, reused or
+//!   degraded: `lint.relinted + lint.reused` plus its degradations equals
+//!   the procedures, the same at one and at eight threads, and spans
+//!   `lint.rules` and `lint.dead_stores` sit under `lint.run`.
 
 use araa::{Analysis, AnalysisOptions, AnalysisSession, SessionStore};
+use lint::{LintCache, LintOptions};
 use support::budget::BudgetConfig;
 use support::obs::{self, ClockKind, Collector, Counter, Gauge};
 use support::testdir::TestDir;
@@ -318,4 +323,43 @@ fn cache_stats_reconciles_store_gauge() {
     obs::set_gauge(Gauge::StoreEntries, 999);
     let stats = store.stats().expect("stats");
     assert_eq!(c.gauge(Gauge::StoreEntries), stats.entry_files as u64);
+}
+
+#[test]
+fn lint_counts_every_procedure_relinted_reused_or_degraded() {
+    // A cold lint, then an edit of `rhs.f` linted through the same cache.
+    let counts = |threads: usize| -> Vec<(u64, u64)> {
+        let mut sources = workloads::mini_lu::sources();
+        let mut session = AnalysisSession::new(AnalysisOptions::builder().threads(threads).build());
+        let mut cache = LintCache::empty();
+        let mut out = Vec::new();
+        for edit in [false, true] {
+            if edit {
+                edit_rhs(&mut sources);
+            }
+            session.update(sources.clone()).expect("update");
+            let a = session.analysis().expect("analysis");
+            let c = Collector::new(ClockKind::Logical);
+            let report = {
+                let _g = obs::attach(c.clone());
+                lint::run_with_cache(a, &LintOptions { threads }, &mut cache)
+            };
+            let (relinted, reused) = (c.counter(Counter::LintRelinted), c.counter(Counter::LintReused));
+            assert_eq!(
+                relinted + reused + report.degradations.len() as u64,
+                a.program.procedure_count() as u64,
+                "threads {threads}, edit {edit}"
+            );
+            let spans: Vec<&str> = c.events().iter().map(|e| e.name).collect();
+            for name in ["lint.run", "lint.rules", "lint.dead_stores"] {
+                assert_eq!(spans.iter().filter(|&&s| s == name).count(), 1, "{name}: {spans:?}");
+            }
+            out.push((relinted, reused));
+        }
+        out
+    };
+    let serial = counts(1);
+    assert_eq!(serial[0].1, 0, "a cold lint reuses nothing");
+    assert!(serial[1].1 > 0, "the edit reuses the procedures it does not reach: {serial:?}");
+    assert_eq!(serial, counts(8));
 }

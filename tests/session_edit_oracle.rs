@@ -1,9 +1,12 @@
 //! Seeded incremental oracle: a long-lived [`AnalysisSession`] driven
 //! through a seeded edit script over a generated multi-file program must,
 //! after every step, equal a cold [`Analysis::analyze`] of the same
-//! sources in rows, `.rgn`/`.dgn`/`.cfg`, degradations and lint findings,
-//! and hold a `Program` equal to a cold assembly, at one, four and eight
-//! worker threads.
+//! sources in rows, `.rgn`/`.dgn`/`.cfg` and degradations, and hold a
+//! `Program` equal to a cold assembly, at one, four and eight worker
+//! threads. Each session carries one [`LintCache`] across every step,
+//! reloads included: lint through it equals a cold lint of the cold run
+//! in findings, `suppressed` and degradations, and counts every procedure
+//! once, relinted, reused or degraded.
 //!
 //! The programs are shaped to stress call-site reuse: `main` and a
 //! mid-level caller `mid` call the workers one to three times each, so
@@ -15,16 +18,18 @@
 //! worker called at two sites of one caller, adds or removes a call, adds
 //! a global, reorders the files, renames a worker, splits a file in two,
 //! merges two files, deletes a worker with its calls, adds a local (which
-//! renumbers every later file), reshapes `r`, and persists the session and
-//! reloads it into a fresh one, with one entry file flipped or deleted
-//! in between or none. Every save encodes or carries each procedure once
+//! renumbers every later file), reshapes `r`, toggles a seeded defect in
+//! a worker (an out-of-bounds store to a shared array, which its callers
+//! report too, and a dead store to a local array), and persists the
+//! session and reloads it into a fresh one, with one entry file flipped or
+//! deleted in between or none. Every save encodes or carries each procedure once
 //! and leaves a directory that verifies clean.
 //!
 //! The case count defaults to a few seconds' worth; set `PROPTEST_CASES`
 //! to run more.
 
 use araa::{Analysis, AnalysisOptions, AnalysisSession};
-use lint::LintOptions;
+use lint::{LintCache, LintOptions, LintReport};
 use proptest::prelude::*;
 use support::obs::{self, ClockKind, Collector, Counter};
 use support::testdir::TestDir;
@@ -69,6 +74,11 @@ struct Worker {
     globals: Vec<usize>,
     /// Local arrays this worker declares and writes, by number.
     locals: Vec<usize>,
+    /// Carries the seeded defects: `dst(101)` written past the shared
+    /// arrays' 100 elements, and the local `dz` written but never read.
+    /// Every worker declares `dz`, so a toggle leaves the symbol table,
+    /// and with it every revision the edit does not reach, as it was.
+    defect: bool,
     /// False once the worker and its calls are deleted.
     live: bool,
 }
@@ -118,6 +128,7 @@ impl Model {
                 writes_a: rng.below(2) == 0,
                 globals: Vec::new(),
                 locals: Vec::new(),
+                defect: false,
                 live: true,
             })
             .collect();
@@ -212,7 +223,7 @@ impl Model {
         for l in &w.locals {
             s.push_str(&format!("  real t{l}(10)\n"));
         }
-        s.push_str("  integer i\n");
+        s.push_str("  real dz(10)\n  integer i\n");
         if w.formal {
             s.push_str(&format!("  do i = {}, n\n    x(i) = {src}(i) + 1.0\n  end do\n", w.lo));
         } else {
@@ -231,6 +242,9 @@ impl Model {
         }
         for l in &w.locals {
             s.push_str(&format!("  t{l}(1) = {src}(1)\n"));
+        }
+        if w.defect {
+            s.push_str(&format!("  {dst}(101) = 0.0\n  dz(1) = 1.0\n"));
         }
         s.push_str("end\n");
         s
@@ -311,6 +325,7 @@ enum Step {
     Delete,
     AddLocal,
     Reshape,
+    Defect,
     PersistAndLoad,
 }
 
@@ -404,6 +419,12 @@ fn apply(step: Step, m: &mut Model, rng: &mut Rng, round: usize) -> String {
             m.r_extent = if m.r_extent == 40 { 60 } else { 40 };
             format!("r reshaped to {} by {}", m.r_extent, m.workers[m.r_owner].name)
         }
+        Step::Defect => {
+            let w = m.pick_live(rng);
+            let wk = &mut m.workers[w];
+            wk.defect = !wk.defect;
+            format!("defect {} in {}", if wk.defect { "seeded" } else { "removed" }, wk.name)
+        }
         Step::PersistAndLoad => "persist and load".to_string(),
     }
 }
@@ -413,8 +434,15 @@ fn opts(threads: usize) -> AnalysisOptions {
 }
 
 /// Asserts the session's analysis equals a cold run in every artifact, and
-/// its program equals a cold assembly of the same sources.
-fn assert_matches_cold(session: &AnalysisSession, sources: &[GenSource], threads: usize, at: &str) {
+/// its program equals a cold assembly of the same sources; returns the
+/// lint report through `cache`.
+fn assert_matches_cold(
+    session: &AnalysisSession,
+    cache: &mut LintCache,
+    sources: &[GenSource],
+    threads: usize,
+    at: &str,
+) -> LintReport {
     let cold = Analysis::analyze(sources, opts(threads)).expect("cold run");
     assert!(cold.degradations.is_empty(), "{at}: program degrades: {:?}", cold.degradations);
     let warm = session.analysis().expect("session keeps its analysis");
@@ -423,13 +451,19 @@ fn assert_matches_cold(session: &AnalysisSession, sources: &[GenSource], threads
     assert_eq!(warm.dgn_document(), cold.dgn_document(), "{at}: .dgn diverges");
     assert_eq!(warm.cfg_document(), cold.cfg_document(), "{at}: .cfg diverges");
     assert_eq!(warm.degradations, cold.degradations, "{at}: degradations diverge");
-    let lint_opts = LintOptions::default();
+    let lint_opts = LintOptions { threads };
+    let report = lint::run_with_cache(warm, &lint_opts, cache);
+    let oracle = lint::run(&cold, &lint_opts);
+    assert_eq!(report.findings, oracle.findings, "{at}: lint findings diverge");
+    assert_eq!(report.suppressed, oracle.suppressed, "{at}: lint suppressed diverges");
+    assert_eq!(report.degradations, oracle.degradations, "{at}: lint degradations diverge");
     assert_eq!(
-        lint::run(warm, &lint_opts).findings,
-        lint::run(&cold, &lint_opts).findings,
-        "{at}: lint findings diverge"
+        report.procs_linted + report.procs_cached + report.degradations.len(),
+        warm.program.procedure_count(),
+        "{at}: lint counts every procedure once"
     );
     assert_program_matches_cold(&warm.program, sources, at);
+    report
 }
 
 /// Asserts `program` equals a cold assembly of `sources`, table by table.
@@ -500,6 +534,7 @@ enum Damage {
 /// recomputes (`sources` is what the session was last updated with).
 fn persist_and_reload(
     s: &mut AnalysisSession,
+    cache: &mut LintCache,
     dir: &TestDir,
     threads: usize,
     damage: Damage,
@@ -538,7 +573,10 @@ fn persist_and_reload(
             .unwrap_or_else(|| panic!("{at}: not an entry incident: {incidents:?}"));
         assert_eq!(delta.summaries_recomputed, vec![proc], "{at}: {delta:?}");
     }
-    assert_matches_cold(&fresh, sources, threads, at);
+    // Revisions are never persisted: the loaded session shares none with
+    // the carried cache.
+    let report = assert_matches_cold(&fresh, cache, sources, threads, at);
+    assert_eq!(report.procs_cached, 0, "{at}: a reloaded session relints everything");
     *s = fresh;
 }
 
@@ -557,20 +595,21 @@ fn run_script(seed: u64) {
         Step::Delete,
         Step::AddLocal,
         Step::Reshape,
+        Step::Defect,
         Step::PersistAndLoad,
     ];
     rng.shuffle(&mut steps);
     const THREADS: [usize; 3] = [1, 4, 8];
     let dirs = THREADS.map(|t| TestDir::new(&format!("edit-oracle-t{t}")));
-    let mut sessions: Vec<(usize, AnalysisSession)> = THREADS
+    let mut sessions: Vec<(usize, AnalysisSession, LintCache)> = THREADS
         .iter()
         .zip(&dirs)
-        .map(|(&t, d)| (t, AnalysisSession::with_cache_dir(opts(t), d.path())))
+        .map(|(&t, d)| (t, AnalysisSession::with_cache_dir(opts(t), d.path()), LintCache::empty()))
         .collect();
     let mut sources = model.sources();
-    for (t, s) in &mut sessions {
+    for (t, s, cache) in &mut sessions {
         s.update(&sources).expect("cold update");
-        assert_matches_cold(s, &sources, *t, "cold start");
+        assert_matches_cold(s, cache, &sources, *t, "cold start");
     }
     // Every kind of step once, in seeded order, then one more bound edit
     // so the step after a reload is always an edit.
@@ -582,19 +621,24 @@ fn run_script(seed: u64) {
             _ => Damage::Delete(rng.below(64)),
         };
         let at = format!("seed {seed}, step {round} ({label})");
-        for ((t, s), dir) in sessions.iter_mut().zip(&dirs) {
+        for ((t, s, cache), dir) in sessions.iter_mut().zip(&dirs) {
             if let Step::PersistAndLoad = step {
                 let at = format!("{at}, {damage:?}");
-                persist_and_reload(s, dir, *t, damage, &sources, &at);
+                persist_and_reload(s, cache, dir, *t, damage, &sources, &at);
                 continue;
             }
             let next = model.sources();
             s.update(&next).unwrap_or_else(|e| panic!("{at}: update failed: {e}"));
-            assert_matches_cold(s, &next, *t, &at);
+            let report = assert_matches_cold(s, cache, &next, *t, &at);
+            // A bound edit leaves the workers it does not reach cached.
+            if let Step::Bound = step {
+                assert!(report.procs_cached > 0, "{at}: nothing reused: {}", report.render());
+            }
             // A reshape is checked again through the cache: the save must
             // carry fingerprints of the reshaped program.
             if let Step::Reshape = step {
-                persist_and_reload(s, dir, *t, Damage::None, &next, &format!("{at}, reloaded"));
+                let at = format!("{at}, reloaded");
+                persist_and_reload(s, cache, dir, *t, Damage::None, &next, &at);
             }
         }
         sources = model.sources();
