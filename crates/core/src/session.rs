@@ -1070,7 +1070,11 @@ fn extract_env_hash(program: &Program, formal_addr: &BTreeMap<whirl::StIdx, u64>
     let mut h = StableHasher::new();
     for (_, proc) in program.procedures.iter_enumerated() {
         h.write_str(ipa::callgraph::display_name(program, proc));
-        h.write_str(&proc.object_file(&program.interner));
+        // `write_str(&proc.object_file(..))`, without building the string.
+        let stem = proc.object_stem(&program.interner);
+        h.write_usize(stem.len() + 2);
+        h.write_bytes(stem.as_bytes());
+        h.write_bytes(b".o");
         h.write_u8(match proc.lang {
             Lang::C => 0,
             Lang::Fortran => 1,
@@ -1092,10 +1096,11 @@ fn extract_env_hash(program: &Program, formal_addr: &BTreeMap<whirl::StIdx, u64>
         h.write_str(program.types.elem_type(ty).display_name());
         h.write_i64(program.types.total_elements(ty));
         h.write_i64(program.types.size_bytes(ty));
-        for d in program.types.dim_sizes(ty) {
-            h.write_i64(d);
+        let bounds = program.types.dim_bounds(ty);
+        for &b in bounds {
+            h.write_i64(b.extent());
         }
-        for &b in program.types.dim_bounds(ty) {
+        for &b in bounds {
             match b {
                 whirl::DimBound::Const { lb, ub } => {
                     h.write_u8(0);
@@ -1205,6 +1210,88 @@ subroutine leaf
   end do
 end
 ";
+
+    /// `extract_env_hash` as it read when it built a `String` per object
+    /// file and a `Vec` per symbol's extents: the manifest stores the
+    /// value, so the allocation-free version must match it bit for bit.
+    fn extract_env_hash_reference(
+        program: &Program,
+        formal_addr: &BTreeMap<whirl::StIdx, u64>,
+    ) -> u64 {
+        let mut h = StableHasher::new();
+        for (_, proc) in program.procedures.iter_enumerated() {
+            h.write_str(ipa::callgraph::display_name(program, proc));
+            h.write_str(&proc.object_file(&program.interner));
+            h.write_u8(match proc.lang {
+                Lang::C => 0,
+                Lang::Fortran => 1,
+            });
+        }
+        for (st, entry) in program.symbols.iter() {
+            h.write_str(program.name_of(entry.name));
+            h.write_u8(entry.class as u8);
+            h.write_u64(entry.address);
+            match formal_addr.get(&st) {
+                Some(&a) => {
+                    h.write_u8(1);
+                    h.write_u64(a);
+                }
+                None => h.write_u8(0),
+            }
+            let ty = entry.ty;
+            h.write_i64(program.types.element_size(ty));
+            h.write_str(program.types.elem_type(ty).display_name());
+            h.write_i64(program.types.total_elements(ty));
+            h.write_i64(program.types.size_bytes(ty));
+            for d in program.types.dim_sizes(ty) {
+                h.write_i64(d);
+            }
+            for &b in program.types.dim_bounds(ty) {
+                match b {
+                    whirl::DimBound::Const { lb, ub } => {
+                        h.write_u8(0);
+                        h.write_i64(lb);
+                        h.write_i64(ub);
+                    }
+                    whirl::DimBound::Runtime => h.write_u8(1),
+                }
+            }
+        }
+        h.finish()
+    }
+
+    #[test]
+    fn extract_env_hash_matches_the_allocating_reference() {
+        use workloads::synthetic::{generate, SynthConfig};
+        let corpus = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../workloads/irregular_corpus");
+        let mut programs: Vec<(String, Vec<SourceFile>)> = vec![
+            ("mini_lu".into(), workloads::mini_lu::sources().into_iter().map(Into::into).collect()),
+            (
+                "synthetic_24".into(),
+                vec![generate(&SynthConfig { procedures: 24, ..SynthConfig::default() }).into()],
+            ),
+        ];
+        let mut names: Vec<_> = std::fs::read_dir(&corpus)
+            .expect("irregular corpus")
+            .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        for name in names {
+            let text = std::fs::read_to_string(corpus.join(&name)).expect("corpus file");
+            programs.push((name.clone(), vec![SourceFile::new(&name, &text, Lang::Fortran)]));
+        }
+        for (label, sources) in programs {
+            let program = frontend::compile_to_h(&sources, frontend::DEFAULT_LAYOUT_BASE)
+                .unwrap_or_else(|e| panic!("{label}: {e}"));
+            let formal_addr = resolve_formal_addresses(&program, &CallGraph::build(&program));
+            assert_eq!(
+                extract_env_hash(&program, &formal_addr),
+                extract_env_hash_reference(&program, &formal_addr),
+                "{label}"
+            );
+        }
+    }
 
     fn files(leaf: &str) -> Vec<SourceFile> {
         vec![

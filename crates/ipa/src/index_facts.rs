@@ -94,7 +94,7 @@ struct Candidate {
 fn affine_extent(e: &AffExpr, nest: &[Option<ConstLoop>]) -> Option<(i64, i64)> {
     let AffExpr::Lin { constant, terms } = e else { return None };
     let (mut lo, mut hi) = (i128::from(*constant), i128::from(*constant));
-    for (&st, &c) in terms {
+    for &(st, c) in terms {
         let l = nest
             .iter()
             .flatten()
@@ -110,11 +110,10 @@ fn affine_extent(e: &AffExpr, nest: &[Option<ConstLoop>]) -> Option<(i64, i64)> 
 /// The single `(ivar, coeff)` of a one-variable affine expression.
 fn single_term(e: &AffExpr) -> Option<(StIdx, i64, i64)> {
     let AffExpr::Lin { constant, terms } = e else { return None };
-    if terms.len() != 1 {
-        return None;
+    match terms[..] {
+        [(st, c)] => Some((st, c, *constant)),
+        _ => None,
     }
-    let (&st, &c) = terms.iter().next()?;
-    Some((st, c, *constant))
 }
 
 /// Derives index-array facts for one procedure.
@@ -576,9 +575,9 @@ end
             sites: vec![StoreSite {
                 index: AffExpr::Lin {
                     constant: 0,
-                    terms: [(StIdx(7), 5_000_000_000_i64)].into_iter().collect(),
+                    terms: vec![(StIdx(7), 5_000_000_000_i64)],
                 },
-                value: AffExpr::Lin { constant: 1, terms: BTreeMap::new() },
+                value: AffExpr::constant(1),
                 nest: vec![Some(ConstLoop {
                     ivar: StIdx(7),
                     lo: -1_000_000_000,

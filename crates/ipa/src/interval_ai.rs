@@ -152,15 +152,11 @@ impl<'a> Interp<'a> {
 
     /// Records subscript intervals for every `ARRAY` node inside `id`.
     fn record_expr(&mut self, id: WnId, env: &Env) {
-        let arrays: Vec<WnId> = self
-            .tree
-            .pre_order(id)
-            .filter(|&n| self.tree.node(n).operator == Opr::Array)
-            .collect();
-        for a in arrays {
-            let ndims = self.tree.node(a).num_dim();
+        let tree = self.tree;
+        for a in tree.pre_order(id).filter(|&n| tree.node(n).operator == Opr::Array) {
+            let ndims = tree.node(a).num_dim();
             for d in 0..ndims {
-                let v = self.eval(self.tree.node(a).array_index_kid(d), env);
+                let v = self.eval(tree.node(a).array_index_kid(d), env);
                 self.out
                     .entry((a, d))
                     .and_modify(|cur| *cur = cur.join(&v))
@@ -172,7 +168,7 @@ impl<'a> Interp<'a> {
     /// Executes a statement; mutates `env`. When `record` is set, subscript
     /// intervals are folded into the output map (the final stable pass).
     fn exec_stmt(&mut self, id: WnId, env: &mut Env, record: bool) {
-        let node = self.tree.node(id).clone();
+        let node = self.tree.node(id);
         match node.operator {
             Opr::Stid => {
                 if record {
@@ -232,14 +228,13 @@ impl<'a> Interp<'a> {
     }
 
     fn exec_block(&mut self, block: WnId, env: &mut Env, record: bool) {
-        let kids = self.tree.node(block).kids.clone();
-        for k in kids {
+        for &k in &self.tree.node(block).kids {
             self.exec_stmt(k, env, record);
         }
     }
 
     fn exec_loop(&mut self, id: WnId, env: &mut Env, record: bool) {
-        let node = self.tree.node(id).clone();
+        let node = self.tree.node(id);
         let init = self.tree.node(node.kids[0]).kids[0];
         let bound = self.tree.node(node.kids[1]).kids[1];
         let body = node.kids[3];
@@ -364,8 +359,7 @@ impl<'a> Interp<'a> {
         mult: Option<i64>,
         acc: &mut BTreeMap<StIdx, IncAcc>,
     ) {
-        let kids = self.tree.node(block).kids.clone();
-        for id in kids {
+        for &id in &self.tree.node(block).kids {
             let node = self.tree.node(id);
             match node.operator {
                 Opr::Stid => {
@@ -409,7 +403,7 @@ impl<'a> Interp<'a> {
                 }
                 Opr::Call => {
                     // Havocked scalars cannot be clamped.
-                    for &parm in &node.kids.clone() {
+                    for &parm in &node.kids {
                         let v = self.tree.node(self.tree.node(parm).kids[0]);
                         if matches!(v.operator, Opr::Lda | Opr::Ldid) {
                             if let Some(st) = v.st_idx {
@@ -428,7 +422,7 @@ impl<'a> Interp<'a> {
         let rhs = self.tree.node(id).kids[0];
         match crate::local::whirl_to_affine(self.tree, rhs) {
             crate::local::AffExpr::Lin { constant, terms } => {
-                (terms.len() == 1 && terms.get(&st) == Some(&1)).then_some(constant)
+                (terms[..] == [(st, 1)]).then_some(constant)
             }
             crate::local::AffExpr::Messy => None,
         }

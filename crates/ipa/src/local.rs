@@ -11,7 +11,7 @@
 use crate::index_facts::{self, IndexArrayFact};
 use crate::interval_ai;
 use regions::access::{AccessMode, Precision};
-use regions::linexpr::LinExpr;
+use regions::linexpr::{merge_terms, LinExpr};
 use regions::space::{Space, VarId};
 use regions::summarize::{summarize_reference_detailed, LoopInfo, LoopNest, Subscript};
 use regions::triplet::{Bound, Triplet, TripletRegion};
@@ -149,8 +149,9 @@ pub enum AffExpr {
     Lin {
         /// Constant term.
         constant: i64,
-        /// Per-symbol coefficients (no zero entries).
-        terms: BTreeMap<StIdx, i64>,
+        /// Per-symbol coefficients, strictly ascending by symbol (no zero
+        /// entries).
+        terms: Vec<(StIdx, i64)>,
     },
     /// Not affine (indirect loads, products of variables, division, ...).
     Messy,
@@ -159,29 +160,24 @@ pub enum AffExpr {
 impl AffExpr {
     /// The constant expression.
     pub fn constant(c: i64) -> Self {
-        AffExpr::Lin { constant: c, terms: BTreeMap::new() }
+        AffExpr::Lin { constant: c, terms: Vec::new() }
     }
 
     /// The single-variable expression.
     pub fn var(st: StIdx) -> Self {
-        AffExpr::Lin { constant: 0, terms: BTreeMap::from([(st, 1)]) }
+        AffExpr::Lin { constant: 0, terms: vec![(st, 1)] }
     }
 
-    fn add(&self, other: &AffExpr) -> AffExpr {
+    /// `self + k·other`.
+    fn add_scaled(&self, other: &AffExpr, k: i64) -> AffExpr {
         match (self, other) {
             (
                 AffExpr::Lin { constant: c1, terms: t1 },
                 AffExpr::Lin { constant: c2, terms: t2 },
             ) => {
-                let mut terms = t1.clone();
-                for (&st, &c) in t2 {
-                    let e = terms.entry(st).or_insert(0);
-                    *e += c;
-                    if *e == 0 {
-                        terms.remove(&st);
-                    }
-                }
-                AffExpr::Lin { constant: c1 + c2, terms }
+                let mut terms = Vec::new();
+                merge_terms(t1, None, t2, k, &mut terms);
+                AffExpr::Lin { constant: c1 + c2 * k, terms }
             }
             _ => AffExpr::Messy,
         }
@@ -195,15 +191,15 @@ impl AffExpr {
                 }
                 AffExpr::Lin {
                     constant: constant * k,
-                    terms: terms.iter().map(|(&st, &c)| (st, c * k)).collect(),
+                    terms: terms
+                        .iter()
+                        .map(|&(st, c)| (st, c * k))
+                        .filter(|&(_, c)| c != 0)
+                        .collect(),
                 }
             }
             AffExpr::Messy => AffExpr::Messy,
         }
-    }
-
-    fn sub(&self, other: &AffExpr) -> AffExpr {
-        self.add(&other.scale(-1))
     }
 
     /// `Some(c)` when the expression is the constant `c`.
@@ -214,12 +210,13 @@ impl AffExpr {
         }
     }
 
-    /// Symbols mentioned.
-    pub fn symbols(&self) -> Vec<StIdx> {
-        match self {
-            AffExpr::Lin { terms, .. } => terms.keys().copied().collect(),
-            AffExpr::Messy => Vec::new(),
-        }
+    /// Symbols mentioned, ascending.
+    pub fn symbols(&self) -> impl Iterator<Item = StIdx> + '_ {
+        let terms: &[(StIdx, i64)] = match self {
+            AffExpr::Lin { terms, .. } => terms,
+            AffExpr::Messy => &[],
+        };
+        terms.iter().map(|&(st, _)| st)
     }
 }
 
@@ -233,10 +230,10 @@ pub fn whirl_to_affine(tree: &WhirlTree, id: WnId) -> AffExpr {
             None => AffExpr::Messy,
         },
         Opr::Add => {
-            whirl_to_affine(tree, n.kids[0]).add(&whirl_to_affine(tree, n.kids[1]))
+            whirl_to_affine(tree, n.kids[0]).add_scaled(&whirl_to_affine(tree, n.kids[1]), 1)
         }
         Opr::Sub => {
-            whirl_to_affine(tree, n.kids[0]).sub(&whirl_to_affine(tree, n.kids[1]))
+            whirl_to_affine(tree, n.kids[0]).add_scaled(&whirl_to_affine(tree, n.kids[1]), -1)
         }
         Opr::Neg => whirl_to_affine(tree, n.kids[0]).scale(-1),
         Opr::Mpy => {
@@ -415,7 +412,7 @@ fn stored_symbols(
         }
         _ => {}
     }
-    for k in node.kids.clone() {
+    for &k in &node.kids {
         stored_symbols(tree, k, out);
     }
 }
@@ -432,8 +429,7 @@ pub fn summarize_all(program: &Program) -> Vec<ProcSummary> {
 impl<'a> Walker<'a> {
     fn walk_block(&mut self, block: WnId) {
         debug_assert_eq!(self.proc.tree.node(block).operator, Opr::Block);
-        let kids = self.proc.tree.node(block).kids.clone();
-        for k in kids {
+        for &k in &self.proc.tree.node(block).kids {
             self.walk_stmt(k);
         }
     }
@@ -465,9 +461,8 @@ impl<'a> Walker<'a> {
                 }
             }
             Opr::Call => {
-                let kids = node.kids.clone();
                 let line = node.linenum;
-                for parm in kids {
+                for &parm in &node.kids {
                     let v = tree.node(parm).kids[0];
                     let vn = tree.node(v);
                     if vn.operator == Opr::Lda {
@@ -547,8 +542,7 @@ impl<'a> Walker<'a> {
                 return;
             }
         }
-        let kids = node.kids.clone();
-        for k in kids {
+        for &k in &node.kids {
             self.walk_expr_uses(k);
         }
     }
@@ -586,7 +580,8 @@ impl<'a> Walker<'a> {
         // Build the space: dims, then loop vars (outermost first), then the
         // remaining symbols as symbolic parameters.
         let mut space = Space::with_dims(ndims as u8);
-        let mut var_of: BTreeMap<StIdx, VarId> = BTreeMap::new();
+        // Symbol → space variable; a handful of entries, so a list.
+        let mut var_of: Vec<(StIdx, VarId)> = Vec::new();
         // A loop frame participates only when both bounds are affine.
         let mut frames: Vec<(usize, VarId)> = Vec::new();
         for (i, f) in self.nest.iter().enumerate() {
@@ -595,16 +590,19 @@ impl<'a> Walker<'a> {
             }
             let name = self.program.symbols.get(f.ivar).name;
             let v = space.add_loop(name);
-            var_of.insert(f.ivar, v);
+            var_of.push((f.ivar, v));
             frames.push((i, v));
         }
         // Symbols from subscripts and loop bounds that are not loop vars.
-        let add_syms = |e: &AffExpr, space: &mut Space, var_of: &mut BTreeMap<StIdx, VarId>| {
+        let lookup = |var_of: &[(StIdx, VarId)], st: StIdx| {
+            var_of.iter().find(|&&(s, _)| s == st).map(|&(_, v)| v)
+        };
+        let add_syms = |e: &AffExpr, space: &mut Space, var_of: &mut Vec<(StIdx, VarId)>| {
             for st in e.symbols() {
-                var_of.entry(st).or_insert_with(|| {
+                if lookup(var_of, st).is_none() {
                     let name = self.program.symbols.get(st).name;
-                    space.add_sym(name)
-                });
+                    var_of.push((st, space.add_sym(name)));
+                }
             }
         };
         for e in &subs_aff {
@@ -616,12 +614,12 @@ impl<'a> Walker<'a> {
             add_syms(&f.hi, &mut space, &mut var_of);
         }
 
-        let to_lin = |e: &AffExpr, var_of: &BTreeMap<StIdx, VarId>| -> Option<LinExpr> {
+        let to_lin = |e: &AffExpr, var_of: &[(StIdx, VarId)]| -> Option<LinExpr> {
             match e {
                 AffExpr::Lin { constant, terms } => {
                     let mut out = LinExpr::constant(*constant);
-                    for (&st, &c) in terms {
-                        out.add_term(*var_of.get(&st)?, c);
+                    for &(st, c) in terms {
+                        out.add_term(lookup(var_of, st)?, c);
                     }
                     Some(out)
                 }
@@ -661,7 +659,7 @@ impl<'a> Walker<'a> {
             if bad_dims.contains(&d) {
                 continue;
             }
-            let loop_variant = e.symbols().into_iter().any(|st| {
+            let loop_variant = e.symbols().any(|st| {
                 self.variant.iter().any(|s| s.contains(&st))
                     && !self.nest.iter().any(|f| {
                         f.ivar == st
@@ -739,7 +737,7 @@ impl<'a> Walker<'a> {
         let AffExpr::Lin { constant, terms } = e else { return None };
         let (mut lo, mut hi) = (i128::from(*constant), i128::from(*constant));
         let mut stride: i64 = 1;
-        for (&st, &c) in terms {
+        for &(st, c) in terms {
             let f = self.nest.iter().find(|f| f.ivar == st)?;
             let (flo, fhi) = (f.lo.as_const()?, f.hi.as_const()?);
             let (a, b) = (i128::from(c) * i128::from(flo), i128::from(c) * i128::from(fhi));

@@ -552,10 +552,11 @@ fn injective_escape(
 /// `g` mentions anything besides `ivar` or overflows.
 fn g_range(g: &AffExpr, ivar: StIdx, lo: i64, hi: i64) -> Option<Triplet> {
     let AffExpr::Lin { constant, terms } = g else { return None };
-    if terms.keys().any(|&st| st != ivar) {
-        return None;
-    }
-    let c = terms.get(&ivar).copied().unwrap_or(0);
+    let c = match terms[..] {
+        [] => 0,
+        [(st, c)] if st == ivar => c,
+        _ => return None,
+    };
     let at = |i: i64| c.checked_mul(i)?.checked_add(*constant);
     let (x, y) = (at(lo)?, at(hi)?);
     Some(Triplet::constant(x.min(y), x.max(y), c.abs().max(1)))
@@ -619,7 +620,7 @@ fn dependence_system_satisfiable(
         match e {
             AffExpr::Lin { constant, terms } => {
                 let mut out = LinExpr::constant(*constant);
-                for (&st, &c) in terms {
+                for &(st, c) in terms {
                     let per_instance = inst_vars[instance].contains(&st);
                     let v = var_for(st, instance, per_instance, space, interner, shared, inst);
                     out.add_term(v, c);

@@ -62,25 +62,12 @@ impl Constraint {
         if g > 1 {
             let c = self.expr.constant_term();
             match self.rel {
-                Rel::Ge => {
-                    let mut scaled = LinExpr::constant(c.div_euclid(g));
-                    for (v, k) in self.expr.terms() {
-                        scaled.add_term(v, k / g);
-                    }
-                    self.expr = scaled;
-                }
-                Rel::Eq => {
-                    // Only exact when g divides the constant; otherwise the
-                    // equality is unsatisfiable over ℤ — keep it as-is and let
-                    // feasibility checks handle it.
-                    if c % g == 0 {
-                        let mut scaled = LinExpr::constant(c / g);
-                        for (v, k) in self.expr.terms() {
-                            scaled.add_term(v, k / g);
-                        }
-                        self.expr = scaled;
-                    }
-                }
+                Rel::Ge => self.expr.divide_coeffs(g, c.div_euclid(g)),
+                // Only exact when g divides the constant; otherwise the
+                // equality is unsatisfiable over ℤ — keep it as-is and let
+                // feasibility checks handle it.
+                Rel::Eq if c % g == 0 => self.expr.divide_coeffs(g, c / g),
+                Rel::Eq => {}
             }
         }
         self
@@ -233,11 +220,12 @@ impl ConstraintSystem {
         Some(true)
     }
 
-    /// Removes syntactic duplicates and constraints implied by an identical
-    /// constraint with a looser constant (cheap dominance pruning).
+    /// Removes syntactic duplicates and inequalities implied by one with the
+    /// same variable part and a tighter constant (cheap dominance pruning).
     pub fn prune(&mut self) {
-        // Drop c1 if some c2 has the same variable part, same relation Ge,
-        // and a constant ≥ c1's (i.e. c2 is tighter or equal).
+        // Drop a (`e + ka ≥ 0`) if some b (`e + kb ≥ 0`) has the same
+        // variable part, both are inequalities, and kb ≤ ka: b implies a.
+        // Of two equal ones the earlier survives.
         let mut keep = vec![true; self.constraints.len()];
         for i in 0..self.constraints.len() {
             if !keep[i] {
@@ -290,9 +278,7 @@ impl FromIterator<Constraint> for ConstraintSystem {
 }
 
 fn same_linear_part(a: &LinExpr, b: &LinExpr) -> bool {
-    let av: Vec<_> = a.terms().collect();
-    let bv: Vec<_> = b.terms().collect();
-    av == bv
+    a.terms().eq(b.terms())
 }
 
 /// Convenience: gcd re-export for FM (kept here to avoid a util module).

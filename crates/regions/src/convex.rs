@@ -57,18 +57,8 @@ impl ConvexRegion {
     /// Eliminates every loop variable, leaving a region over dimension and
     /// symbolic variables only — the "projection" step of the Regions method.
     pub fn project_loops(&self, stats: &mut FmStats) -> ConvexRegion {
-        let loops = self.space.loop_vars();
-        match fourier_motzkin::eliminate_all(&self.system, &loops, stats) {
-            Projection::Feasible(system) => {
-                ConvexRegion { space: self.space.clone(), system }
-            }
-            Projection::Empty => {
-                // Represent emptiness as `0 ≥ 1`.
-                let mut system = ConstraintSystem::new();
-                system.push(Constraint::ge0(LinExpr::constant(-1)));
-                ConvexRegion { space: self.space.clone(), system }
-            }
-        }
+        let system = project_loops_of(&self.space, &self.system, stats);
+        ConvexRegion { space: self.space.clone(), system }
     }
 
     /// Intersection: concatenate constraint systems (exact for convex sets).
@@ -194,6 +184,23 @@ impl ConvexRegion {
     pub fn render(&self, interner: &support::Interner) -> String {
         let space = self.space.clone();
         self.system.render(&move |v: VarId| space.name(v, interner))
+    }
+}
+
+/// `system` with every loop variable of `space` projected out; an empty
+/// projection is represented as `0 ≥ 1`.
+pub(crate) fn project_loops_of(
+    space: &Space,
+    system: &ConstraintSystem,
+    stats: &mut FmStats,
+) -> ConstraintSystem {
+    match fourier_motzkin::eliminate_all(system, &space.loop_vars(), stats) {
+        Projection::Feasible(system) => system,
+        Projection::Empty => {
+            let mut system = ConstraintSystem::new();
+            system.push(Constraint::ge0(LinExpr::constant(-1)));
+            system
+        }
     }
 }
 

@@ -14,6 +14,7 @@
 
 use crate::constraint::{lcm, Constraint, ConstraintSystem, Rel};
 use crate::space::VarId;
+use std::borrow::Cow;
 use support::obs::{self, Counter};
 use support::{budget, faultpoint};
 
@@ -122,15 +123,25 @@ impl Projection {
 /// coefficient, scale-and-substitute (still exact for the rational shadow,
 /// conservative over ℤ); (3) otherwise pair lower × upper bounds.
 pub fn eliminate(system: &ConstraintSystem, v: VarId, stats: &mut FmStats) -> Projection {
+    eliminate_step(system, v, stats).unwrap_or_else(|| Projection::Feasible(system.clone()))
+}
+
+/// [`eliminate`], but `None` when `system` is unchanged because `v` does
+/// not occur in it, so callers that own the system need not copy it.
+fn eliminate_step(system: &ConstraintSystem, v: VarId, stats: &mut FmStats) -> Option<Projection> {
     faultpoint::hit("fm::eliminate");
     if system.has_contradiction() {
-        return Projection::Empty;
+        return Some(Projection::Empty);
     }
     if !system.mentions(v) {
-        return Projection::Feasible(system.clone());
+        return None;
     }
     obs::incr(Counter::FmEliminations);
+    Some(eliminate_mentioned(system, v, stats))
+}
 
+/// Eliminates `v`, which occurs in the contradiction-free `system`.
+fn eliminate_mentioned(system: &ConstraintSystem, v: VarId, stats: &mut FmStats) -> Projection {
     let (lower, upper, eqs, rest) = system.partition_on(v);
 
     // Charge the work this elimination is about to do against the active
@@ -175,8 +186,6 @@ pub fn eliminate(system: &ConstraintSystem, v: VarId, stats: &mut FmStats) -> Pr
         } else {
             // Scale each other constraint by |a| so the substitution stays
             // integral: from a·v = -r, replace a·v inside k·v-terms.
-            let mut rhs = eq.expr.clone();
-            rhs.add_term(v, -a); // rhs = expr without the v term
             for c in system.constraints() {
                 if std::ptr::eq(*eq, c) {
                     continue;
@@ -194,7 +203,6 @@ pub fn eliminate(system: &ConstraintSystem, v: VarId, stats: &mut FmStats) -> Pr
                 let mut e = c.expr.scale(mult);
                 e = e.sub(&eq.expr.scale(eq_mult));
                 debug_assert_eq!(e.coeff(v), 0);
-                let _ = rhs; // rhs retained for clarity; combination above is equivalent
                 let nc = Constraint { expr: e, rel: c.rel }.normalized();
                 if nc.is_trivially_false() {
                     return Projection::Empty;
@@ -220,7 +228,7 @@ pub fn eliminate(system: &ConstraintSystem, v: VarId, stats: &mut FmStats) -> Pr
             let b = -up.expr.coeff(v); // b > 0
             let m = lcm(a, b);
             // m/a · lo + m/b · up eliminates v, preserving ≥.
-            let combined = lo.expr.scale(m / a).add(&up.expr.scale(m / b));
+            let combined = lo.expr.scale(m / a).add_scaled(&up.expr, m / b);
             debug_assert_eq!(combined.coeff(v), 0);
             let nc = Constraint::ge0(combined);
             if nc.is_trivially_false() {
@@ -285,7 +293,7 @@ pub fn eliminate_all(
     vars: &[VarId],
     stats: &mut FmStats,
 ) -> Projection {
-    let mut current = system.clone();
+    let mut current = Cow::Borrowed(system);
     let mut remaining: Vec<VarId> = vars.to_vec();
     while let Some((pos, _)) = remaining
         .iter()
@@ -294,22 +302,28 @@ pub fn eliminate_all(
         .min_by_key(|&(_, cost)| cost)
     {
         let v = remaining.swap_remove(pos);
-        match eliminate(&current, v, stats) {
-            Projection::Feasible(next) => current = next,
-            Projection::Empty => return Projection::Empty,
+        match eliminate_step(&current, v, stats) {
+            Some(Projection::Feasible(next)) => current = Cow::Owned(next),
+            Some(Projection::Empty) => return Projection::Empty,
+            None => {}
         }
     }
-    Projection::Feasible(current)
+    Projection::Feasible(current.into_owned())
 }
 
 /// The pairing cost of eliminating `v` now: 0 when an equality can
 /// substitute it away, else `|lower| * |upper|`.
 fn elimination_cost(system: &ConstraintSystem, v: VarId) -> usize {
-    let (lower, upper, eqs, _) = system.partition_on(v);
-    if !eqs.is_empty() {
-        return 0;
+    let (mut lower, mut upper) = (0, 0);
+    for c in system.constraints() {
+        match c.expr.coeff(v) {
+            0 => {}
+            _ if c.rel == Rel::Eq => return 0,
+            k if k > 0 => lower += 1,
+            _ => upper += 1,
+        }
     }
-    lower.len() * upper.len()
+    lower * upper
 }
 
 /// Decides whether the system has any rational solution by eliminating every

@@ -3,19 +3,26 @@
 //! Subscript expressions, loop bounds, and region constraints are all affine
 //! in practice for the programs the paper analyzes; anything non-affine is
 //! classified `MESSY` upstream and never reaches this module. Coefficients
-//! are `i64`; all arithmetic is checked in debug builds via the standard
-//! overflow traps.
+//! are `i64`: debug builds trap on overflow, release builds wrap.
+//!
+//! An expression keeps its coefficients in one vector, sorted by variable
+//! with no zero entries. Every region of a cold analysis is built from
+//! these, so `add`, `sub` and `substitute` are single merge passes that
+//! allocate only their result, and iteration order — ascending by
+//! variable — is the order rendered and persisted.
 
 use crate::space::VarId;
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
+use std::fmt::Write as _;
 use support::idx::Idx;
 
-/// An affine expression: constant term plus a sparse map of coefficients.
+/// An affine expression: constant term plus sparse coefficients.
 /// Zero coefficients are never stored, so `==` is a semantic equality test.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct LinExpr {
     constant: i64,
-    coeffs: BTreeMap<VarId, i64>,
+    /// Nonzero coefficients, strictly ascending by variable.
+    coeffs: Vec<(VarId, i64)>,
 }
 
 impl LinExpr {
@@ -26,7 +33,7 @@ impl LinExpr {
 
     /// A constant expression.
     pub fn constant(c: i64) -> Self {
-        LinExpr { constant: c, coeffs: BTreeMap::new() }
+        LinExpr { constant: c, coeffs: Vec::new() }
     }
 
     /// The expression `1·v`.
@@ -36,10 +43,7 @@ impl LinExpr {
 
     /// The expression `coeff·v`.
     pub fn term(v: VarId, coeff: i64) -> Self {
-        let mut coeffs = BTreeMap::new();
-        if coeff != 0 {
-            coeffs.insert(v, coeff);
-        }
+        let coeffs = if coeff != 0 { vec![(v, coeff)] } else { Vec::new() };
         LinExpr { constant: 0, coeffs }
     }
 
@@ -48,9 +52,13 @@ impl LinExpr {
         self.constant
     }
 
+    fn position(&self, v: VarId) -> Result<usize, usize> {
+        self.coeffs.binary_search_by_key(&v, |&(u, _)| u)
+    }
+
     /// The coefficient of `v` (0 when absent).
     pub fn coeff(&self, v: VarId) -> i64 {
-        self.coeffs.get(&v).copied().unwrap_or(0)
+        self.position(v).map_or(0, |i| self.coeffs[i].1)
     }
 
     /// True when the expression is a plain constant.
@@ -65,44 +73,46 @@ impl LinExpr {
 
     /// True when the expression is exactly `1·v + 0`.
     pub fn as_single_var(&self) -> Option<VarId> {
-        if self.constant != 0 {
-            return None;
-        }
-        match self.coeffs.iter().next() {
-            Some((&v, &c)) if self.coeffs.len() == 1 && c == 1 => Some(v),
+        match self.coeffs[..] {
+            [(v, 1)] if self.constant == 0 => Some(v),
             _ => None,
         }
     }
 
     /// `Some((v, a, b))` when the expression is `a·v + b` with `a ≠ 0`.
     pub fn as_affine_in_one_var(&self) -> Option<(VarId, i64, i64)> {
-        match self.coeffs.iter().next() {
-            Some((&v, &a)) if self.coeffs.len() == 1 => Some((v, a, self.constant)),
+        match self.coeffs[..] {
+            [(v, a)] => Some((v, a, self.constant)),
             _ => None,
         }
     }
 
     /// Variables with nonzero coefficients, ascending.
     pub fn vars(&self) -> impl Iterator<Item = VarId> + '_ {
-        self.coeffs.keys().copied()
+        self.coeffs.iter().map(|&(v, _)| v)
     }
 
     /// `(var, coeff)` pairs with nonzero coefficients, ascending by var.
-    pub fn terms(&self) -> impl Iterator<Item = (VarId, i64)> + '_ {
-        self.coeffs.iter().map(|(&v, &c)| (v, c))
+    pub fn terms(&self) -> impl ExactSizeIterator<Item = (VarId, i64)> + '_ {
+        self.coeffs.iter().copied()
     }
 
     /// True when `v` occurs with a nonzero coefficient.
     pub fn mentions(&self, v: VarId) -> bool {
-        self.coeffs.contains_key(&v)
+        self.position(v).is_ok()
     }
 
     /// Adds `delta` to the coefficient of `v`, dropping it if it cancels.
     pub fn add_term(&mut self, v: VarId, delta: i64) {
-        let entry = self.coeffs.entry(v).or_insert(0);
-        *entry += delta;
-        if *entry == 0 {
-            self.coeffs.remove(&v);
+        match self.position(v) {
+            Ok(i) => {
+                self.coeffs[i].1 += delta;
+                if self.coeffs[i].1 == 0 {
+                    self.coeffs.remove(i);
+                }
+            }
+            Err(i) if delta != 0 => self.coeffs.insert(i, (v, delta)),
+            Err(_) => {}
         }
     }
 
@@ -113,17 +123,22 @@ impl LinExpr {
 
     /// Returns `self + other`.
     pub fn add(&self, other: &LinExpr) -> LinExpr {
-        let mut out = self.clone();
-        out.constant += other.constant;
-        for (&v, &c) in &other.coeffs {
-            out.add_term(v, c);
-        }
-        out
+        self.add_scaled(other, 1)
     }
 
     /// Returns `self - other`.
     pub fn sub(&self, other: &LinExpr) -> LinExpr {
-        self.add(&other.scale(-1))
+        self.add_scaled(other, -1)
+    }
+
+    /// Returns `self + k·other` in one merge pass.
+    pub fn add_scaled(&self, other: &LinExpr, k: i64) -> LinExpr {
+        if k == 0 {
+            return self.clone();
+        }
+        let mut out = LinExpr::constant(self.constant + other.constant * k);
+        merge_terms(&self.coeffs, None, &other.coeffs, k, &mut out.coeffs);
+        out
     }
 
     /// Returns `k·self`.
@@ -133,7 +148,12 @@ impl LinExpr {
         }
         LinExpr {
             constant: self.constant * k,
-            coeffs: self.coeffs.iter().map(|(&v, &c)| (v, c * k)).collect(),
+            coeffs: self
+                .coeffs
+                .iter()
+                .map(|&(v, c)| (v, c * k))
+                .filter(|&(_, c)| c != 0)
+                .collect(),
         }
     }
 
@@ -143,15 +163,24 @@ impl LinExpr {
         if c == 0 {
             return self.clone();
         }
-        let mut out = self.clone();
-        out.coeffs.remove(&v);
-        out.add(&repl.scale(c))
+        let mut out = LinExpr::constant(self.constant + repl.constant * c);
+        merge_terms(&self.coeffs, Some(v), &repl.coeffs, c, &mut out.coeffs);
+        out
+    }
+
+    /// Divides every coefficient by `g`, which must divide them all, and
+    /// replaces the constant term with `constant`.
+    pub(crate) fn divide_coeffs(&mut self, g: i64, constant: i64) {
+        self.constant = constant;
+        for (_, c) in &mut self.coeffs {
+            *c /= g;
+        }
     }
 
     /// Evaluates under an assignment; `None` if a variable is unassigned.
     pub fn eval(&self, assign: &dyn Fn(VarId) -> Option<i64>) -> Option<i64> {
         let mut total = self.constant;
-        for (&v, &c) in &self.coeffs {
+        for &(v, c) in &self.coeffs {
             total += c * assign(v)?;
         }
         Some(total)
@@ -159,41 +188,45 @@ impl LinExpr {
 
     /// Greatest common divisor of all variable coefficients (0 for constants).
     pub fn coeff_gcd(&self) -> i64 {
-        self.coeffs.values().fold(0i64, |g, &c| gcd(g, c.abs()))
+        self.coeffs.iter().fold(0i64, |g, &(_, c)| gcd(g, c.abs()))
     }
 
     /// Renders against a name resolver, e.g. `2*i + j - 3`.
     pub fn render(&self, name: &dyn Fn(VarId) -> String) -> String {
         let mut out = String::new();
-        for (&v, &c) in &self.coeffs {
+        for &(v, c) in &self.coeffs {
             if out.is_empty() {
-                if c == 1 {
-                    out.push_str(&name(v));
-                } else if c == -1 {
-                    out.push('-');
-                    out.push_str(&name(v));
-                } else {
-                    out.push_str(&format!("{c}*{}", name(v)));
+                match c {
+                    1 => {}
+                    -1 => out.push('-'),
+                    _ => {
+                        let _ = write!(out, "{c}*");
+                    }
                 }
             } else if c > 0 {
-                if c == 1 {
-                    out.push_str(&format!(" + {}", name(v)));
-                } else {
-                    out.push_str(&format!(" + {c}*{}", name(v)));
+                out.push_str(" + ");
+                if c != 1 {
+                    let _ = write!(out, "{c}*");
                 }
-            } else if c == -1 {
-                out.push_str(&format!(" - {}", name(v)));
             } else {
-                out.push_str(&format!(" - {}*{}", -c, name(v)));
+                out.push_str(" - ");
+                if c != -1 {
+                    let _ = write!(out, "{}*", -c);
+                }
             }
+            out.push_str(&name(v));
         }
         if out.is_empty() {
             return self.constant.to_string();
         }
         match self.constant.cmp(&0) {
-            std::cmp::Ordering::Greater => out.push_str(&format!(" + {}", self.constant)),
-            std::cmp::Ordering::Less => out.push_str(&format!(" - {}", -self.constant)),
-            std::cmp::Ordering::Equal => {}
+            Ordering::Greater => {
+                let _ = write!(out, " + {}", self.constant);
+            }
+            Ordering::Less => {
+                let _ = write!(out, " - {}", -self.constant);
+            }
+            Ordering::Equal => {}
         }
         out
     }
@@ -201,6 +234,52 @@ impl LinExpr {
     /// Renders with `v0, v1, …` variable names (debugging helper).
     pub fn render_default(&self) -> String {
         self.render(&|v: VarId| format!("v{}", v.as_usize()))
+    }
+}
+
+/// Appends to `out` the merge `a + k·b` of two coefficient lists sorted
+/// strictly ascending by key, leaving out `a`'s term for `skip` and every
+/// sum that cancels to zero. The result is sorted the same way.
+pub fn merge_terms<K: Ord + Copy>(
+    a: &[(K, i64)],
+    skip: Option<K>,
+    b: &[(K, i64)],
+    k: i64,
+    out: &mut Vec<(K, i64)>,
+) {
+    out.reserve(a.len() + b.len());
+    let own = |v: K, c: i64| if Some(v) == skip { 0 } else { c };
+    let (mut i, mut j) = (0, 0);
+    loop {
+        let (v, c) = match (a.get(i), b.get(j)) {
+            (Some(&(va, ca)), Some(&(vb, cb))) => match va.cmp(&vb) {
+                Ordering::Less => {
+                    i += 1;
+                    (va, own(va, ca))
+                }
+                Ordering::Greater => {
+                    j += 1;
+                    (vb, cb * k)
+                }
+                Ordering::Equal => {
+                    i += 1;
+                    j += 1;
+                    (va, own(va, ca) + cb * k)
+                }
+            },
+            (Some(&(va, ca)), None) => {
+                i += 1;
+                (va, own(va, ca))
+            }
+            (None, Some(&(vb, cb))) => {
+                j += 1;
+                (vb, cb * k)
+            }
+            (None, None) => return,
+        };
+        if c != 0 {
+            out.push((v, c));
+        }
     }
 }
 

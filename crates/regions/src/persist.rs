@@ -96,9 +96,8 @@ impl Persist for Space {
 impl Persist for LinExpr {
     fn save(&self, w: &mut ByteWriter) {
         w.i64(self.constant_term());
-        let terms: Vec<(VarId, i64)> = self.terms().collect();
-        w.usize(terms.len());
-        for (v, c) in terms {
+        w.usize(self.terms().len());
+        for (v, c) in self.terms() {
             v.save(w);
             w.i64(c);
         }

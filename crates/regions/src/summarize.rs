@@ -8,7 +8,7 @@
 //! comparable [`ConvexRegion`].
 
 use crate::constraint::{Constraint, ConstraintSystem};
-use crate::convex::ConvexRegion;
+use crate::convex::{self, ConvexRegion};
 use crate::fourier_motzkin::{FmStats, ImpreciseReason};
 use crate::linexpr::{gcd, LinExpr};
 use crate::space::{Space, VarId};
@@ -250,8 +250,8 @@ pub fn convex_with_stats(
             return None;
         }
     }
-    let region = ConvexRegion::new(space.clone(), system);
-    Some(region.project_loops(stats))
+    let projected = convex::project_loops_of(space, &system, stats);
+    Some(ConvexRegion::new(space.clone(), projected))
 }
 
 /// Per-reference imprecision report accompanying a summary.

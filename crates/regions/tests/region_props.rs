@@ -149,8 +149,16 @@ fn brute_force_solutions(cs: &ConstraintSystem, hi: i64) -> Vec<[i64; 3]> {
     out
 }
 
+/// FM cases per property: 64 unless `PROPTEST_CASES` asks for more (CI).
+fn fm_cases() -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(64)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(fm_cases()))]
 
     /// FM elimination is an over-approximation: every integer solution of
     /// the original system satisfies the projected system.

@@ -67,11 +67,14 @@ impl Procedure {
     /// The object-file name the Dragon `File` column shows (`verify.f` →
     /// `verify.o`).
     pub fn object_file(&self, interner: &Interner) -> String {
+        format!("{}.o", self.object_stem(interner))
+    }
+
+    /// [`Procedure::object_file`] without its `.o`: the source file name
+    /// up to its last `.`, borrowed.
+    pub fn object_stem<'i>(&self, interner: &'i Interner) -> &'i str {
         let src = interner.resolve(self.file);
-        match src.rsplit_once('.') {
-            Some((stem, _ext)) => format!("{stem}.o"),
-            None => format!("{src}.o"),
-        }
+        src.rsplit_once('.').map_or(src, |(stem, _ext)| stem)
     }
 }
 
