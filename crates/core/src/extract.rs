@@ -49,37 +49,20 @@ pub fn extract_rows(
     let formal_addr = resolve_formal_addresses(program, cg);
     let mut rows = Vec::new();
     for proc_id in cg.pre_order() {
-        rows.extend(extract_proc_rows(
-            program,
-            proc_id,
-            ipa.summary(proc_id),
-            opts,
-            &formal_addr,
-        ));
+        let summary = ipa.summary(proc_id);
+        let all = 0..summary.accesses.len();
+        let all = std::slice::from_ref(&all);
+        rows.extend(extract_range_rows(program, proc_id, summary, all, opts, &formal_addr));
     }
     rows
-}
-
-/// Builds the rows of one procedure's scope: [`extract_range_rows`] over
-/// all of its records. Crate-visible so the incremental session can
-/// re-extract exactly the affected procedures.
-pub(crate) fn extract_proc_rows(
-    program: &Program,
-    proc_id: ProcId,
-    summary: &ipa::ProcSummary,
-    opts: ExtractOptions,
-    formal_addr: &BTreeMap<StIdx, u64>,
-) -> Vec<RgnRow> {
-    let all = 0..summary.accesses.len();
-    extract_range_rows(program, proc_id, summary, std::slice::from_ref(&all), opts, formal_addr)
 }
 
 /// Builds the rows of the records in `ranges` (in order) of one
 /// procedure's summary. A row's references and line-span columns total
 /// its group — (array, mode, `from_call`, locality) — over the records in
 /// `ranges` only, so `ranges` must hold every record of each group it
-/// touches: the incremental session passes all re-translated call sites,
-/// and a callee's sites are re-translated all together.
+/// touches: all of a procedure's records, or all re-translated call sites
+/// of a spliced caller, whose callee's sites are re-translated together.
 pub(crate) fn extract_range_rows(
     program: &Program,
     proc_id: ProcId,

@@ -31,18 +31,25 @@
 //!    keeps the slices of its sites whose callee is unaffected and
 //!    re-translates only the others (see [`propagate_spliced`]), provided
 //!    the previous propagation was healthy and caller and callee are
-//!    identity-clean: verified hits whose symbol maps are the identity;
-//! 5. re-extracts `.rgn` rows only for procedures whose summaries or
-//!    extraction environment (addresses, file names, type columns) changed,
-//!    and of a caller that kept slices only the rows of its re-translated
-//!    slices, whose reference and line-span columns total each callee over
-//!    all of its sites. Every other row moves over from the previous table,
-//!    and only re-extracted rows are diffed against it.
+//!    identity-clean: verified hits whose symbol maps are the identity.
+//!    A state whose propagation raised a degradation (its budget ran out,
+//!    or it panicked and holds the local summaries) is never reused: the
+//!    next update skips the identical-input fast path and re-propagates
+//!    every procedure;
+//! 5. decides once per procedure what it takes over from the previous
+//!    state (`Reuse`): its rows move whole (a clean, unaffected
+//!    procedure whose extraction environment — addresses, file names,
+//!    type columns — is unchanged); a spliced caller keeps the rows of its
+//!    local part and its kept slices and re-extracts only its
+//!    re-translated slices, whose reference and line-span columns total
+//!    each callee over all of its sites; or every row is extracted afresh.
+//!    One row walk reads that decision, and only re-extracted rows are
+//!    diffed against the previous table.
 //!
-//! A summary moved over by step 4 keeps its [`ipa::Revision`] when its
-//! rows move too; every other summary, and every summary of an update
-//! whose extraction environment changed, has a new one. A consumer that
-//! keys on revisions (the lint cache) needs no hashing.
+//! The same decision carries the rest: a summary keeps its
+//! [`ipa::Revision`], its slice lengths and its on-disk entry address only
+//! when its rows move whole from an identity-clean procedure. A consumer
+//! that keys on revisions (the lint cache) needs no hashing.
 //!
 //! Every reuse is verified, never assumed: a fingerprint collision fails
 //! structural verification and degrades to a cache miss; a summary that
@@ -56,9 +63,7 @@ pub mod store;
 pub use store::{CacheStats, SessionStore, VerifyReport};
 
 use crate::driver::{Analysis, AnalysisOptions, Degradation};
-use crate::extract::{
-    extract_proc_rows, extract_range_rows, resolve_formal_addresses, ExtractOptions,
-};
+use crate::extract::{extract_range_rows, resolve_formal_addresses, ExtractOptions};
 use crate::row::RgnRow;
 use frontend::{Assembly, ParsedSource, SourceFile, UnitInput, UnitTable};
 use ipa::callgraph::CallGraph;
@@ -130,11 +135,12 @@ struct SessionState {
     local: Vec<ProcSummary>,
     /// Fingerprint → procedure: the content-addressed cache index.
     by_hash: BTreeMap<u64, ProcId>,
-    /// Contained IPL failure per procedure (stage, detail), replayed for
-    /// clean procedures so degradation reports stay stable across updates.
+    /// Contained IPL failure per procedure (stage, detail), carried by
+    /// classification hits so degradation reports stay stable across
+    /// updates.
     ipl_fail: Vec<Option<(String, String)>>,
-    /// Propagation-stage degradations still in force (cached propagated
-    /// summaries keep their widened shape until recomputed).
+    /// The degradation this state's propagation raised, if any. Such a
+    /// state is never reused: the next update re-propagates everything.
     prop_degr: Vec<Degradation>,
     /// Per-procedure fingerprints, parallel to the program's procedures
     /// (carried over for the procedures of reused units).
@@ -163,12 +169,6 @@ struct SessionState {
     /// environmentally widened. Served once, never reused by the fast path,
     /// never persisted; the next update recomputes cold.
     tainted: bool,
-    /// The propagated summaries are not a function of `local`: a load found
-    /// a propagation degradation on record, or its own propagation panicked
-    /// or ran out of budget, and installed the local summaries instead. The
-    /// next update skips the fast path and re-propagates and re-extracts
-    /// every procedure; IPL stays cached.
-    stale_propagation: bool,
     /// The source set itself, retained so the state can be persisted (the
     /// on-disk cache stores sources and re-derives the program from them).
     sources: Vec<SourceFile>,
@@ -189,6 +189,22 @@ struct CleanProc {
     old: ProcId,
     maps: SymbolMaps,
     identity: bool,
+}
+
+/// What a procedure takes over from the previous state, decided once per
+/// update after propagation. The row walk, the row diff, revisions, slice
+/// lengths and entry addresses all read it.
+#[derive(Clone, Copy)]
+enum Reuse {
+    /// Every row is extracted afresh.
+    Fresh,
+    /// A spliced caller: the rows of its local part and of its kept slices
+    /// move from `old`; those of its re-translated slices are extracted.
+    Splice(ProcId),
+    /// Every row moves from `old`. `verbatim`: the summary moved too
+    /// (identity clean), so its revision, slice lengths and entry address
+    /// carry over with the rows.
+    Move { old: ProcId, verbatim: bool },
 }
 
 /// Long-lived incremental analysis handle. See the module docs for the
@@ -260,6 +276,15 @@ impl AnalysisSession {
         self.state.map(|s| s.analysis)
     }
 
+    /// Ships a displaced state to the dropper thread; if that fails (thread
+    /// gone, or it never spawned) the state drops inline.
+    fn retire(&mut self, state: Option<SessionState>) {
+        let (Some(state), Some(tx)) = (state, &self.graveyard) else { return };
+        if tx.send(state).is_err() {
+            self.graveyard = None;
+        }
+    }
+
     /// Re-analyzes `sources`, recomputing only what changed since the last
     /// update. The first call is a cold start (everything is "changed").
     /// On error (nothing parseable at all) the previous state is kept
@@ -278,7 +303,7 @@ impl AnalysisSession {
         // same order, same text) reassembles to a bit-identical program, so
         // the retained state already *is* the answer.
         if let Some(p) = &self.state {
-            if keys == p.file_keys && !p.tainted && !p.stale_propagation {
+            if keys == p.file_keys && !p.tainted && p.prop_degr.is_empty() {
                 delta.files_cached = sources.len();
                 delta.units_reused = vec![true; sources.len()];
                 delta.summary_cache_hits = p.analysis.program.procedure_count();
@@ -300,14 +325,8 @@ impl AnalysisSession {
         // serve, wrong to build on: drop the state *and* the parse cache it
         // poisoned so this update recomputes from scratch.
         if self.state.as_ref().is_some_and(|p| p.tainted) {
-            if let Some(old) = self.state.take() {
-                if let Some(tx) = &self.graveyard {
-                    if let Err(back) = tx.send(old) {
-                        self.graveyard = None;
-                        drop(back.0);
-                    }
-                }
-            }
+            let old = self.state.take();
+            self.retire(old);
             self.file_cache.clear();
         }
 
@@ -424,6 +443,10 @@ impl AnalysisSession {
             });
         let mut clean: Vec<Option<CleanProc>> = (0..n).map(|_| None).collect();
         let mut locals: Vec<Option<ProcSummary>> = (0..n).map(|_| None).collect();
+        // Contained IPL failure per procedure: a hit carries its recorded
+        // incident (the reused summary is the degraded one, so the report
+        // must keep saying so), a recompute records its own.
+        let mut ipl_fail: Vec<Option<(String, String)>> = vec![None; n];
         let mut dirty: Vec<ProcId> = Vec::new();
         let mut cache_rejects = 0u64;
         let mut cache_rebases = 0u64;
@@ -468,6 +491,7 @@ impl AnalysisSession {
                         if let Some(local) = local {
                             clean[i] = Some(CleanProc { old: old_id, maps, identity });
                             locals[i] = Some(local);
+                            ipl_fail[i] = p.ipl_fail[old_id.as_usize()].clone();
                             delta.summary_cache_hits += 1;
                             if !identity {
                                 cache_rebases += 1;
@@ -487,23 +511,12 @@ impl AnalysisSession {
 
         // 3. Recompute IPL only for the dirty set, on the usual workers.
         let ipl_span = support::obs::span("session.ipl");
-        let mut ipl_fail: Vec<Option<(String, String)>> = (0..n).map(|_| None).collect();
         for (id, summary, failure) in
             summarize_subset_isolated(&program, &dirty, self.opts.threads, self.opts.budget)
         {
             let i = id.as_usize();
             locals[i] = Some(summary);
             ipl_fail[i] = failure.map(|f| (f.stage.to_string(), f.detail));
-        }
-        if let Some(p) = prev.as_ref() {
-            // Clean procedures replay their recorded IPL incident (if any):
-            // the reused summary is the degraded one, so the report must
-            // keep saying so.
-            for (i, c) in clean.iter().enumerate() {
-                if let Some(c) = c {
-                    ipl_fail[i] = p.ipl_fail[c.old.as_usize()].clone();
-                }
-            }
         }
         let locals: Vec<ProcSummary> =
             locals.into_iter().map(Option::unwrap_or_default).collect();
@@ -524,11 +537,13 @@ impl AnalysisSession {
         // everyone else reuses a rebased cached propagated summary. A
         // summary that fails its rebase joins the recompute set (and so do
         // its ancestors) — looped until the set is stable. A state whose
-        // propagated summaries are stale re-propagates everything.
+        // propagation raised a degradation is never reused: everything
+        // re-propagates.
         let prop_span = support::obs::span("session.propagate");
         let mut seeds = dirty.clone();
         let mut prop_rebased: Vec<Option<ProcSummary>> = (0..n).map(|_| None).collect();
-        let mut affected = if prev.as_ref().is_some_and(|p| p.stale_propagation) {
+        let degraded = prev.as_ref().is_some_and(|p| !p.prop_degr.is_empty());
+        let mut affected = if degraded {
             vec![true; n]
         } else {
             cg.ancestor_closure(seeds.iter().copied())
@@ -576,10 +591,9 @@ impl AnalysisSession {
         // outside the affected set. Such a caller is *spliced*.
         let identity = |i: usize| clean[i].as_ref().is_some_and(|c| c.identity);
         let mut kept: Vec<u32> = Vec::new();
-        let mut spliced: Vec<bool> = Vec::new();
-        if let Some(p) = prev.as_ref().filter(|p| !p.stale_propagation && p.prop_degr.is_empty()) {
+        let mut spliced = vec![false; n];
+        if let Some(p) = prev.as_ref().filter(|_| !degraded) {
             kept = vec![NO_SLICE; cg.site_count()];
-            spliced = vec![false; n];
             for (i, c) in clean.iter().enumerate() {
                 let Some(c) = c.as_ref().filter(|c| c.identity && affected[i]) else { continue };
                 let old_lens = &p.slice_lens[p.analysis.callgraph.site_range(c.old)];
@@ -604,7 +618,7 @@ impl AnalysisSession {
         let mut summaries: Vec<ProcSummary> = Vec::with_capacity(n);
         for i in 0..n {
             match (&clean[i], prev.as_mut()) {
-                (Some(c), Some(p)) if spliced.get(i) == Some(&true) => {
+                (Some(c), Some(p)) if spliced[i] => {
                     // An identity-clean summary moved before a rebase
                     // failure made this caller affected waits in
                     // `prop_rebased`.
@@ -635,44 +649,16 @@ impl AnalysisSession {
             &locals,
             self.opts.budget,
         );
-        // A failed propagation holds the local summaries: no caller has
-        // slices to splice rows from.
-        if lens.is_none() {
-            spliced.clear();
-        }
-        // An unaffected identity-clean procedure's slices moved with its
-        // summary; a rebased one's are not tracked.
-        let slice_lens = match (lens, prev.as_ref()) {
-            (Some(mut lens), Some(p)) => {
-                for (i, c) in clean.iter().enumerate() {
-                    if let Some(c) = c.as_ref().filter(|c| c.identity && !affected[i]) {
-                        let old = &p.slice_lens[p.analysis.callgraph.site_range(c.old)];
-                        lens[cg.site_range(ProcId::from_usize(i))].copy_from_slice(old);
-                    }
-                }
-                lens
-            }
-            (Some(lens), None) => lens,
-            (None, _) => vec![NO_SLICE; cg.site_count()],
-        };
-        let mut prop_degr: Vec<Degradation> = match (prev.as_ref(), affected.iter().all(|&a| a))
-        {
-            // Partial recompute: degradations attached to still-cached
-            // propagated summaries remain in force.
-            (Some(p), false) => p.prop_degr.clone(),
-            // Full recompute (or cold start): this run is authoritative.
-            _ => Vec::new(),
-        };
-        if let Some(d) = raised {
-            push_unique(&mut prop_degr, d);
-        }
+        // Only this run's own degradation is on record: a previous one made
+        // everything re-propagate above.
+        let prop_degr: Vec<Degradation> = raised.into_iter().collect();
         degradations.extend(prop_degr.iter().cloned());
         drop(prop_span);
 
         let extract_span = support::obs::span("session.extract");
-        // 5. Row extraction, per procedure: reuse rows verbatim when the
-        // summary was reused *and* the extraction environment (addresses,
-        // object files, type columns) hashed identically to last update's.
+        // 5. Decide each procedure's reuse. Row extraction reads, besides the
+        // summary, an environment (addresses, object files, type columns)
+        // that is hashed whole; rows move only where it hashed as last time.
         let exopts = ExtractOptions { include_propagated: self.opts.include_propagated };
         let mut layout_failure: Option<String> = None;
         let formal_addr = match catch_unwind(AssertUnwindSafe(|| {
@@ -691,122 +677,135 @@ impl AnalysisSession {
             (Some(p), Some(e)) => p.extract_env == Some(e),
             _ => false,
         };
-        // A revision outlives the update only with everything read beside
-        // the summary: every summary built this update has a new one, and a
-        // moved one (identity clean, unaffected) keeps its own only if its
-        // rows move verbatim too. (A renamed source file needs no rule:
-        // fingerprints and `procs_correspond` compare source names, so its
-        // procedures are never clean.)
-        if !env_matches {
-            for (i, s) in ipa.summaries.iter_mut().enumerate() {
-                if clean[i].as_ref().is_some_and(|c| c.identity && !affected[i]) {
-                    s.remint();
+        // Rows move only out of a successful propagation (a failed one holds
+        // the local summaries everywhere): a clean, unaffected procedure's
+        // whole, and a spliced caller's local part and kept slices unless its
+        // previous extraction failed.
+        let reuse: Vec<Reuse> = (0..n)
+            .map(|i| match (&clean[i], prev.as_ref()) {
+                (Some(c), Some(p)) if env_matches && lens.is_some() => {
+                    if !affected[i] {
+                        Reuse::Move { old: c.old, verbatim: c.identity }
+                    } else if spliced[i] && p.extract_fail[c.old.as_usize()].is_none() {
+                        Reuse::Splice(c.old)
+                    } else {
+                        Reuse::Fresh
+                    }
                 }
+                _ => Reuse::Fresh,
+            })
+            .collect();
+        // A summary keeps its revision, and its slice lengths, only where its
+        // rows move whole with it; every other summary gets a new revision
+        // (one built this update has one already). A renamed source file
+        // needs no rule: fingerprints and `procs_correspond` compare source
+        // names, so its procedures are never clean.
+        let mut slice_lens = lens.unwrap_or_else(|| vec![NO_SLICE; cg.site_count()]);
+        for (i, (s, &r)) in ipa.summaries.iter_mut().zip(&reuse).enumerate() {
+            match (r, prev.as_ref()) {
+                (Reuse::Move { old, verbatim: true }, Some(p)) => {
+                    let old = &p.slice_lens[p.analysis.callgraph.site_range(old)];
+                    slice_lens[cg.site_range(ProcId::from_usize(i))].copy_from_slice(old);
+                }
+                (Reuse::Move { .. }, _) => {}
+                _ => s.remint(),
             }
         }
-        let order = cg.pre_order();
+
+        // 6. The row walk, in call-graph pre-order. A procedure's rows are
+        // its head (a spliced caller's local part, else all of them) and,
+        // for a spliced caller, one part per call site, one row per record.
+        // A part moves from the previous table where the decision keeps it
+        // and is extracted otherwise. All extracted parts of a procedure come
+        // from one call, so each callee's rows total over all of its sites.
+        let mut old_rows =
+            prev.as_mut().map(|p| std::mem::take(&mut p.analysis.rows)).unwrap_or_default();
         let mut rows: Vec<RgnRow> = Vec::new();
         let mut proc_rows: Vec<std::ops::Range<usize>> = vec![0..0; n];
-        let mut extract_fail: Vec<Option<String>> = (0..n).map(|_| None).collect();
-        let mut reused_procs = vec![false; n];
-        // What the row diff compares: the rows extracted afresh, and the
-        // previous rows that did not move over (old procedures not consumed
-        // whole, plus the re-translated slices of spliced ones). A cold
-        // start has no previous table and tracks nothing.
-        let prev_rows = prev.is_some();
+        // Moved rows carry their procedure's recorded extraction failure.
+        let mut extract_fail: Vec<Option<String>> = reuse
+            .iter()
+            .map(|&r| match (r, prev.as_ref()) {
+                (Reuse::Move { old, .. }, Some(p)) => p.extract_fail[old.as_usize()].clone(),
+                _ => None,
+            })
+            .collect();
+        // The previous rows that moved and the rows extracted afresh, as
+        // coalesced ranges: the diff compares only what did not move.
+        let mut moved: Vec<std::ops::Range<usize>> = Vec::new();
         let mut fresh: Vec<std::ops::Range<usize>> = Vec::new();
-        let mut consumed = vec![false; prev.as_ref().map_or(0, |p| p.proc_rows.len())];
-        let mut old_stale: Vec<std::ops::Range<usize>> = Vec::new();
+        let mut stale: Vec<std::ops::Range<usize>> = Vec::new();
         let slice_rows = |len: u32| if exopts.include_propagated { len as usize } else { 0 };
+        let order = cg.pre_order();
         for &pid in &order {
             let i = pid.as_usize();
             let start = rows.len();
-            match (&clean[i], prev.as_mut()) {
-                (Some(c), Some(p)) if env_matches && !affected[i] => {
-                    let old = c.old.as_usize();
-                    let moved = p.analysis.rows[p.proc_rows[old].clone()].iter_mut();
-                    rows.extend(moved.map(std::mem::take));
-                    extract_fail[i] = p.extract_fail[old].clone();
-                    reused_procs[i] = true;
-                    consumed[old] = true;
-                    delta.rows_reused += rows.len() - start;
+            let summary = &ipa.summaries[i];
+            // Where the old rows start (`None`: nothing moves), the head's
+            // length (old rows if it moves, records if it is extracted), and
+            // a spliced caller's sites with their old slice lengths.
+            let (from, head, sites, old_lens) = match (reuse[i], prev.as_ref()) {
+                (Reuse::Move { old, .. }, Some(p)) => {
+                    let range = &p.proc_rows[old.as_usize()];
+                    (Some(range.start), range.len(), 0..0, &[][..])
                 }
-                // A spliced caller's local rows and kept slices' rows move
-                // over; its re-translated slices are extracted in one call,
-                // so each callee's rows total over all of its sites.
-                (Some(c), Some(p))
-                    if env_matches
-                        && spliced.get(i) == Some(&true)
-                        && p.extract_fail[c.old.as_usize()].is_none() =>
-                {
-                    let sites = cg.site_range(pid);
-                    let local_len = locals[i].accesses.len();
-                    let mut stale = Vec::new();
-                    let mut at = local_len;
-                    for k in sites.clone() {
-                        let len = slice_lens[k] as usize;
-                        if kept[k] == NO_SLICE {
-                            stale.push(at..at + len);
+                (Reuse::Splice(old), Some(p)) => (
+                    Some(p.proc_rows[old.as_usize()].start),
+                    locals[i].accesses.len(),
+                    cg.site_range(pid),
+                    &p.slice_lens[p.analysis.callgraph.site_range(old)],
+                ),
+                _ => (None, summary.accesses.len(), 0..0, &[][..]),
+            };
+            stale.clear();
+            if from.is_none() {
+                stale.push(0..head);
+            }
+            let mut at = head;
+            for k in sites.clone() {
+                let len = slice_lens[k] as usize;
+                if kept[k] == NO_SLICE {
+                    stale.push(at..at + len);
+                }
+                at += len;
+            }
+            let extracted = if stale.is_empty() {
+                Ok(Vec::new())
+            } else {
+                let _span = support::obs::span_arg("extract.rows", || raw_name(&program, pid));
+                catch_unwind(AssertUnwindSafe(|| {
+                    extract_range_rows(&program, pid, summary, &stale, exopts, &formal_addr)
+                }))
+            };
+            match extracted {
+                Ok(new_rows) => {
+                    // An extracted head has no sites after it: it takes
+                    // every extracted row.
+                    let head_part = (from.is_some(), head, new_rows.len());
+                    let site_parts = sites.zip(old_lens).map(|(k, &old_len)| {
+                        (kept[k] != NO_SLICE, slice_rows(old_len), slice_rows(slice_lens[k]))
+                    });
+                    let mut new_rows = new_rows.into_iter();
+                    let mut from = from.unwrap_or(0);
+                    for (keep, old_len, new_len) in std::iter::once(head_part).chain(site_parts) {
+                        let at = rows.len();
+                        if keep {
+                            let taken = old_rows[from..from + old_len].iter_mut();
+                            rows.extend(taken.map(std::mem::take));
+                            push_range(&mut moved, from..from + old_len);
+                        } else {
+                            rows.extend(new_rows.by_ref().take(new_len));
+                            push_range(&mut fresh, at..rows.len());
                         }
-                        at += len;
-                    }
-                    let _span =
-                        support::obs::span_arg("extract.rows", || raw_name(&program, pid));
-                    match catch_unwind(AssertUnwindSafe(|| {
-                        let summary = &ipa.summaries[i];
-                        extract_range_rows(&program, pid, summary, &stale, exopts, &formal_addr)
-                    })) {
-                        Ok(new_rows) => {
-                            let old = c.old.as_usize();
-                            let old_lens = &p.slice_lens[p.analysis.callgraph.site_range(c.old)];
-                            let mut new_rows = new_rows.into_iter();
-                            let mut from = p.proc_rows[old].start;
-                            let mut to = from + local_len;
-                            rows.extend(p.analysis.rows[from..to].iter_mut().map(std::mem::take));
-                            for (k, &old_len) in sites.zip(old_lens) {
-                                from = to;
-                                to += slice_rows(old_len);
-                                if kept[k] == NO_SLICE {
-                                    old_stale.push(from..to);
-                                    let at = rows.len();
-                                    rows.extend(new_rows.by_ref().take(slice_rows(slice_lens[k])));
-                                    fresh.push(at..rows.len());
-                                    delta.rows_recomputed += rows.len() - at;
-                                } else {
-                                    let moved = p.analysis.rows[from..to].iter_mut();
-                                    rows.extend(moved.map(std::mem::take));
-                                    delta.rows_reused += to - from;
-                                }
-                            }
-                            delta.rows_reused += local_len;
-                            consumed[old] = true;
-                        }
-                        Err(payload) => {
-                            extract_fail[i] = Some(panic_message(payload.as_ref()))
-                        }
+                        from += old_len;
                     }
                 }
-                _ => {
-                    let _span =
-                        support::obs::span_arg("extract.rows", || raw_name(&program, pid));
-                    match catch_unwind(AssertUnwindSafe(|| {
-                        extract_proc_rows(&program, pid, &ipa.summaries[i], exopts, &formal_addr)
-                    })) {
-                        Ok(r) => {
-                            delta.rows_recomputed += r.len();
-                            rows.extend(r);
-                            if prev_rows {
-                                fresh.push(start..rows.len());
-                            }
-                        }
-                        Err(payload) => {
-                            extract_fail[i] = Some(panic_message(payload.as_ref()))
-                        }
-                    }
-                }
+                Err(payload) => extract_fail[i] = Some(panic_message(payload.as_ref())),
             }
             proc_rows[i] = start..rows.len();
         }
+        delta.rows_reused = moved.iter().map(ExactSizeIterator::len).sum();
+        delta.rows_recomputed = fresh.iter().map(ExactSizeIterator::len).sum();
         if let Some(detail) = layout_failure {
             degradations.push(Degradation {
                 proc: "(layout)".to_string(),
@@ -826,24 +825,24 @@ impl AnalysisSession {
 
         drop(extract_span);
         let _diff_span = support::obs::span("session.diff");
-        // 6. Diff the row table against the previous update and commit. The
+        // 7. Diff the row table against the previous update and commit. The
         // diff key starts with the procedure name and includes the callee,
-        // and rows that moved over are verbatim, so they contribute nothing:
-        // diff only the rows extracted afresh against the previous rows that
-        // did not move.
-        match prev.as_ref() {
+        // and moved rows are verbatim, so they contribute nothing: diff only
+        // the extracted rows against the previous rows that did not move.
+        match prev.as_mut() {
             Some(p) => {
-                let mut old_ranges: Vec<std::ops::Range<usize>> = (0..p.proc_rows.len())
-                    .filter(|&o| !consumed[o])
-                    .map(|o| p.proc_rows[o].clone())
-                    .chain(old_stale)
-                    .collect();
-                old_ranges.sort_by_key(|r| r.start);
-                let old_sub: Vec<&RgnRow> =
-                    old_ranges.into_iter().flat_map(|r| &p.analysis.rows[r]).collect();
-                let new_sub: Vec<&RgnRow> =
-                    fresh.into_iter().flat_map(|r| &rows[r]).collect();
+                moved.sort_unstable_by_key(|r| r.start);
+                let mut old_sub: Vec<&RgnRow> = Vec::new();
+                let mut at = 0;
+                for r in &moved {
+                    old_sub.extend(&old_rows[at..r.start]);
+                    at = r.end;
+                }
+                old_sub.extend(&old_rows[at..]);
+                let new_sub: Vec<&RgnRow> = fresh.iter().flat_map(|r| &rows[r.clone()]).collect();
                 diff_rows(&old_sub, &new_sub, &mut delta);
+                // Back into the displaced state, for the dropper thread.
+                p.analysis.rows = old_rows;
             }
             None => delta.rows_added = rows.len(),
         }
@@ -874,13 +873,12 @@ impl AnalysisSession {
             .map(|(i, &fp)| (fp, ProcId::from_usize(i)))
             .collect();
         // An entry address survives only where every input of the entry was
-        // moved verbatim: the local summary (identity clean), the rows
-        // (reused) and both failure records (replayed with them).
-        let entry_addr = (0..n)
-            .map(|i| match (&clean[i], prev.as_ref()) {
-                (Some(c), Some(p)) if c.identity && reused_procs[i] => {
-                    p.entry_addr[c.old.as_usize()]
-                }
+        // moved verbatim: the local summary, the rows and both failure
+        // records.
+        let entry_addr = reuse
+            .iter()
+            .map(|&r| match (r, prev.as_ref()) {
+                (Reuse::Move { old, verbatim: true }, Some(p)) => p.entry_addr[old.as_usize()],
                 _ => None,
             })
             .collect();
@@ -899,19 +897,9 @@ impl AnalysisSession {
             file_keys: keys,
             sources,
             tainted,
-            stale_propagation: false,
             entry_addr,
         });
-        // Ship the displaced state to the dropper thread; if that fails
-        // (thread gone, or it never spawned) just drop inline.
-        if let Some(p) = prev.take() {
-            if let Some(tx) = &self.graveyard {
-                if let Err(back) = tx.send(p) {
-                    self.graveyard = None;
-                    drop(back.0);
-                }
-            }
-        }
+        self.retire(prev);
         Ok(delta)
     }
 }
@@ -977,9 +965,12 @@ pub(crate) fn raw_name(program: &Program, id: ProcId) -> String {
     program.name_of(program.procedure(id).name).to_string()
 }
 
-fn push_unique(list: &mut Vec<Degradation>, d: Degradation) {
-    if !list.contains(&d) {
-        list.push(d);
+/// Appends `r` to `ranges`, extending the last range when `r` continues it.
+fn push_range(ranges: &mut Vec<std::ops::Range<usize>>, r: std::ops::Range<usize>) {
+    match ranges.last_mut() {
+        Some(last) if last.end == r.start => last.end = r.end,
+        _ if r.is_empty() => {}
+        _ => ranges.push(r),
     }
 }
 
@@ -1063,7 +1054,7 @@ fn fallback_ipa(cg: &CallGraph, locals: &[ProcSummary]) -> IpaResult {
 /// resolved formal addresses) and the type-table columns. Row reuse
 /// requires this environment unchanged *and* the procedure's summary to be
 /// a verified rebase of the cached one, so together the two conditions
-/// cover every input of [`extract_proc_rows`]. A layout-shifting edit
+/// cover every input of [`extract_range_rows`]. A layout-shifting edit
 /// changes this hash and disables row reuse for that one update —
 /// conservative, never unsound.
 fn extract_env_hash(program: &Program, formal_addr: &BTreeMap<whirl::StIdx, u64>) -> u64 {

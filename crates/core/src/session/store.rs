@@ -28,8 +28,9 @@
 //!
 //! The session remembers each procedure's entry address (checksum and
 //! length) from the last load or save, and keeps it across an update only
-//! where that procedure's local summary, rows and failure records were
-//! moved over verbatim. A save references such an entry by name, if the
+//! where the update's reuse decision moved that procedure's rows whole
+//! from an identity-clean one, so its local summary, rows and failure
+//! records are verbatim. A save references such an entry by name, if the
 //! file is still there, instead of encoding it again, so a steady-state
 //! save encodes only what the update changed.
 //!
@@ -42,15 +43,17 @@
 //! validated local summaries, rows and failure records, and re-runs
 //! propagation over the local summaries, with the step budget and panic
 //! containment `update` uses. Two cases install the local summaries
-//! instead, as a failed propagation holds them, and mark the state so the
-//! next update skips its fast path and re-propagates and re-extracts every
-//! procedure (IPL stays cached): the manifest records a propagation
-//! degradation (the saved summaries were not a function of the locals), or
-//! the load's own propagation panics or runs out of budget. A successful
-//! propagation also leaves each call site's slice length, so the next
-//! update splices as it would after an in-memory update; the ancestors of
-//! a rejected entry get none, since their loaded rows were extracted from
-//! the saved summaries, not from this propagation's.
+//! instead, as a failed propagation holds them: the manifest records a
+//! propagation degradation (the saved summaries were not a function of the
+//! locals), or the load's own propagation panics or runs out of budget,
+//! which the loaded analysis then lists among its degradations. Either way
+//! the state records the degradation, and a state whose propagation
+//! degraded is never reused: the next update skips its fast path and
+//! re-propagates and re-extracts every procedure (IPL stays cached). A
+//! successful propagation also leaves each call site's slice length, so
+//! the next update splices as it would after an in-memory update; the
+//! ancestors of a rejected entry get none, since their loaded rows were
+//! extracted from the saved summaries, not from this propagation's.
 //!
 //! The next [`AnalysisSession::update`] then runs the ordinary incremental
 //! machinery: procedures with a validated entry are verified cache hits,
@@ -642,7 +645,8 @@ impl AnalysisSession {
     ///
     /// Propagated summaries are not stored: the load re-derives them from
     /// the cached local summaries (see the module docs for when it holds
-    /// the local summaries instead).
+    /// the local summaries instead, and lists its own failed propagation
+    /// among the loaded degradations).
     ///
     /// Call [`update`](Self::update) with the current sources afterwards;
     /// until then [`analysis`](Self::analysis) reflects the persisted
@@ -826,8 +830,9 @@ impl AnalysisSession {
         // finds it dirty and re-propagates exactly those ancestors. Where
         // the summaries the cache was saved from were not a function of the
         // locals (a propagation degradation is on record), or this
-        // propagation fails, hold the locals as a failed propagation does
-        // and have the next update re-propagate everything.
+        // propagation raises one, hold the locals as a failed propagation
+        // does: the degradation stays on record, so the next update
+        // re-propagates everything.
         let propagated = manifest.prop_degr.is_empty().then(|| {
             propagate_contained(
                 &program,
@@ -839,9 +844,17 @@ impl AnalysisSession {
                 self.opts.budget,
             )
         });
-        let (ipa, mut slice_lens, stale_propagation) = match propagated {
-            Some((ipa, Some(lens), None)) => (ipa, lens, false),
-            _ => (fallback_ipa(&cg, &local), vec![NO_SLICE; cg.site_count()], true),
+        let mut prop_degr = manifest.prop_degr;
+        let mut degradations = manifest.degradations;
+        let (ipa, mut slice_lens) = match propagated {
+            Some((ipa, Some(lens), None)) => (ipa, lens),
+            outcome => {
+                if let Some((_, _, Some(raised))) = outcome {
+                    degradations.push(raised.clone());
+                    prop_degr.push(raised);
+                }
+                (fallback_ipa(&cg, &local), vec![NO_SLICE; cg.site_count()])
+            }
         };
         // The loaded rows of a rejected procedure's ancestors were
         // extracted from the propagated summaries the cache was saved from,
@@ -867,18 +880,12 @@ impl AnalysisSession {
         // classify-and-recompute machinery.
         let file_keys = if all_valid { keys } else { Vec::new() };
         let state = SessionState {
-            analysis: Analysis {
-                program,
-                callgraph: cg,
-                ipa,
-                rows,
-                degradations: manifest.degradations,
-            },
+            analysis: Analysis { program, callgraph: cg, ipa, rows, degradations },
             units,
             local,
             by_hash,
             ipl_fail,
-            prop_degr: manifest.prop_degr,
+            prop_degr,
             fps,
             proc_rows,
             slice_lens,
@@ -890,17 +897,10 @@ impl AnalysisSession {
             // budget or time is replaced by the local summaries above, and
             // tainted states are never persisted (see `persist`).
             tainted: false,
-            stale_propagation,
             entry_addr,
         };
-        if let Some(old) = self.state.replace(state) {
-            if let Some(tx) = &self.graveyard {
-                if let Err(back) = tx.send(old) {
-                    self.graveyard = None;
-                    drop(back.0);
-                }
-            }
-        }
+        let old = self.state.replace(state);
+        self.retire(old);
         true
     }
 

@@ -5,6 +5,7 @@
 //! ancestor chains.
 
 use araa::{Analysis, AnalysisOptions, AnalysisSession};
+use support::budget::BudgetConfig;
 use support::idx::Idx;
 use workloads::GenSource;
 
@@ -199,7 +200,12 @@ fn recovery_base() -> Vec<GenSource> {
 /// Asserts the session equals a cold run in rows, documents,
 /// degradations and assembled program.
 fn assert_session_matches_cold(session: &AnalysisSession, sources: &[GenSource], at: &str) {
-    let oracle = cold(sources);
+    assert_session_matches(session, &cold(sources), at);
+}
+
+/// Asserts the session equals `oracle`, a cold run of its sources, in
+/// rows, documents, degradations and assembled program.
+fn assert_session_matches(session: &AnalysisSession, oracle: &Analysis, at: &str) {
     let warm = session.analysis().expect("analysis");
     assert_eq!(warm.rows, oracle.rows, "{at}: rows");
     assert_eq!(warm.rgn_document(), oracle.rgn_document(), "{at}: .rgn");
@@ -373,4 +379,31 @@ fn revisions_outlive_an_update_only_in_an_unchanged_environment() {
     let reshaped = revisions(&session);
     assert!(reshaped.iter().all(|r| !bound.contains(r)), "{bound:?} -> {reshaped:?}");
     assert_session_matches_cold(&session, &sources(20, 6), "reshape");
+}
+
+#[test]
+fn a_state_whose_propagation_degraded_is_never_reused() {
+    // Both budgets run out during mini-LU's propagation, so every state
+    // below holds widened propagated summaries: an update that built on
+    // them, or carried their degradation, would differ from a cold run.
+    let budgets = [BudgetConfig { translations: 64, ..Default::default() }, BudgetConfig::tiny()];
+    for budget in budgets {
+        let opts = AnalysisOptions::builder().budget(budget).build();
+        let mut sources = workloads::mini_lu::sources();
+        let mut session = AnalysisSession::new(opts);
+        let steps = [("cold", None), ("edit", Some(("do k = 1, 10", "do k = 1, 7"))), ("again", None)];
+        for (step, change) in steps {
+            if let Some((from, to)) = change {
+                edit(&mut sources, "rhs.f", from, to);
+            }
+            session.update(sources.clone()).expect("update");
+            let oracle = Analysis::analyze(&sources, opts).expect("cold run");
+            assert!(
+                oracle.degradations.iter().any(|d| d.proc == "(propagation)"),
+                "{budget:?}: the budget must run out in propagation: {:?}",
+                oracle.degradations
+            );
+            assert_session_matches(&session, &oracle, &format!("{budget:?}, {step}"));
+        }
+    }
 }

@@ -847,6 +847,38 @@ mod crashes {
     }
 
     #[test]
+    fn a_load_reports_its_own_failed_propagation() {
+        let _serial = serial();
+        let dir = TestDir::new("persist-load-reports");
+        let sources = workloads::mini_lu::sources();
+        seed(dir.path(), &sources);
+
+        let mut r = AnalysisSession::with_cache_dir(AnalysisOptions::default(), dir.path());
+        faultpoint::arm("ipa::translate", 1);
+        let loaded = r.load();
+        faultpoint::disarm_all();
+        assert!(loaded, "a propagation panic never sinks the load");
+        let is_panic = |d: &araa::Degradation| d.proc == "(propagation)" && d.stage == "ipa";
+        let degradations = &r.analysis().expect("loaded").degradations;
+        assert!(degradations.iter().any(is_panic), "{degradations:?}");
+
+        // Saved as loaded, the record survives into the next session too.
+        assert!(r.persist(), "{:?}", r.cache_incidents());
+        let mut again = AnalysisSession::with_cache_dir(AnalysisOptions::default(), dir.path());
+        assert!(again.load());
+        let degradations = &again.analysis().expect("loaded").degradations;
+        assert!(degradations.iter().any(is_panic), "{degradations:?}");
+
+        // Either session's next update re-propagates and equals a cold run.
+        let oracle = cold(&sources);
+        for s in [&mut r, &mut again] {
+            let delta = s.update(&sources).expect("update after the load");
+            assert_eq!(delta.summary_cache_misses, 0, "{delta:?}");
+            assert_equals_cold(s.analysis().expect("analysis"), &oracle);
+        }
+    }
+
+    #[test]
     fn short_read_and_bit_flip_quarantine_and_recompute() {
         let _serial = serial();
         for &point in READ_FAULTPOINTS {

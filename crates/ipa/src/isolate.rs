@@ -4,16 +4,17 @@
 //! needs to take the analysis down: each summarization runs under its own
 //! [`budget`] scope and `catch_unwind`. A panicking procedure is replaced
 //! by a conservative summary (whole-array `DEF`+`USE` over every array it
-//! could possibly touch — globals and its array formals), a
-//! budget-exhausted procedure keeps its already-widened summary, and either
-//! way the incident is reported as an [`IplFailure`] so drivers can emit a
-//! degradation report instead of dying.
+//! could possibly touch — globals, its array formals and the local arrays
+//! its tree names), a budget-exhausted procedure keeps its already-widened
+//! summary, and either way the incident is reported as an [`IplFailure`]
+//! so drivers can emit a degradation report instead of dying.
 
 use crate::local::{summarize_procedure, whole_array_record, ProcSummary};
 use regions::access::{AccessMode, Precision};
+use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use support::budget::{self, BudgetConfig};
-use whirl::{ProcId, Program, StClass, TyKind};
+use whirl::{ProcId, Program, StClass, StIdx, TyKind};
 
 /// One contained per-procedure failure.
 #[derive(Debug)]
@@ -80,18 +81,22 @@ pub fn summarize_proc_guarded(
 }
 
 /// The fallback summary for a procedure whose analysis panicked: it may
-/// define and use *every element* of every array visible to it (globals and
-/// its own array formals). Grossly imprecise, but sound — and it keeps the
-/// procedure's rows in the `.rgn` output.
+/// define and use *every element* of every array visible to it (globals,
+/// its own array formals and the local arrays its tree names). Grossly
+/// imprecise, but sound — and it keeps the procedure's rows in the `.rgn`
+/// output.
 pub fn conservative_summary(program: &Program, id: ProcId) -> ProcSummary {
     let proc = program.procedure(id);
+    let named: BTreeSet<StIdx> =
+        proc.tree.iter().filter_map(|wn| proc.tree.node(wn).st_idx).collect();
     let mut accesses = Vec::new();
     for (st, entry) in program.symbols.iter() {
         if !matches!(program.types.get(entry.ty).kind, TyKind::Array { .. }) {
             continue;
         }
         let is_formal = proc.formals.contains(&st);
-        if entry.class != StClass::Global && !is_formal {
+        let local = entry.class == StClass::Local && named.contains(&st);
+        if entry.class != StClass::Global && !is_formal && !local {
             continue;
         }
         if is_formal {
@@ -219,6 +224,33 @@ end
         assert!(s.accesses.iter().all(|r| r.approx));
         assert!(s.accesses.iter().any(|r| r.mode == AccessMode::Def));
         assert!(s.accesses.iter().any(|r| r.mode == AccessMode::Use));
+    }
+
+    #[test]
+    fn conservative_summary_claims_the_local_arrays_its_tree_names() {
+        let src = "\
+program main
+  real t(4)
+  real u(6)
+  integer i
+  do i = 1, 4
+    t(i) = 0.0
+  end do
+end
+";
+        let p = compile_to_h(&[SourceFile::new("t.f", src, Lang::Fortran)], DEFAULT_LAYOUT_BASE)
+            .unwrap();
+        let main = p.find_procedure("main").unwrap();
+        let s = conservative_summary(&p, main);
+        let name = |r: &crate::AccessRecord| p.name_of(p.symbols.get(r.array).name).to_string();
+        let claimed: Vec<(String, AccessMode)> =
+            s.accesses.iter().map(|r| (name(r), r.mode)).collect();
+        assert_eq!(
+            claimed,
+            [("t".to_string(), AccessMode::Def), ("t".to_string(), AccessMode::Use)],
+            "the named local `t`, not the unused `u`"
+        );
+        assert!(s.accesses.iter().all(|r| r.approx));
     }
 
     #[test]

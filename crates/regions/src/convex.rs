@@ -44,11 +44,6 @@ impl ConvexRegion {
         &self.system
     }
 
-    /// Adds one constraint.
-    pub fn constrain(&mut self, c: Constraint) {
-        self.system.push(c);
-    }
-
     /// True when the region provably contains no rational point.
     pub fn is_empty(&self) -> bool {
         !fourier_motzkin::is_satisfiable(&self.system)

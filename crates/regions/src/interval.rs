@@ -65,11 +65,6 @@ impl Interval {
         self.lo.is_none() && self.hi.is_none()
     }
 
-    /// True when both sides are known.
-    pub fn is_bounded(&self) -> bool {
-        self.lo.is_some() && self.hi.is_some()
-    }
-
     /// The single value, when `lo == hi`.
     pub fn as_const(&self) -> Option<i64> {
         match (self.lo, self.hi) {

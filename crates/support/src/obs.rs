@@ -49,7 +49,6 @@
 //! *requested* process-wide while the span was open — a cheap attribution
 //! heuristic, not a heap profiler.
 
-use crate::hash::fnv1a;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -974,12 +973,6 @@ fn open_span(name: &'static str, arg: Option<String>) -> SpanGuard {
 /// owns the trailer format.
 pub fn verify_artifact(doc: &str) -> crate::error::Result<&str> {
     crate::persist::verify_text_checksum(doc)
-}
-
-/// FNV-1a of an artifact body — exposed for tests comparing artifacts
-/// without caring about their trailers.
-pub fn artifact_digest(doc: &str) -> u64 {
-    fnv1a(doc.as_bytes())
 }
 
 // ---------------------------------------------------------------------------

@@ -208,3 +208,31 @@ fn degradations_render_one_line_each() {
         assert!(line.starts_with('['), "report line format: {line}");
     }
 }
+
+/// Every executed subscript below is 7, but `3037000501*i` overflows
+/// `i64` inside the region kernel: a debug build panics there and
+/// contains it with a conservative summary, a release build wraps. Either
+/// way the local array `a` keeps a `DEF` row covering element 7.
+#[test]
+fn an_overflowing_subscript_keeps_its_local_array_row() {
+    let text = "\
+      program main
+      integer a(100)
+      integer i, j
+      do i = 1, 10
+        do j = 3037000501*i, 3037000501*i
+          a(j - 3037000501*i + 7) = 0
+        end do
+      end do
+      end
+";
+    let a = Analysis::analyze(&[fortran("ovf.f", text)], AnalysisOptions::default())
+        .expect("a contained failure degrades, never fails");
+    let covers_7 = |r: &&araa::RgnRow| {
+        let bound = |b: &str| b.parse::<i64>().ok();
+        matches!((bound(&r.lb), bound(&r.ub)), (Some(lo), Some(hi)) if lo <= 7 && 7 <= hi)
+    };
+    let defs: Vec<_> =
+        a.rows.iter().filter(|r| r.array == "a" && r.mode == regions::access::AccessMode::Def).collect();
+    assert!(defs.iter().any(covers_7), "{defs:?}\n{}", a.degradation_report());
+}
