@@ -172,7 +172,7 @@ struct SessionState {
     /// The source set itself, retained so the state can be persisted (the
     /// on-disk cache stores sources and re-derives the program from them).
     sources: Vec<SourceFile>,
-    /// Per procedure, the content address `(fnv1a, len)` of an on-disk
+    /// Per procedure, the content address and length of an on-disk
     /// entry container holding exactly this state's entry bytes for it, so
     /// a save can reference that file instead of re-encoding. Set by
     /// `load` for every validated entry and by a successful `persist` for
@@ -1062,10 +1062,7 @@ fn extract_env_hash(program: &Program, formal_addr: &BTreeMap<whirl::StIdx, u64>
     for (_, proc) in program.procedures.iter_enumerated() {
         h.write_str(ipa::callgraph::display_name(program, proc));
         // `write_str(&proc.object_file(..))`, without building the string.
-        let stem = proc.object_stem(&program.interner);
-        h.write_usize(stem.len() + 2);
-        h.write_bytes(stem.as_bytes());
-        h.write_bytes(b".o");
+        h.write_str_parts(&[proc.object_stem(&program.interner), ".o"]);
         h.write_u8(match proc.lang {
             Lang::C => 0,
             Lang::Fortran => 1,

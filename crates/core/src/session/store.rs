@@ -14,8 +14,12 @@
 //! Every file is a [`support::persist`] container (magic, format version,
 //! kind, toolchain+options fingerprint, payload, checksum footer) written
 //! through [`atomic_write`]. Entry files are *content-addressed*: named by
-//! the FNV-1a checksum of their full container bytes and never modified in
-//! place. A save writes any new entry files first, then atomically renames
+//! the container's content address ([`container_sums`]: the footer
+//! checksum's hasher continued over the footer, so writing, loading and
+//! `verify` hash each byte once) and never modified in place. Payloads use
+//! the codec's varint lengths and integers; the manifest's fingerprints
+//! and entry addresses are 8 fixed bytes. A save writes any new entry
+//! files first, then atomically renames
 //! the new manifest over the old one, then garbage-collects entries the new
 //! manifest no longer references. A crash at any instant therefore leaves
 //! either the old manifest with all of its entries, or the new manifest
@@ -81,12 +85,12 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 use support::faultpoint;
-use support::hash::{fnv1a, StableHasher};
+use support::hash::StableHasher;
 use support::idx::Idx;
 use support::persist::{
-    atomic_write, quarantine_file, quarantine_suffix, read_container, read_container_addressed,
-    read_container_loose, read_file_raw, toolchain_fingerprint, write_container_addressed,
-    ByteReader, ByteWriter, DirLock, Persist,
+    atomic_write, container_sums, quarantine_file, quarantine_suffix, read_container,
+    read_container_addressed, read_container_loose, read_file_raw, toolchain_fingerprint,
+    write_container_addressed, ByteReader, ByteWriter, ContainerError, DirLock, Persist,
 };
 use support::{Error, Result};
 use whirl::hash::{budget_salt, proc_fingerprint};
@@ -185,7 +189,8 @@ impl Persist for RgnRow {
 }
 
 /// One manifest line: procedure name, its content fingerprint, and the
-/// checksum (= file name) of its entry container.
+/// content address (= file name) of its entry container. Both hashes are 8
+/// fixed bytes.
 struct ManifestEntry {
     proc: String,
     fp: u64,
@@ -195,16 +200,17 @@ struct ManifestEntry {
 impl Persist for ManifestEntry {
     fn save(&self, w: &mut ByteWriter) {
         w.str(&self.proc);
-        w.u64(self.fp);
-        w.u64(self.checksum);
+        w.fixed_u64(self.fp);
+        w.fixed_u64(self.checksum);
     }
     fn load(r: &mut ByteReader<'_>) -> Result<Self> {
-        Ok(ManifestEntry { proc: r.str()?, fp: r.u64()?, checksum: r.u64()? })
+        Ok(ManifestEntry { proc: r.str()?, fp: r.fixed_u64()?, checksum: r.fixed_u64()? })
     }
 }
 
 /// The manifest payload: everything needed to rebuild a session state given
-/// the per-procedure entry files.
+/// the per-procedure entry files. A save writes it from the borrowed state
+/// ([`encode_manifest`]).
 struct Manifest {
     sources: Vec<SourceFile>,
     entries: Vec<ManifestEntry>,
@@ -213,28 +219,45 @@ struct Manifest {
     degradations: Vec<Degradation>,
 }
 
-impl Persist for Manifest {
-    fn save(&self, w: &mut ByteWriter) {
-        self.sources.save(w);
-        self.entries.save(w);
-        self.extract_env.save(w);
-        self.prop_degr.save(w);
-        self.degradations.save(w);
-    }
+impl Manifest {
     fn load(r: &mut ByteReader<'_>) -> Result<Self> {
         Ok(Manifest {
             sources: Vec::load(r)?,
             entries: Vec::load(r)?,
-            extract_env: Persist::load(r)?,
+            extract_env: match r.u8()? {
+                0 => None,
+                1 => Some(r.fixed_u64()?),
+                t => return Err(Error::Format(format!("invalid extract_env tag {t}"))),
+            },
             prop_degr: Vec::load(r)?,
             degradations: Vec::load(r)?,
         })
     }
 }
 
+/// Encodes the manifest of `state`, whose entries are `entries`, in the
+/// layout [`Manifest::load`] reads, straight from the state (no
+/// intermediate `Manifest` is built, so no source text is copied).
+fn encode_manifest(state: &SessionState, entries: &[ManifestEntry]) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    w.seq(&state.sources);
+    w.seq(entries);
+    match state.extract_env {
+        None => w.u8(0),
+        Some(env) => {
+            w.u8(1);
+            w.fixed_u64(env);
+        }
+    }
+    w.seq(&state.prop_degr);
+    w.seq(&state.analysis.degradations);
+    w.into_bytes()
+}
+
 /// One per-procedure cache entry: what [`SessionState`] holds for a single
 /// procedure that is cheaper to load than to recompute. The propagated
 /// summary is not stored; `load` re-derives it from the local summaries.
+/// A save writes it from the state ([`encode_entry`]).
 struct Entry {
     local: ProcSummary,
     rows: Vec<RgnRow>,
@@ -242,13 +265,7 @@ struct Entry {
     extract_fail: Option<String>,
 }
 
-impl Persist for Entry {
-    fn save(&self, w: &mut ByteWriter) {
-        self.local.save(w);
-        self.rows.save(w);
-        self.ipl_fail.save(w);
-        self.extract_fail.save(w);
-    }
+impl Entry {
     fn load(r: &mut ByteReader<'_>) -> Result<Self> {
         Ok(Entry {
             local: Persist::load(r)?,
@@ -259,11 +276,27 @@ impl Persist for Entry {
     }
 }
 
-fn decode<T: Persist>(payload: &[u8]) -> Result<T> {
+/// Decodes a whole payload with `load`: trailing bytes are an error.
+fn decode<T>(payload: &[u8], load: fn(&mut ByteReader<'_>) -> Result<T>) -> Result<T> {
     let mut r = ByteReader::new(payload);
-    let v = T::load(&mut r)?;
+    let v = load(&mut r)?;
     r.finish()?;
     Ok(v)
+}
+
+/// Decodes the payload of a container that passed validation with `load`.
+/// A failure comes with the quarantine suffix naming its class.
+fn validated<T>(
+    container: std::result::Result<&[u8], ContainerError>,
+    load: fn(&mut ByteReader<'_>) -> Result<T>,
+) -> std::result::Result<T, (Error, &'static str)> {
+    match container {
+        Err(cerr) => {
+            let suffix = quarantine_suffix(&cerr);
+            Err((Error::from(cerr), suffix))
+        }
+        Ok(payload) => decode(payload, load).map_err(|e| (e, "malformed")),
+    }
 }
 
 /// Encodes procedure `i` of `state` as an [`Entry`] payload, straight from
@@ -271,11 +304,7 @@ fn decode<T: Persist>(payload: &[u8]) -> Result<T> {
 fn encode_entry(state: &SessionState, i: usize) -> Vec<u8> {
     let mut w = ByteWriter::new();
     state.local[i].save(&mut w);
-    let rows = &state.analysis.rows[state.proc_rows[i].clone()];
-    w.usize(rows.len());
-    for row in rows {
-        row.save(&mut w);
-    }
+    w.seq(&state.analysis.rows[state.proc_rows[i].clone()]);
     state.ipl_fail[i].save(&mut w);
     state.extract_fail[i].save(&mut w);
     w.into_bytes()
@@ -375,7 +404,7 @@ impl SessionStore {
             stats.bytes += bytes.len() as u64;
             if let Ok((kind, _, payload)) = read_container_loose(&bytes) {
                 if kind == KIND_MANIFEST {
-                    if let Ok(m) = decode::<Manifest>(&payload) {
+                    if let Ok(m) = decode(payload, Manifest::load) {
                         stats.procedures = m.entries.len();
                         stats.sources = m.sources.len();
                     }
@@ -424,7 +453,7 @@ impl SessionStore {
                             self.fingerprint
                         ));
                     }
-                    match decode::<Manifest>(&payload) {
+                    match decode(payload, Manifest::load) {
                         Ok(m) => {
                             report.ok += 1;
                             for e in &m.entries {
@@ -461,7 +490,7 @@ impl SessionStore {
                     } else {
                         match referenced.get(&name) {
                             None => report.orphans += 1,
-                            Some(&sum) if fnv1a(&bytes) != sum => report
+                            Some(&sum) if container_sums(&bytes).1 != sum => report
                                 .problems
                                 .push(format!("{name}: contents do not match manifest record")),
                             Some(_) => report.ok += 1,
@@ -523,7 +552,7 @@ impl SessionStore {
     /// first (content-addressed, immutable, skipped when already present),
     /// then the manifest via atomic rename, then garbage collection of
     /// entries the new manifest no longer references. Returns every
-    /// procedure's entry address `(fnv1a, len)`. Faultpoints
+    /// procedure's entry address and length. Faultpoints
     /// `persist::entry_write` (once per procedure, in order),
     /// `persist::pre_manifest`, `persist::post_manifest` and `persist::gc`
     /// (plus the ones inside [`atomic_write`]) simulate a crash at each
@@ -576,17 +605,11 @@ impl SessionStore {
             });
             addrs.push(addr);
         }
-        let manifest = Manifest {
-            sources: state.sources.clone(),
-            entries,
-            extract_env: state.extract_env,
-            prop_degr: state.prop_degr.clone(),
-            degradations: state.analysis.degradations.clone(),
-        };
-        let mut w = ByteWriter::new();
-        manifest.save(&mut w);
-        let (container, _) =
-            write_container_addressed(KIND_MANIFEST, self.fingerprint, &w.into_bytes());
+        let (container, _) = write_container_addressed(
+            KIND_MANIFEST,
+            self.fingerprint,
+            &encode_manifest(state, &entries),
+        );
         faultpoint::hit("persist::pre_manifest");
         atomic_write(&self.dir.join(MANIFEST_FILE), &container)?;
         faultpoint::hit("persist::post_manifest");
@@ -680,16 +703,10 @@ impl AnalysisSession {
             }
             Ok(b) => b,
         };
-        let manifest = match read_container(&bytes, KIND_MANIFEST, store.fingerprint)
-            .map_err(Error::from)
-            .and_then(|payload| decode::<Manifest>(&payload))
-        {
+        let manifest = read_container(&bytes, KIND_MANIFEST, store.fingerprint);
+        let manifest = match validated(manifest, Manifest::load) {
             Ok(m) => m,
-            Err(e) => {
-                let suffix = match read_container(&bytes, KIND_MANIFEST, store.fingerprint) {
-                    Err(ref cerr) => quarantine_suffix(cerr),
-                    Ok(_) => "malformed",
-                };
+            Err((e, suffix)) => {
                 let dest = quarantine_file(&mpath, suffix)
                     .map(|p| p.display().to_string())
                     .unwrap_or_else(|qe| format!("(quarantine failed: {qe})"));
@@ -780,19 +797,13 @@ impl AnalysisSession {
             };
             // Bind the file to the manifest record, then validate and
             // decode the container.
-            let entry = match read_container_addressed(
+            let entry = read_container_addressed(
                 &bytes,
                 KIND_ENTRY,
                 store.fingerprint,
                 me.checksum,
-            ) {
-                Err(cerr) => {
-                    let suffix = quarantine_suffix(&cerr);
-                    Err((Error::from(cerr), suffix))
-                }
-                Ok(payload) => decode::<Entry>(payload).map_err(|e| (e, "malformed")),
-            };
-            match entry {
+            );
+            match validated(entry, Entry::load) {
                 Ok(entry) => {
                     local[i] = entry.local;
                     per_rows[i] = entry.rows;
@@ -1001,7 +1012,7 @@ end
     fn manifest_on_disk(store: &SessionStore) -> Manifest {
         let bytes = std::fs::read(store.dir.join(MANIFEST_FILE)).expect("manifest");
         let payload = read_container(&bytes, KIND_MANIFEST, store.fingerprint).expect("valid");
-        decode(&payload).expect("decodes")
+        decode(payload, Manifest::load).expect("decodes")
     }
 
     /// Persists `s` and checks the oracle: every manifest address is the

@@ -236,14 +236,19 @@ fn rgn_pre_precision_schema_is_rejected_with_version_error() {
     assert!(read_rgn(&future).is_err(), "future versions must not parse");
 }
 
-/// `container` with its format version set to `version` and its FNV footer
-/// re-sealed, so the container is structurally pristine — the *only* thing
-/// wrong with it is its age.
+/// `container` with its format version set to `version` and its footer
+/// re-sealed the way that version sealed it — byte-serial FNV-1a up to
+/// version 5, the current container checksum after — so the container is
+/// structurally pristine: the *only* thing wrong with it is its age.
 fn reseal_at_version(container: &[u8], version: u32) -> Vec<u8> {
     let mut old = container.to_vec();
     old[8..12].copy_from_slice(&version.to_le_bytes());
     let body_len = old.len() - 8;
-    let sum = support::hash::fnv1a(&old[..body_len]);
+    let sum = if version <= 5 {
+        support::hash::fnv1a(&old[..body_len])
+    } else {
+        support::persist::container_sums(&old).0
+    };
     old[body_len..].copy_from_slice(&sum.to_le_bytes());
     old
 }
@@ -312,11 +317,12 @@ fn previous_format_version_manifest_and_entry_quarantine_as_version() {
     assert_eq!(q, ["manifest.araa.version"], "{q:?}");
 
     // An entry written by the previous format version, under a current
-    // manifest that records its content address (so the address check
-    // passes and the version check is what rejects it).
+    // manifest that records its content address as this version computes
+    // one (so the address check passes and the version check is what
+    // rejects it).
     let old_entry = reseal_at_version(&entry, previous);
     let sum = u64::from_str_radix(&name[1..17], 16).expect("entry name is its address");
-    let old_sum = support::hash::fnv1a(&old_entry);
+    let old_sum = support::persist::container_sums(&old_entry).1;
     let mut m = manifest.clone();
     let at: Vec<usize> = (0..m.len() - 8)
         .filter(|&i| m[i..i + 8] == sum.to_le_bytes())

@@ -25,8 +25,8 @@ impl Persist for AccessMode {
         w.str(self.as_str());
     }
     fn load(r: &mut ByteReader<'_>) -> Result<Self> {
-        let s = r.str()?;
-        AccessMode::parse(&s).ok_or_else(|| Error::Format(format!("unknown access mode `{s}`")))
+        let s = r.str_ref()?;
+        AccessMode::parse(s).ok_or_else(|| Error::Format(format!("unknown access mode `{s}`")))
     }
 }
 
@@ -35,8 +35,8 @@ impl Persist for Precision {
         w.str(self.as_str());
     }
     fn load(r: &mut ByteReader<'_>) -> Result<Self> {
-        let s = r.str()?;
-        Precision::parse(&s).ok_or_else(|| Error::Format(format!("unknown precision `{s}`")))
+        let s = r.str_ref()?;
+        Precision::parse(s).ok_or_else(|| Error::Format(format!("unknown precision `{s}`")))
     }
 }
 

@@ -13,13 +13,20 @@
 //! - **Self-describing integrity** ([`write_container_addressed`] /
 //!   [`read_container`]): every persisted artifact carries a magic number,
 //!   a format version, a kind tag, a caller-supplied fingerprint
-//!   (toolchain and options), the payload length, and a trailing FNV-1a checksum over
-//!   the whole preceding byte stream. Any torn write, truncation, bit
-//!   flip, version skew, or foreign file fails validation with a typed
+//!   (toolchain and options), the payload length, and a trailing
+//!   [`StableHasher`] checksum over the whole preceding byte stream, all
+//!   in fixed-width fields. Any torn write, truncation, bit flip, version
+//!   skew, or foreign file fails validation with a typed
 //!   [`ContainerError`] — never a panic, never silently-wrong data. The
-//!   writer also returns the content address (FNV-1a of the whole
-//!   container) from the same pass that computes the footer; stores that
-//!   name files by content check it with [`read_container_addressed`].
+//!   reader checks magic and version before the checksum, because the
+//!   version decides how the checksum was computed. The writer also
+//!   returns the container's content address: the checksum's hasher
+//!   continued over the footer, so every byte is hashed once
+//!   ([`container_sums`]). Stores that name files by content check it
+//!   with [`read_container_addressed`].
+//! - **A compact codec** ([`ByteWriter`] / [`ByteReader`]): lengths and
+//!   integers are LEB128 varints (zigzag for `i64`), hashes are 8 fixed
+//!   bytes, and strings decode borrowed when the caller only parses them.
 //! - **Cross-process exclusion** ([`DirLock`]): an advisory lock file with
 //!   the owner's pid, stale-lock detection (dead owner ⇒ takeover), and
 //!   bounded waiting, so concurrent invocations sharing a cache directory
@@ -54,7 +61,10 @@ pub const MAGIC: &[u8; 8] = b"ARAAPRS\0";
 /// same-procedure consumers).
 /// Version 5: session entries drop the propagated summary (re-derived on
 /// load) and the session manifest drops the recursion-cut flag.
-pub const FORMAT_VERSION: u32 = 5;
+/// Version 6: payload lengths and integers are varints, and the footer
+/// checksum and content address come from the word-at-a-time
+/// [`StableHasher`] instead of byte-serial FNV-1a.
+pub const FORMAT_VERSION: u32 = 6;
 
 /// Write-path faultpoints registered inside [`atomic_write`] and the
 /// store layers above it, in the order they fire. CI arms each one in turn
@@ -75,8 +85,11 @@ pub const READ_FAULTPOINTS: &[&str] = &["persist::short_read", "persist::bit_fli
 // Binary codec
 // ---------------------------------------------------------------------------
 
-/// Append-only byte buffer with typed little-endian writers — the encoding
-/// half of the persistence codec.
+/// Append-only byte buffer with typed writers — the encoding half of the
+/// persistence codec. Lengths and integers are LEB128 varints (zigzag for
+/// `i64`); hashes and the container's fixed fields go through
+/// [`fixed_u32`](Self::fixed_u32) and [`fixed_u64`](Self::fixed_u64), since
+/// a varint of a random `u64` takes 9–10 bytes.
 #[derive(Debug, Default)]
 pub struct ByteWriter {
     buf: Vec<u8>,
@@ -108,24 +121,41 @@ impl ByteWriter {
         self.u8(u8::from(v));
     }
 
-    /// Appends a `u32`, little-endian.
+    /// Appends a `u32` as a varint.
     pub fn u32(&mut self, v: u32) {
-        self.bytes(&v.to_le_bytes());
+        self.u64(u64::from(v));
     }
 
-    /// Appends a `u64`, little-endian.
-    pub fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
+    /// Appends a `u64` as a LEB128 varint: 7 bits per byte, low bits
+    /// first, the top bit set on every byte but the last.
+    pub fn u64(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.buf.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.buf.push(v as u8);
     }
 
-    /// Appends an `i64`, little-endian two's complement.
+    /// Appends an `i64` as a zigzag varint, so small magnitudes of either
+    /// sign stay short.
     pub fn i64(&mut self, v: i64) {
-        self.bytes(&v.to_le_bytes());
+        self.u64(((v << 1) ^ (v >> 63)) as u64);
     }
 
-    /// Appends a `usize` widened to 64 bits.
+    /// Appends a `usize` widened to 64 bits, as a varint.
     pub fn usize(&mut self, v: usize) {
         self.u64(v as u64);
+    }
+
+    /// Appends a `u32` as 4 little-endian bytes.
+    pub fn fixed_u32(&mut self, v: u32) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    /// Appends a `u64` as 8 little-endian bytes: for hashes, whose
+    /// varints would be longer.
+    pub fn fixed_u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
     }
 
     /// Appends a length-prefixed UTF-8 string.
@@ -133,11 +163,21 @@ impl ByteWriter {
         self.usize(s.len());
         self.bytes(s.as_bytes());
     }
+
+    /// Appends a length-prefixed sequence, as a `Vec` of the same items
+    /// encodes: a caller holding a borrowed slice need not build the `Vec`.
+    pub fn seq<T: Persist>(&mut self, items: &[T]) {
+        self.usize(items.len());
+        for item in items {
+            item.save(self);
+        }
+    }
 }
 
 /// Bounds-checked cursor over encoded bytes — the decoding half of the
 /// codec. Every read returns a typed [`Error::Format`] on truncation or
-/// malformed data; nothing here panics on hostile input.
+/// malformed data (an overlong or overflowing varint included); nothing
+/// here panics on hostile input.
 #[derive(Debug)]
 pub struct ByteReader<'a> {
     buf: &'a [u8],
@@ -173,6 +213,13 @@ impl<'a> ByteReader<'a> {
         Ok(out)
     }
 
+    /// Takes `N` raw bytes as an array.
+    fn array<const N: usize>(&mut self) -> Result<[u8; N]> {
+        let mut a = [0u8; N];
+        a.copy_from_slice(self.take(N)?);
+        Ok(a)
+    }
+
     /// Reads one byte.
     pub fn u8(&mut self) -> Result<u8> {
         Ok(self.take(1)?[0])
@@ -187,49 +234,73 @@ impl<'a> ByteReader<'a> {
         }
     }
 
-    /// Reads a little-endian `u32`.
+    /// Reads a varint `u32`, rejecting values beyond `u32::MAX`.
     pub fn u32(&mut self) -> Result<u32> {
-        let b = self.take(4)?;
-        let mut a = [0u8; 4];
-        a.copy_from_slice(b);
-        Ok(u32::from_le_bytes(a))
+        let v = self.u64()?;
+        u32::try_from(v).map_err(|_| Error::Format(format!("varint {v} overflows u32")))
     }
 
-    /// Reads a little-endian `u64`.
+    /// Reads a LEB128 varint `u64`. A 64-bit value takes at most 10
+    /// bytes, and the 10th can only hold the top bit: anything longer or
+    /// larger is a format error.
     pub fn u64(&mut self) -> Result<u64> {
-        let b = self.take(8)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Ok(u64::from_le_bytes(a))
+        let mut v = 0u64;
+        let mut shift = 0;
+        loop {
+            let Some(&b) = self.buf.get(self.pos) else {
+                return Err(self.truncated("a varint"));
+            };
+            self.pos += 1;
+            if shift == 63 && b > 1 {
+                return Err(Error::Format("varint overflows 64 bits".to_string()));
+            }
+            v |= u64::from(b & 0x7f) << shift;
+            if b < 0x80 {
+                return Ok(v);
+            }
+            shift += 7;
+        }
     }
 
-    /// Reads a little-endian `i64`.
+    /// Reads a zigzag varint `i64`.
     pub fn i64(&mut self) -> Result<i64> {
-        let b = self.take(8)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Ok(i64::from_le_bytes(a))
+        let v = self.u64()?;
+        Ok((v >> 1) as i64 ^ -((v & 1) as i64))
     }
 
-    /// Reads a `usize`, rejecting values beyond the remaining buffer when
+    /// Reads a varint `usize`, rejecting values beyond the remaining buffer when
     /// used as a length (callers combine with [`take`](Self::take)).
     pub fn usize(&mut self) -> Result<usize> {
         let v = self.u64()?;
         usize::try_from(v).map_err(|_| Error::Format(format!("length {v} overflows usize")))
     }
 
-    /// Reads a length-prefixed UTF-8 string.
-    pub fn str(&mut self) -> Result<String> {
+    /// Reads 4 little-endian bytes.
+    pub fn fixed_u32(&mut self) -> Result<u32> {
+        Ok(u32::from_le_bytes(self.array()?))
+    }
+
+    /// Reads 8 little-endian bytes.
+    pub fn fixed_u64(&mut self) -> Result<u64> {
+        Ok(u64::from_le_bytes(self.array()?))
+    }
+
+    /// Reads a length-prefixed UTF-8 string, borrowed from the buffer.
+    pub fn str_ref(&mut self) -> Result<&'a str> {
         let len = self.usize()?;
         if len > self.remaining() {
             return Err(self.truncated(&format!("string of {len} bytes")));
         }
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
+        std::str::from_utf8(self.take(len)?)
             .map_err(|_| Error::Format("persisted string is not UTF-8".to_string()))
     }
 
-    /// Errors unless every byte was consumed — trailing garbage means the
+    /// Reads a length-prefixed UTF-8 string.
+    pub fn str(&mut self) -> Result<String> {
+        self.str_ref().map(str::to_owned)
+    }
+
+/// Errors unless every byte was consumed — trailing garbage means the
     /// payload does not match the format that was claimed for it.
     pub fn finish(&self) -> Result<()> {
         if self.remaining() != 0 {
@@ -327,10 +398,7 @@ impl<T: Persist> Persist for Option<T> {
 
 impl<T: Persist> Persist for Vec<T> {
     fn save(&self, w: &mut ByteWriter) {
-        w.usize(self.len());
-        for v in self {
-            v.save(w);
-        }
+        w.seq(self);
     }
     fn load(r: &mut ByteReader<'_>) -> Result<Self> {
         let len = r.usize()?;
@@ -376,8 +444,8 @@ pub enum ContainerError {
     BadFingerprint { expected: u64, found: u64 },
     /// The checksum over the byte stream does not match the footer.
     BadChecksum,
-    /// The container's FNV-1a over all of its bytes differs from the content
-    /// address recorded for it (see [`read_container_addressed`]).
+    /// The container's content address ([`container_sums`]) differs from
+    /// the one recorded for it (see [`read_container_addressed`]).
     BadAddress,
     /// Structurally invalid header fields.
     Malformed(String),
@@ -428,84 +496,98 @@ pub fn quarantine_suffix(e: &ContainerError) -> &'static str {
 /// payload len(8) + checksum(8).
 const MIN_CONTAINER_LEN: usize = 44;
 
-/// Wraps `payload` in the versioned, checksummed container format —
-/// magic, version, kind, fingerprint, length, payload, FNV-1a footer —
-/// and returns it with its content address: `fnv1a` over all of its
-/// bytes, footer included. FNV-1a streams, so the footer's hasher
-/// continued over the 8 footer bytes is that address and every byte is
-/// hashed once.
-pub fn write_container_addressed(kind: &str, fingerprint: u64, payload: &[u8]) -> (Vec<u8>, u64) {
-    let mut w = ByteWriter::new();
-    w.bytes(MAGIC);
-    w.u32(FORMAT_VERSION);
-    w.str(kind);
-    w.u64(fingerprint);
-    w.usize(payload.len());
-    w.bytes(payload);
+/// Hashes a container split at its footer, each byte once: the checksum
+/// covers `body`, and the content address continues that same hasher over
+/// the footer — over `footer`, or over the checksum itself while the
+/// footer is still to be written.
+fn sums(body: &[u8], footer: Option<&[u8]>) -> (u64, u64) {
     let mut h = StableHasher::new();
-    h.write_bytes(&w.buf);
+    h.write_bytes(body);
     let checksum = h.finish();
-    w.u64(checksum);
-    h.write_u64(checksum);
-    (w.into_bytes(), h.finish())
+    h.write_bytes(footer.unwrap_or(&checksum.to_le_bytes()));
+    (checksum, h.finish())
 }
 
-/// The footer-checked body (everything before the checksum) of a
-/// container whose byte stream FNV-1a-hashes to `body_sum`.
-fn checked_body(bytes: &[u8], body_sum: u64) -> std::result::Result<&[u8], ContainerError> {
+/// The checksum `container`'s footer must hold and its content address,
+/// from one pass over its bytes. The writer, [`read_container_addressed`]
+/// and `dragon cache verify` all name a container this way.
+pub fn container_sums(container: &[u8]) -> (u64, u64) {
+    let (body, footer) = container.split_at(container.len().saturating_sub(8));
+    sums(body, Some(footer))
+}
+
+/// Wraps `payload` in the versioned, checksummed container format —
+/// magic, version, kind, fingerprint, length, payload, checksum footer, in
+/// fixed-width fields — and returns it with its content address (see
+/// [`container_sums`]).
+pub fn write_container_addressed(kind: &str, fingerprint: u64, payload: &[u8]) -> (Vec<u8>, u64) {
+    let mut w = ByteWriter {
+        buf: Vec::with_capacity(MIN_CONTAINER_LEN + kind.len() + payload.len()),
+    };
+    w.bytes(MAGIC);
+    w.fixed_u32(FORMAT_VERSION);
+    w.fixed_u64(kind.len() as u64);
+    w.bytes(kind.as_bytes());
+    w.fixed_u64(fingerprint);
+    w.fixed_u64(payload.len() as u64);
+    w.bytes(payload);
+    let (checksum, address) = sums(&w.buf, None);
+    w.fixed_u64(checksum);
+    (w.into_bytes(), address)
+}
+
+/// Validates a container whose body hashes to `checksum` (see
+/// [`container_sums`]) and returns its `(kind, fingerprint, payload)`.
+/// Checks, in order: minimum length, magic, version, the footer checksum,
+/// then the kind and payload length fields. Magic and version come before
+/// the footer because the version decides how the footer was computed: a
+/// cache an older release wrote is version skew, not corruption.
+fn parse(
+    bytes: &[u8],
+    checksum: u64,
+) -> std::result::Result<(&str, u64, &[u8]), ContainerError> {
     if bytes.len() < MIN_CONTAINER_LEN {
         return Err(ContainerError::Truncated);
     }
     let (body, footer) = bytes.split_at(bytes.len() - 8);
-    let mut fb = [0u8; 8];
-    fb.copy_from_slice(footer);
-    if body_sum != u64::from_le_bytes(fb) {
-        return Err(ContainerError::BadChecksum);
-    }
-    Ok(body)
-}
-
-/// Parses a footer-checked body: magic, version, kind, fingerprint and
-/// payload length, in that order. Returns `(kind, fingerprint, payload)`.
-fn parse_body(body: &[u8]) -> std::result::Result<(String, u64, &[u8]), ContainerError> {
     let mut r = ByteReader::new(body);
     let magic = r.take(8).map_err(|_| ContainerError::Truncated)?;
     if magic != MAGIC {
         return Err(ContainerError::BadMagic);
     }
-    let version = r.u32().map_err(|_| ContainerError::Truncated)?;
+    let version = r.fixed_u32().map_err(|_| ContainerError::Truncated)?;
     if version != FORMAT_VERSION {
         return Err(ContainerError::BadVersion(version));
     }
-    let found_kind = r
-        .str()
-        .map_err(|e| ContainerError::Malformed(e.to_string()))?;
-    let found_fp = r.u64().map_err(|_| ContainerError::Truncated)?;
-    let len = r
-        .usize()
-        .map_err(|e| ContainerError::Malformed(e.to_string()))?;
-    if len != r.remaining() {
+    if footer != checksum.to_le_bytes() {
+        return Err(ContainerError::BadChecksum);
+    }
+    let malformed = |e: Error| ContainerError::Malformed(e.to_string());
+    let kind_len = r.fixed_u64().map_err(malformed)?;
+    let kind = r.take(usize::try_from(kind_len).unwrap_or(usize::MAX)).map_err(malformed)?;
+    let kind = std::str::from_utf8(kind)
+        .map_err(|_| ContainerError::Malformed("container kind is not UTF-8".to_string()))?;
+    let found_fp = r.fixed_u64().map_err(|_| ContainerError::Truncated)?;
+    let len = r.fixed_u64().map_err(malformed)?;
+    if usize::try_from(len).ok() != Some(r.remaining()) {
         return Err(ContainerError::Malformed(format!(
             "payload length {len} disagrees with container size {}",
             r.remaining()
         )));
     }
-    let payload = r
-        .take(len)
-        .map_err(|_| ContainerError::Truncated)?;
-    Ok((found_kind, found_fp, payload))
+    Ok((kind, found_fp, r.take(r.remaining()).map_err(|_| ContainerError::Truncated)?))
 }
 
 /// The kind and fingerprint checks [`read_container`] applies after
 /// structural validation.
 fn expect_kind_and_fingerprint(
-    found_kind: String,
+    found_kind: &str,
     found_fp: u64,
     kind: &str,
     fingerprint: u64,
 ) -> std::result::Result<(), ContainerError> {
     if found_kind != kind {
-        return Err(ContainerError::BadKind(found_kind));
+        return Err(ContainerError::BadKind(found_kind.to_string()));
     }
     if found_fp != fingerprint {
         return Err(ContainerError::BadFingerprint { expected: fingerprint, found: found_fp });
@@ -513,27 +595,25 @@ fn expect_kind_and_fingerprint(
     Ok(())
 }
 
-/// Validates a container's structural integrity — minimum length, trailing
-/// checksum, magic, version, payload length — and returns its `(kind,
+/// Validates a container's structural integrity — minimum length, magic,
+/// version, trailing checksum, payload length — and returns its `(kind,
 /// fingerprint, payload)` *without* checking kind or fingerprint. The tool
 /// for inspection paths (`dragon cache verify`) that must classify any
 /// valid container regardless of who wrote it.
 pub fn read_container_loose(
     bytes: &[u8],
-) -> std::result::Result<(String, u64, Vec<u8>), ContainerError> {
-    let body_sum = fnv1a(&bytes[..bytes.len().saturating_sub(8)]);
-    let (kind, fp, payload) = parse_body(checked_body(bytes, body_sum)?)?;
-    Ok((kind, fp, payload.to_vec()))
+) -> std::result::Result<(&str, u64, &[u8]), ContainerError> {
+    parse(bytes, container_sums(bytes).0)
 }
 
-/// Validates a container byte-for-byte and returns its payload. Checks, in
-/// order: minimum length, the trailing checksum over everything before the
-/// footer, magic, version, kind, fingerprint, and payload length.
-pub fn read_container(
-    bytes: &[u8],
+/// Validates a container byte-for-byte and borrows its payload. Checks, in
+/// order: minimum length, magic, version, the trailing checksum over
+/// everything before the footer, kind, fingerprint, and payload length.
+pub fn read_container<'a>(
+    bytes: &'a [u8],
     kind: &str,
     fingerprint: u64,
-) -> std::result::Result<Vec<u8>, ContainerError> {
+) -> std::result::Result<&'a [u8], ContainerError> {
     let (found_kind, found_fp, payload) = read_container_loose(bytes)?;
     expect_kind_and_fingerprint(found_kind, found_fp, kind, fingerprint)?;
     Ok(payload)
@@ -543,23 +623,18 @@ pub fn read_container(
 /// [`write_container_addressed`] returned for it, and borrows its payload.
 /// Checks the address first ([`ContainerError::BadAddress`]), then exactly
 /// what [`read_container`] checks, in the same order with the same errors.
-/// One pass hashes every byte once: the hasher's state 8 bytes before the
-/// end is the footer checksum.
+/// One pass hashes every byte once ([`container_sums`]).
 pub fn read_container_addressed<'a>(
     bytes: &'a [u8],
     kind: &str,
     fingerprint: u64,
     address: u64,
 ) -> std::result::Result<&'a [u8], ContainerError> {
-    let (body, footer) = bytes.split_at(bytes.len().saturating_sub(8));
-    let mut h = StableHasher::new();
-    h.write_bytes(body);
-    let body_sum = h.finish();
-    h.write_bytes(footer);
-    if h.finish() != address {
+    let (checksum, found) = container_sums(bytes);
+    if found != address {
         return Err(ContainerError::BadAddress);
     }
-    let (found_kind, found_fp, payload) = parse_body(checked_body(bytes, body_sum)?)?;
+    let (found_kind, found_fp, payload) = parse(bytes, checksum)?;
     expect_kind_and_fingerprint(found_kind, found_fp, kind, fingerprint)?;
     Ok(payload)
 }
@@ -1017,7 +1092,8 @@ mod tests {
     fn addressed_writer_returns_the_content_address() {
         let (bytes, address) = write_container_addressed("test", 7, b"payload");
         assert_eq!(bytes, write_container_addressed("test", 7, b"payload").0);
-        assert_eq!(address, fnv1a(&bytes));
+        let footer = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
+        assert_eq!(container_sums(&bytes), (footer, address));
     }
 
     #[test]
@@ -1043,11 +1119,28 @@ mod tests {
         damaged.push(write_container_addressed("test", 8, b"x").0);
         for m in &damaged {
             assert_eq!(
-                read_container_addressed(m, "test", 7, fnv1a(m)).map(<[u8]>::to_vec),
+                read_container_addressed(m, "test", 7, container_sums(m).1),
                 read_container(m, "test", 7),
                 "{m:?}"
             );
         }
+    }
+
+    #[test]
+    fn version_is_checked_before_the_footer() {
+        // A container of another version whose footer this version would
+        // not compute (here: byte-serial FNV-1a, as version 5 sealed it)
+        // is version skew, not corruption.
+        let mut old = write_container_addressed("test", 7, b"payload").0;
+        old[8..12].copy_from_slice(&5u32.to_le_bytes());
+        let body = old.len() - 8;
+        let sum = fnv1a(&old[..body]);
+        old[body..].copy_from_slice(&sum.to_le_bytes());
+        assert_eq!(read_container(&old, "test", 7), Err(ContainerError::BadVersion(5)));
+        assert_eq!(
+            read_container_addressed(&old, "test", 7, container_sums(&old).1),
+            Err(ContainerError::BadVersion(5))
+        );
     }
 
     #[test]
@@ -1258,8 +1351,7 @@ mod tests {
     #[test]
     fn loose_read_reports_kind_and_fingerprint() {
         let bytes = write_container_addressed("entry", 99, b"pp").0;
-        let (kind, fp, payload) = read_container_loose(&bytes).unwrap();
-        assert_eq!((kind.as_str(), fp, payload.as_slice()), ("entry", 99, b"pp".as_slice()));
+        assert_eq!(read_container_loose(&bytes), Ok(("entry", 99, b"pp".as_slice())));
     }
 
     #[test]

@@ -172,3 +172,45 @@ fn global_symbol_map_skips_retyped_globals() {
     let a1 = p1.symbols.find(p1.interner.get("a").unwrap()).unwrap();
     assert!(!maps.st.contains_key(&a1));
 }
+
+/// Every procedure of mini-LU, of a 1 000-procedure synthetic program and
+/// of every corpus file has a fingerprint of its own.
+#[test]
+fn fingerprints_are_pairwise_distinct_across_the_workloads() {
+    let synth = workloads::synthetic::SynthConfig {
+        procedures: 999,
+        ..workloads::synthetic::SynthConfig::default()
+    };
+    let synth = SourceFile::from(&workloads::synthetic::generate(&synth));
+    let mut programs: Vec<(String, Vec<SourceFile>)> = vec![
+        ("mini_lu".into(), workloads::mini_lu::sources().iter().map(SourceFile::from).collect()),
+        ("synthetic_1000".into(), vec![synth]),
+    ];
+    let workloads = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../workloads");
+    for dir in ["lint_corpus", "irregular_corpus"] {
+        let mut names: Vec<String> = std::fs::read_dir(workloads.join(dir))
+            .expect("corpus dir")
+            .map(|e| e.expect("dir entry").file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        for name in names {
+            let text = std::fs::read_to_string(workloads.join(dir).join(&name)).expect("corpus file");
+            let lang = if name.ends_with(".c") { Lang::C } else { Lang::Fortran };
+            programs.push((format!("{dir}/{name}"), vec![SourceFile::new(name, text, lang)]));
+        }
+    }
+    let mut seen: std::collections::BTreeMap<u64, String> = std::collections::BTreeMap::new();
+    for (label, files) in &programs {
+        let (program, _) = frontend::compile_to_h_with_recovery(files, DEFAULT_LAYOUT_BASE)
+            .unwrap_or_else(|e| panic!("{label} must compile: {e}"));
+        for (id, proc) in program.procedures.iter_enumerated() {
+            let who = format!("{label}:{}", program.name_of(proc.name));
+            let fp = proc_fingerprint(&program, id, 0);
+            if let Some(first) = seen.insert(fp, who.clone()) {
+                panic!("`{who}` and `{first}` share the fingerprint {fp:016x}");
+            }
+        }
+    }
+    // 24 mini-LU procedures, 1 000 synthetic ones, one or more per file.
+    assert!(seen.len() >= 1024 + programs.len() - 2, "{} procedures", seen.len());
+}
