@@ -14,7 +14,8 @@
 //!    (ok / shed / deadline_expired / error) is recorded, and p50/p95/p99
 //!    of the successful requests goes into the report.
 //! 2. **warm** — sequential steady-state medians for one warm reanalyze
-//!    (one-file edit, includes the persist) and one query-rgn roundtrip.
+//!    (one-file edit, includes the persist) and one query-rgn read of the
+//!    mini-LU project's `.rgn`, analyzed once beforehand.
 //!    `scripts/check_bench_serve.py` holds `reanalyze_p50_ns` to within
 //!    2x of the in-process session baselines from `BENCH_session.json`.
 //! 3. **overload** — a deliberately tiny daemon (one worker, queue depth
@@ -35,6 +36,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use support::json::{obj, Value};
 use support::testdir::TestDir;
+use workloads::GenSource;
 
 // The daemon binary installs the counting allocator; the in-process bench
 // daemon must too, or per-request memory accounting would never move and
@@ -92,19 +94,27 @@ subroutine leaf
 end
 ";
 
-fn sources(variant: usize) -> Vec<(&'static str, &'static str)> {
+fn sources(variant: usize) -> Vec<GenSource> {
     let leaf = if variant % 2 == 0 { LEAF_V1 } else { LEAF_V2 };
-    vec![("main.f", MAIN_F), ("mid.f", MID_F), ("leaf.f", leaf)]
+    vec![
+        GenSource::fortran("main.f", MAIN_F),
+        GenSource::fortran("mid.f", MID_F),
+        GenSource::fortran("leaf.f", leaf),
+    ]
 }
 
 fn analyze_req(id: u64, op: &str, project: &str, variant: usize) -> Value {
-    let srcs: Vec<Value> = sources(variant)
+    sources_req(id, op, project, &sources(variant))
+}
+
+fn sources_req(id: u64, op: &str, project: &str, sources: &[GenSource]) -> Value {
+    let srcs: Vec<Value> = sources
         .iter()
-        .map(|(name, text)| {
+        .map(|s| {
             obj([
-                ("name", Value::str(*name)),
-                ("text", Value::str(*text)),
-                ("fortran", Value::Bool(true)),
+                ("name", Value::str(&s.name)),
+                ("text", Value::str(&s.text)),
+                ("fortran", Value::Bool(s.fortran)),
             ])
         })
         .collect();
@@ -369,9 +379,15 @@ fn run_load_phase(dir: &Path) -> LoadReport {
         rean.push(t.elapsed().as_nanos());
         assert_eq!(resp.get("ok").and_then(Value::as_bool), Some(true), "{}", resp.render());
     }
+    // Reads time a real document, the mini-LU project's `.rgn` (about
+    // 69 KB): the fixture's three-procedure `.rgn` is so small that its
+    // read would time little but the connection round trip.
+    let lu = sources_req(0, "analyze", "mini-lu", &workloads::mini_lu::sources());
+    let resp = serve::client::call(&o, &lu).expect("analyze mini-lu");
+    assert_eq!(resp.get("ok").and_then(Value::as_bool), Some(true), "{}", resp.render());
     let mut query = Vec::with_capacity(WARM_ITERS);
     for i in 0..WARM_ITERS {
-        let req = plain_req(i as u64, "query-rgn", warm_project);
+        let req = plain_req(i as u64, "query-rgn", "mini-lu");
         let t = Instant::now();
         let resp = serve::client::call(&o, &req).expect("warm query-rgn");
         query.push(t.elapsed().as_nanos());

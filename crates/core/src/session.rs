@@ -73,6 +73,7 @@ use ipa::rebase::rebase_summary;
 use ipa::{AccessRecord, IpaResult, ProcSummary};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::OnceLock;
 use support::budget::{self, BudgetConfig};
 use support::hash::StableHasher;
 use support::idx::Idx;
@@ -179,6 +180,11 @@ struct SessionState {
     /// every entry; `update` carries it only where the entry's inputs were
     /// moved verbatim.
     entry_addr: Vec<Option<(u64, u64)>>,
+    /// This state's `.rgn` document, rendered by the first
+    /// [`AnalysisSession::rgn_document`] call and never before. It needs
+    /// no invalidation: an update that changes anything builds a new
+    /// state, and nothing it renders from changes within one.
+    rgn: OnceLock<String>,
 }
 
 /// A verified cache hit: the old procedure it corresponds to, the symbol
@@ -269,6 +275,18 @@ impl AnalysisSession {
     /// The analysis produced by the most recent successful [`update`](Self::update).
     pub fn analysis(&self) -> Option<&Analysis> {
         self.state.as_ref().map(|s| &s.analysis)
+    }
+
+    /// The `.rgn` document of the last analysis, byte for byte
+    /// [`Analysis::rgn_document`]. The first call after an update or a
+    /// [`load`](Self::load) that built a new state renders it; later calls
+    /// return the same text until the next such update.
+    pub fn rgn_document(&self) -> Option<&str> {
+        let state = self.state.as_ref()?;
+        Some(state.rgn.get_or_init(|| {
+            let _span = support::obs::span("session.render_rgn");
+            state.analysis.rgn_document()
+        }))
     }
 
     /// Consumes the session, yielding the last analysis.
@@ -898,6 +916,7 @@ impl AnalysisSession {
             sources,
             tainted,
             entry_addr,
+            rgn: OnceLock::new(),
         });
         self.retire(prev);
         Ok(delta)
@@ -1365,6 +1384,41 @@ end
         // And the session still works afterwards.
         let d = s.update(&files(LEAF_F)).unwrap();
         assert_eq!(d.summary_cache_misses, 0);
+    }
+
+    #[test]
+    fn the_rgn_document_renders_once_per_state() {
+        use support::obs::{self, ClockKind, Collector};
+        let c = Collector::new(ClockKind::Logical);
+        let _obs = obs::attach(std::sync::Arc::clone(&c));
+        let renders =
+            || c.events().iter().filter(|e| e.name == "session.render_rgn").count();
+        let cold = |leaf| {
+            Analysis::analyze(files(leaf), AnalysisOptions::default()).unwrap().rgn_document()
+        };
+        let mut s = AnalysisSession::new(AnalysisOptions::default());
+        assert_eq!(s.rgn_document(), None);
+        s.update(files(LEAF_F)).unwrap();
+        assert_eq!(renders(), 0, "an update renders nothing");
+        let first = cold(LEAF_F);
+        assert_eq!(s.rgn_document(), Some(first.as_str()));
+        let memo = s.rgn_document().map(str::as_ptr);
+        assert_eq!(renders(), 1, "two reads render once");
+
+        // Identical input keeps the state, and so its memo; so does an
+        // update that fails.
+        s.update(files(LEAF_F)).unwrap();
+        assert!(s.update([SourceFile::new("bad.f", "subroutine\n", Lang::Fortran)]).is_err());
+        assert_eq!(s.rgn_document().map(str::as_ptr), memo);
+        assert_eq!(renders(), 1);
+
+        // A one-file edit builds a new state, rendered on its first read.
+        s.update(files(LEAF_F_EDITED)).unwrap();
+        assert_eq!(renders(), 1);
+        let edited = cold(LEAF_F_EDITED);
+        assert_ne!(edited, first);
+        assert_eq!(s.rgn_document(), Some(edited.as_str()));
+        assert_eq!(renders(), 2);
     }
 
     #[test]

@@ -83,6 +83,7 @@ use ipa::propagate::NO_SLICE;
 use ipa::ProcSummary;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 use std::time::Duration;
 use support::faultpoint;
 use support::hash::StableHasher;
@@ -909,6 +910,7 @@ impl AnalysisSession {
             // tainted states are never persisted (see `persist`).
             tainted: false,
             entry_addr,
+            rgn: OnceLock::new(),
         };
         let old = self.state.replace(state);
         self.retire(old);

@@ -68,7 +68,12 @@ fn scripted_edits_match_cold_runs_and_bound_the_recompute_set() {
         // The oracle property: a warm update is indistinguishable from a
         // cold run in every exported artifact.
         assert_eq!(warm.rows, oracle.rows, "rows diverge after editing {file}");
-        assert_eq!(warm.rgn_document(), oracle.rgn_document(), "{file}: .rgn diverges");
+        let rgn = oracle.rgn_document();
+        assert_eq!(warm.rgn_document(), rgn, "{file}: .rgn diverges");
+        for read in 1..=2 {
+            let memo = session.rgn_document();
+            assert_eq!(memo, Some(rgn.as_str()), "{file}: session .rgn, read {read}");
+        }
         assert_eq!(warm.dgn_document(), oracle.dgn_document(), "{file}: .dgn diverges");
         assert_eq!(warm.cfg_document(), oracle.cfg_document(), "{file}: .cfg diverges");
         assert!(warm.degradations.is_empty(), "{:?}", warm.degradations);
@@ -204,11 +209,17 @@ fn assert_session_matches_cold(session: &AnalysisSession, sources: &[GenSource],
 }
 
 /// Asserts the session equals `oracle`, a cold run of its sources, in
-/// rows, documents, degradations and assembled program.
+/// rows, documents, degradations and assembled program. The session's own
+/// `.rgn` is read twice, so the second read comes from its memo.
 fn assert_session_matches(session: &AnalysisSession, oracle: &Analysis, at: &str) {
     let warm = session.analysis().expect("analysis");
     assert_eq!(warm.rows, oracle.rows, "{at}: rows");
-    assert_eq!(warm.rgn_document(), oracle.rgn_document(), "{at}: .rgn");
+    let rgn = oracle.rgn_document();
+    assert_eq!(warm.rgn_document(), rgn, "{at}: .rgn");
+    for read in 1..=2 {
+        let memo = session.rgn_document();
+        assert_eq!(memo, Some(rgn.as_str()), "{at}: session .rgn, read {read}");
+    }
     assert_eq!(warm.dgn_document(), oracle.dgn_document(), "{at}: .dgn");
     assert_eq!(warm.cfg_document(), oracle.cfg_document(), "{at}: .cfg");
     assert_eq!(warm.degradations, oracle.degradations, "{at}: degradations");

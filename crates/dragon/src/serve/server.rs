@@ -1464,13 +1464,13 @@ fn handle_request(shard: &mut Shard<'_>, req: &Request) -> HandlerResult {
                     format!("query-rgn: unknown project `{}`", req.project),
                 ));
             };
-            let analysis = session.analysis().ok_or_else(|| {
+            let rgn = session.rgn_document().ok_or_else(|| {
                 (
                     ErrorKind::BadRequest,
                     format!("query-rgn: project `{}` has no analysis yet", req.project),
                 )
             })?;
-            Ok(obj([("rgn", Value::str(araa::rgn::write_rgn(&analysis.rows)))]))
+            Ok(obj([("rgn", Value::str(rgn))]))
         }
         // Handled inline by the connection thread; reaching a worker is a
         // routing bug.

@@ -72,6 +72,51 @@ fn serve_lifecycle_analyze_lint_query_stats_shutdown() {
     assert!(!d.socket.exists(), "socket removed on clean exit");
 }
 
+/// `query-rgn` serves each analysis state's `.rgn` from memory: a read
+/// after an edit sees the edited document, and a refused `reanalyze`
+/// keeps the state, so the next read is the previous one byte for byte.
+#[test]
+fn reads_follow_every_write_and_nothing_else() {
+    let dir = TestDir::new("serve-reads");
+    let mut d = Daemon::start(dir.join("d.sock"), &[], &[]);
+    let o = copts(&d.socket);
+    let cold = |sources: &[(&str, &str)]| {
+        let files = sources
+            .iter()
+            .map(|&(name, text)| frontend::SourceFile::new(name, text, whirl::Lang::Fortran));
+        araa::Analysis::analyze(files, araa::AnalysisOptions::default())
+            .expect("cold run")
+            .rgn_document()
+    };
+    let read = |id| {
+        let r = call_ok(&o, &plain_req(id, "query-rgn", "p"));
+        r.get("rgn").and_then(Value::as_str).expect("rgn string").to_string()
+    };
+
+    call_ok(&o, &analyze_req(1, "analyze", "p", &sources_v1(), None));
+    let first = read(2);
+    assert_eq!(first, cold(&sources_v1()));
+    assert_eq!(read(3), first);
+
+    call_ok(&o, &analyze_req(4, "reanalyze", "p", &sources_v2(), None));
+    let edited = read(5);
+    assert_eq!(edited, cold(&sources_v2()));
+    assert_ne!(edited, first);
+
+    // A source set with no procedure fails in assembly, before the
+    // previous state is touched.
+    let empty = [("empty.f", "! no procedure here\n")];
+    let resp = dragon::serve::client::call(&o, &analyze_req(6, "reanalyze", "p", &empty, None))
+        .expect("call");
+    assert_eq!(resp.get("ok").and_then(Value::as_bool), Some(false), "{}", resp.render());
+    let message = resp.get("error").and_then(|e| e.get("message")).and_then(Value::as_str);
+    assert!(message.is_some_and(|m| m.starts_with("analysis failed")), "{}", resp.render());
+    assert_eq!(read(7), edited);
+
+    call_ok(&o, &plain_req(8, "shutdown", "p"));
+    assert!(d.wait_exit(Duration::from_secs(30)).success());
+}
+
 #[test]
 fn restart_recovers_sessions_and_serves_identical_bytes() {
     let dir = TestDir::new("serve-recover");

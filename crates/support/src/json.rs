@@ -84,7 +84,7 @@ impl Value {
                 limits.max_bytes
             )));
         }
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0, limits };
+        let mut p = Parser { text, bytes: text.as_bytes(), pos: 0, limits };
         p.skip_ws();
         let v = p.value(0)?;
         p.skip_ws();
@@ -213,13 +213,14 @@ pub fn obj(pairs: impl IntoIterator<Item = (&'static str, Value)>) -> Value {
 /// escape is ASCII, so the text between two of them is copied in one run.
 pub fn escape_into(s: &str, out: &mut String) {
     const HEX: &[u8; 16] = b"0123456789abcdef";
-    let mut run = 0;
-    for (i, &b) in s.as_bytes().iter().enumerate() {
-        if b >= 0x20 && b != b'"' && b != b'\\' {
-            continue;
-        }
-        out.push_str(&s[run..i]);
-        run = i + 1;
+    let bytes = s.as_bytes();
+    let mut i = 0;
+    loop {
+        let run = plain_run(&bytes[i..]);
+        out.push_str(&s[i..i + run]);
+        i += run;
+        let Some(&b) = bytes.get(i) else { return };
+        i += 1;
         match b {
             b'"' => out.push_str("\\\""),
             b'\\' => out.push_str("\\\\"),
@@ -233,7 +234,38 @@ pub fn escape_into(s: &str, out: &mut String) {
             }
         }
     }
-    out.push_str(&s[run..]);
+}
+
+/// The length of the longest prefix of `bytes` with no `"`, no `\` and no
+/// byte below 0x20: the text a JSON string holds as is. Tests eight bytes
+/// per step: a byte is flagged when it equals `"` or `\` (a zero byte of
+/// the word XORed with it) or lies below 0x20 (subtracting 0x20 borrows
+/// while its top bit is clear). A borrow can only flag bytes above one
+/// already flagged, so the lowest flag is exact.
+fn plain_run(bytes: &[u8]) -> usize {
+    const ONES: u64 = u64::from_le_bytes([0x01; 8]);
+    const TOPS: u64 = u64::from_le_bytes([0x80; 8]);
+    const QUOTES: u64 = u64::from_le_bytes([b'"'; 8]);
+    const BACKSLASHES: u64 = u64::from_le_bytes([b'\\'; 8]);
+    const SPACES: u64 = u64::from_le_bytes([0x20; 8]);
+    let zero_byte = |x: u64| x.wrapping_sub(ONES) & !x;
+    let mut words = bytes.chunks_exact(8);
+    let mut n = 0;
+    for chunk in &mut words {
+        let mut word = [0; 8];
+        word.copy_from_slice(chunk);
+        let w = u64::from_le_bytes(word);
+        let flags = (zero_byte(w ^ QUOTES)
+            | zero_byte(w ^ BACKSLASHES)
+            | (w.wrapping_sub(SPACES) & !w))
+            & TOPS;
+        if flags != 0 {
+            return n + (flags.trailing_zeros() / 8) as usize;
+        }
+        n += 8;
+    }
+    let tail = words.remainder();
+    n + tail.iter().position(|&b| b == b'"' || b == b'\\' || b < 0x20).unwrap_or(tail.len())
 }
 
 fn write_num(n: f64, out: &mut String) {
@@ -248,6 +280,7 @@ fn write_num(n: f64, out: &mut String) {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     limits: ParseLimits,
@@ -411,21 +444,13 @@ impl<'a> Parser<'a> {
                 0x00..=0x1F => return Err(self.err("raw control character in string")),
                 _ => {
                     // Copy the run up to the next quote, backslash or
-                    // control byte in one push. Those bytes are ASCII, so
-                    // the run ends on a char boundary.
+                    // control byte in one push. It starts after the opening
+                    // quote or an escape and ends at one of those bytes or
+                    // at the end of input: ASCII bytes on both sides, so
+                    // the slice lies on char boundaries.
                     let start = self.pos;
-                    let run = self.bytes[start..]
-                        .iter()
-                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
-                        .unwrap_or(self.bytes.len() - start);
-                    match std::str::from_utf8(&self.bytes[start..start + run]) {
-                        Ok(s) => out.push_str(s),
-                        Err(e) => {
-                            self.pos = start + e.valid_up_to();
-                            return Err(self.err("invalid utf-8"));
-                        }
-                    }
-                    self.pos = start + run;
+                    self.pos += plain_run(&self.bytes[start..]);
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }

@@ -14,7 +14,11 @@ use support::json::{obj, ParseLimits, Value, MAX_BYTES, MAX_DEPTH};
 use support::obs::json_escape;
 
 /// Text with no byte that JSON escapes: ASCII, DEL and multi-byte chars.
-const PLAIN: &str = "[a-zA-Z0-9 ,.:/|@é中\u{7f}\u{a0}🚀]*";
+/// It holds the neighbours of `"` and `\` (`!`, `#`, `[`, `]`) and chars
+/// with bytes that are `"`, `\`, a neighbour or a control byte with the
+/// top bit set (`¢` C2 A2, `£` C2 A3, `Ü` C3 9C, `ܜ` DC 9C), so a
+/// word-at-a-time scanner that tests one bit too many or too few fails.
+const PLAIN: &str = "[a-zA-Z0-9 ,.:/|@!#\\[\\]é中¢£Üܜ\u{7f}\u{a0}🚀]*";
 /// Only bytes that JSON escapes: quote, backslash and control characters.
 const SPECIAL: &str = "[\"\\\\\n\t\r\u{0}\u{1}\u{8}\u{c}\u{1b}\u{1f}]*";
 
@@ -165,6 +169,53 @@ proptest! {
             let rendered = v.render();
             prop_assert!(Value::parse(&rendered).is_ok(), "render must reparse: {}", rendered);
         }
+    }
+}
+
+/// Plain text of exactly `len` bytes, cycling through ASCII and
+/// multi-byte chars so that chars straddle the scanner's 8-byte words.
+fn plain_of_len(len: usize) -> String {
+    let mut out = String::new();
+    for c in "ab£Ü中!#[]🚀ܜ¢".chars().cycle() {
+        if out.len() + c.len_utf8() > len {
+            break;
+        }
+        out.push(c);
+    }
+    while out.len() < len {
+        out.push('z');
+    }
+    out
+}
+
+/// Every byte JSON escapes and every byte next to one (space, `!`, `#`,
+/// `[`, `]`), at every offset 0..=16 and again after a plain run of
+/// 1..=24 bytes, with and without plain text after it: the escaper
+/// matches the per-char reference and the parser reads the escaped text
+/// back, wherever the byte falls in the scanner's 8-byte words. The
+/// escaper is checked on every text first: a scanner that flags a plain
+/// byte fails there, where the parser would never get past that byte.
+#[test]
+fn each_special_and_neighbour_byte_at_each_offset_round_trips() {
+    let probes = (0u8..0x20).chain([b' ', b'!', b'"', b'#', b'[', b'\\', b']']);
+    let mut texts = Vec::new();
+    for probe in probes.map(char::from) {
+        for offset in 0..=16 {
+            for run in 1..=24 {
+                let head = format!("{}{probe}{}{probe}", plain_of_len(offset), plain_of_len(run));
+                texts.push(head.clone() + &plain_of_len(offset));
+                texts.push(head);
+            }
+        }
+    }
+    for text in &texts {
+        let mut escaped = String::new();
+        support::json::escape_into(text, &mut escaped);
+        assert_eq!(escaped, reference_escape(text), "{text:?}");
+    }
+    for text in texts {
+        let v = Value::str(text);
+        assert_eq!(Value::parse(&v.render()).unwrap(), v);
     }
 }
 

@@ -447,7 +447,13 @@ fn assert_matches_cold(
     assert!(cold.degradations.is_empty(), "{at}: program degrades: {:?}", cold.degradations);
     let warm = session.analysis().expect("session keeps its analysis");
     assert_eq!(warm.rows, cold.rows, "{at} (threads {threads}): rows diverge");
-    assert_eq!(warm.rgn_document(), cold.rgn_document(), "{at}: .rgn diverges");
+    let rgn = cold.rgn_document();
+    assert_eq!(warm.rgn_document(), rgn, "{at}: .rgn diverges");
+    // Twice, so the second read comes from the session's memo.
+    for read in 1..=2 {
+        let memo = session.rgn_document();
+        assert_eq!(memo, Some(rgn.as_str()), "{at}: session .rgn, read {read}");
+    }
     assert_eq!(warm.dgn_document(), cold.dgn_document(), "{at}: .dgn diverges");
     assert_eq!(warm.cfg_document(), cold.cfg_document(), "{at}: .cfg diverges");
     assert_eq!(warm.degradations, cold.degradations, "{at}: degradations diverge");
