@@ -19,7 +19,10 @@
 //!    and, when no global, procedure or name moved, are identity-clean
 //!    with no verification walk. Every other procedure is fingerprinted
 //!    ([`whirl::hash::proc_fingerprint`]), and a hash hit is verified
-//!    structurally by [`whirl::hash::procs_correspond`];
+//!    structurally by [`whirl::hash::procs_correspond`]. In the update a
+//!    [`AnalysisSession::load`] runs, a procedure with no in-memory
+//!    candidate is clean when the validated cache entry filed under its
+//!    name has its fingerprint (the *disk tier*);
 //! 3. recomputes IPL summaries only for dirty procedures, fanned over the
 //!    same parallel workers as a cold run;
 //! 4. invalidates propagated summaries only for call-graph *ancestors* of
@@ -42,9 +45,10 @@
 //!    type columns — is unchanged); a spliced caller keeps the rows of its
 //!    local part and its kept slices and re-extracts only its
 //!    re-translated slices, whose reference and line-span columns total
-//!    each callee over all of its sites; or every row is extracted afresh.
-//!    One row walk reads that decision, and only re-extracted rows are
-//!    diffed against the previous table.
+//!    each callee over all of its sites; a load's cache entry gives its
+//!    rows when they are this propagation's (see [`store`]); or every row
+//!    is extracted afresh. One row walk reads that decision, and only
+//!    re-extracted rows are diffed against the previous table.
 //!
 //! The same decision carries the rest: a summary keeps its
 //! [`ipa::Revision`], its slice lengths and its on-disk entry address only
@@ -61,6 +65,8 @@
 pub mod store;
 
 pub use store::{CacheStats, SessionStore, VerifyReport};
+
+use store::{DiskTier, Filed};
 
 use crate::driver::{Analysis, AnalysisOptions, Degradation};
 use crate::extract::{extract_range_rows, resolve_formal_addresses, ExtractOptions};
@@ -154,8 +160,7 @@ struct SessionState {
     /// propagated summary: the records translated at that site, which come
     /// after the caller's local records and before the next site's.
     /// [`NO_SLICE`] where not known: everywhere after a failed propagation,
-    /// and for procedures whose propagated summary was rebased or whose
-    /// loaded rows were not extracted from it.
+    /// and for procedures whose propagated summary was rebased.
     slice_lens: Vec<u32>,
     /// Contained extraction failure per procedure.
     extract_fail: Vec<Option<String>>,
@@ -176,9 +181,9 @@ struct SessionState {
     /// Per procedure, the content address and length of an on-disk
     /// entry container holding exactly this state's entry bytes for it, so
     /// a save can reference that file instead of re-encoding. Set by
-    /// `load` for every validated entry and by a successful `persist` for
-    /// every entry; `update` carries it only where the entry's inputs were
-    /// moved verbatim.
+    /// `load` for every entry whose rows it took and by a successful
+    /// `persist` for every entry; `update` carries it only where the
+    /// entry's inputs were moved verbatim.
     entry_addr: Vec<Option<(u64, u64)>>,
     /// This state's `.rgn` document, rendered by the first
     /// [`AnalysisSession::rgn_document`] call and never before. It needs
@@ -211,6 +216,9 @@ enum Reuse {
     /// (identity clean), so its revision, slice lengths and entry address
     /// carry over with the rows.
     Move { old: ProcId, verbatim: bool },
+    /// A load's cache entry: its rows, extraction failure and address are
+    /// this propagation's, so they come from the entry.
+    Disk,
 }
 
 /// Long-lived incremental analysis handle. See the module docs for the
@@ -312,7 +320,22 @@ impl AnalysisSession {
         I: IntoIterator,
         I::Item: Into<SourceFile>,
     {
-        let sources: Vec<SourceFile> = sources.into_iter().map(Into::into).collect();
+        self.update_with(sources.into_iter().map(Into::into).collect(), None)
+    }
+
+    /// [`update`](Self::update), where a procedure with no in-memory
+    /// candidate takes the entry `tier` files under its name when the
+    /// fingerprints match. The tier holds a [`load`](Self::load)'s
+    /// validated entries, whose summaries are numbered as the program its
+    /// manifest's sources assemble to, and those are the `sources` a load
+    /// passes. A load's update publishes no update counters: its work
+    /// shows as `store.primed`, `store.rejected` and spans, and the
+    /// caller's next update counts as it would after any update.
+    fn update_with(
+        &mut self,
+        sources: Vec<SourceFile>,
+        mut tier: Option<&mut DiskTier>,
+    ) -> Result<AnalysisDelta> {
         let mut delta = AnalysisDelta::default();
         let keys: Vec<u64> = sources.iter().map(file_key).collect();
         let _update_span = support::obs::span("session.update");
@@ -460,6 +483,9 @@ impl AnalysisSession {
                 )
             });
         let mut clean: Vec<Option<CleanProc>> = (0..n).map(|_| None).collect();
+        // By procedure, the cache entry a load's classification took, its
+        // local summary and IPL failure moved out (empty outside a load).
+        let mut disk: BTreeMap<usize, Filed> = BTreeMap::new();
         let mut locals: Vec<Option<ProcSummary>> = (0..n).map(|_| None).collect();
         // Contained IPL failure per procedure: a hit carries its recorded
         // incident (the reused summary is the degraded one, so the report
@@ -517,6 +543,18 @@ impl AnalysisSession {
                             continue;
                         }
                     }
+                }
+            }
+            // A load rebuilt the program from its manifest's sources, so an
+            // entry's local summary is already in this numbering: it moves.
+            if let Some(t) = tier.as_deref_mut().filter(|_| !had_candidate) {
+                let name = program.name_of(program.procedure(id).name);
+                if let Some(mut filed) = t.take(name, fp) {
+                    locals[i] = Some(std::mem::take(&mut filed.entry.local));
+                    ipl_fail[i] = filed.entry.ipl_fail.take();
+                    disk.insert(i, filed);
+                    delta.summary_cache_hits += 1;
+                    continue;
                 }
             }
             if had_candidate {
@@ -695,6 +733,16 @@ impl AnalysisSession {
             (Some(p), Some(e)) => p.extract_env == Some(e),
             _ => false,
         };
+        // A load's entry holds rows extracted from the saved propagation.
+        // They are this one's where both propagations were healthy, the
+        // environment hashes as the manifest recorded, and the procedure
+        // reaches no procedure whose IPL was recomputed.
+        let disk_trusted = tier.as_ref().is_some_and(|t| {
+            let env_matches = extract_env.is_some() && t.extract_env == extract_env;
+            t.healthy && prop_degr.is_empty() && env_matches
+        });
+        let disk_stale =
+            if disk_trusted { cg.ancestor_closure(dirty.iter().copied()) } else { Vec::new() };
         // Rows move only out of a successful propagation (a failed one holds
         // the local summaries everywhere): a clean, unaffected procedure's
         // whole, and a spliced caller's local part and kept slices unless its
@@ -710,6 +758,7 @@ impl AnalysisSession {
                         Reuse::Fresh
                     }
                 }
+                _ if disk_trusted && disk.contains_key(&i) && !disk_stale[i] => Reuse::Disk,
                 _ => Reuse::Fresh,
             })
             .collect();
@@ -743,8 +792,10 @@ impl AnalysisSession {
         // Moved rows carry their procedure's recorded extraction failure.
         let mut extract_fail: Vec<Option<String>> = reuse
             .iter()
-            .map(|&r| match (r, prev.as_ref()) {
+            .enumerate()
+            .map(|(i, &r)| match (r, prev.as_ref()) {
                 (Reuse::Move { old, .. }, Some(p)) => p.extract_fail[old.as_usize()].clone(),
+                (Reuse::Disk, _) => disk.get_mut(&i).and_then(|d| d.entry.extract_fail.take()),
                 _ => None,
             })
             .collect();
@@ -753,11 +804,18 @@ impl AnalysisSession {
         let mut moved: Vec<std::ops::Range<usize>> = Vec::new();
         let mut fresh: Vec<std::ops::Range<usize>> = Vec::new();
         let mut stale: Vec<std::ops::Range<usize>> = Vec::new();
+        let mut from_disk = 0;
         let slice_rows = |len: u32| if exopts.include_propagated { len as usize } else { 0 };
         let order = cg.pre_order();
         for &pid in &order {
             let i = pid.as_usize();
             let start = rows.len();
+            if let (Reuse::Disk, Some(d)) = (reuse[i], disk.get_mut(&i)) {
+                from_disk += d.entry.rows.len();
+                rows.append(&mut d.entry.rows);
+                proc_rows[i] = start..rows.len();
+                continue;
+            }
             let summary = &ipa.summaries[i];
             // Where the old rows start (`None`: nothing moves), the head's
             // length (old rows if it moves, records if it is extracted), and
@@ -822,7 +880,7 @@ impl AnalysisSession {
             }
             proc_rows[i] = start..rows.len();
         }
-        delta.rows_reused = moved.iter().map(ExactSizeIterator::len).sum();
+        delta.rows_reused = from_disk + moved.iter().map(ExactSizeIterator::len).sum::<usize>();
         delta.rows_recomputed = fresh.iter().map(ExactSizeIterator::len).sum();
         if let Some(detail) = layout_failure {
             degradations.push(Degradation {
@@ -884,7 +942,9 @@ impl AnalysisSession {
             });
         }
         delta.degradations = degradations.clone();
-        record_update_obs(&delta, cache_rejects, cache_rebases, n as u64, rows.len() as u64);
+        if tier.is_none() {
+            record_update_obs(&delta, cache_rejects, cache_rebases, n as u64, rows.len() as u64);
+        }
         let by_hash = fps
             .iter()
             .enumerate()
@@ -895,8 +955,10 @@ impl AnalysisSession {
         // records.
         let entry_addr = reuse
             .iter()
-            .map(|&r| match (r, prev.as_ref()) {
+            .enumerate()
+            .map(|(i, &r)| match (r, prev.as_ref()) {
                 (Reuse::Move { old, verbatim: true }, Some(p)) => p.entry_addr[old.as_usize()],
+                (Reuse::Disk, _) => disk.get(&i).map(|d| d.addr),
                 _ => None,
             })
             .collect();
@@ -993,14 +1055,13 @@ fn push_range(ranges: &mut Vec<std::ops::Range<usize>>, r: std::ops::Range<usize
     }
 }
 
-/// One contained propagation run, shared by `update` and `load`:
-/// [`propagate_spliced`] over `summaries` (local summaries, plus any
-/// `kept` slices, in `affected` slots; full propagated ones elsewhere)
-/// under a fresh step budget, with a panic caught. Returns the result, the
-/// slice lengths the run reported (`None` when it panicked), and the
-/// degradation it raised: its budget ran out (the result holds widened
-/// summaries), or it panicked (the result holds [`fallback_ipa`] of
-/// `locals`).
+/// One contained propagation run: [`propagate_spliced`] over `summaries`
+/// (local summaries, plus any `kept` slices, in `affected` slots; full
+/// propagated ones elsewhere) under a fresh step budget, with a panic
+/// caught. Returns the result, the slice lengths the run reported (`None`
+/// when it panicked), and the degradation it raised: its budget ran out
+/// (the result holds widened summaries), or it panicked (the result holds
+/// [`fallback_ipa`] of `locals`).
 fn propagate_contained(
     program: &Program,
     cg: &CallGraph,

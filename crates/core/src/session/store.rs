@@ -38,52 +38,44 @@
 //! file is still there, instead of encoding it again, so a steady-state
 //! save encodes only what the update changed.
 //!
-//! # Load = prime + propagate, `update` = recompute
+//! # Load = validate + `update`
 //!
-//! [`AnalysisSession::load`] re-parses the manifest's stored sources
-//! (deterministic — the rebuilt `Program` is bit-identical to the one the
-//! cache was saved against), validates every per-procedure entry
-//! (fingerprint, container checksum, manifest binding), installs the
-//! validated local summaries, rows and failure records, and re-runs
-//! propagation over the local summaries, with the step budget and panic
-//! containment `update` uses. Two cases install the local summaries
-//! instead, as a failed propagation holds them: the manifest records a
-//! propagation degradation (the saved summaries were not a function of the
-//! locals), or the load's own propagation panics or runs out of budget,
-//! which the loaded analysis then lists among its degradations. Either way
-//! the state records the degradation, and a state whose propagation
-//! degraded is never reused: the next update skips its fast path and
-//! re-propagates and re-extracts every procedure (IPL stays cached). A
-//! successful propagation also leaves each call site's slice length, so
-//! the next update splices as it would after an in-memory update; the
-//! ancestors of a rejected entry get none, since their loaded rows were
-//! extracted from the saved summaries, not from this propagation's.
+//! [`AnalysisSession::load`] reads the manifest and every entry it indexes
+//! under the lock, validates each (container checksum, manifest binding,
+//! store fingerprint) and decodes it, quarantining what fails. It then
+//! releases the lock and runs the one [`AnalysisSession::update`] path
+//! over the manifest's stored sources, with the validated entries as a
+//! *disk tier*: a procedure with no in-memory candidate takes the entry
+//! filed under its name when the entry's fingerprint is the procedure's.
+//! The program is rebuilt from the manifest's own sources, so the entry's
+//! local summary is already in its numbering and moves in as is. A
+//! missing, rejected or stale entry leaves its procedure dirty, and IPL
+//! recomputes it like any edit.
 //!
-//! The next [`AnalysisSession::update`] then runs the ordinary incremental
-//! machinery: procedures with a validated entry are verified cache hits,
-//! anything rejected is simply *dirty* and recomputed cold, and its
-//! call-graph ancestors re-propagate — exactly the affected procedures,
-//! nothing else. Warm-from-disk results are thereby byte-identical to cold
-//! runs by construction, because both go through the same (oracle-tested)
-//! update path.
+//! Propagation then runs as in a cold update. A procedure's rows come from
+//! its entry only when they are what this propagation's summary would
+//! extract: the saved propagation was healthy (the manifest keeps that
+//! bit), this one raised no degradation, the procedure reaches no
+//! recomputed procedure, and the extraction environment hashes as the
+//! manifest recorded. Every other procedure's rows are extracted afresh.
+//! So the loaded state is a cold run of the cached sources in rows,
+//! degradations and documents, quarantine or not, and the caller's next
+//! update with the same sources takes the identical-input fast path.
+//! Slice lengths come from the load's own propagation, so an edit after a
+//! load splices as one after an in-memory update does.
 //!
 //! Any rejected file is moved into `quarantine/` (suffixed with the failure
 //! class) and recorded as a cache [`Degradation`] retrievable via
 //! [`AnalysisSession::cache_incidents`] — corruption degrades precision of
 //! nothing and costs only recomputation, and the evidence stays on disk.
 
-use super::{
-    fallback_ipa, file_key, propagate_contained, raw_name, AnalysisSession, SessionState,
-};
-use crate::driver::{Analysis, AnalysisOptions, Degradation};
+use super::{raw_name, AnalysisSession, SessionState};
+use crate::driver::{AnalysisOptions, Degradation};
 use crate::row::RgnRow;
-use frontend::{parse_source_with_recovery, Assembly, SourceFile, UnitInput};
-use ipa::callgraph::CallGraph;
-use ipa::propagate::NO_SLICE;
+use frontend::SourceFile;
 use ipa::ProcSummary;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
-use std::sync::OnceLock;
 use std::time::Duration;
 use support::faultpoint;
 use support::hash::StableHasher;
@@ -94,7 +86,7 @@ use support::persist::{
     write_container_addressed, ByteReader, ByteWriter, ContainerError, DirLock, Persist,
 };
 use support::{Error, Result};
-use whirl::hash::{budget_salt, proc_fingerprint};
+use whirl::hash::budget_salt;
 use whirl::ProcId;
 
 /// Manifest file name inside a cache directory.
@@ -122,17 +114,6 @@ fn cache_incident(detail: String) -> Degradation {
 // ---------------------------------------------------------------------------
 // Codec for the core-owned persisted types
 // ---------------------------------------------------------------------------
-
-impl Persist for Degradation {
-    fn save(&self, w: &mut ByteWriter) {
-        w.str(&self.proc);
-        w.str(&self.stage);
-        w.str(&self.detail);
-    }
-    fn load(r: &mut ByteReader<'_>) -> Result<Self> {
-        Ok(Degradation { proc: r.str()?, stage: r.str()?, detail: r.str()? })
-    }
-}
 
 impl Persist for RgnRow {
     fn save(&self, w: &mut ByteWriter) {
@@ -209,15 +190,16 @@ impl Persist for ManifestEntry {
     }
 }
 
-/// The manifest payload: everything needed to rebuild a session state given
-/// the per-procedure entry files. A save writes it from the borrowed state
-/// ([`encode_manifest`]).
+/// The manifest payload: the sources a load re-runs `update` over, the
+/// entry index, and what decides whether an entry's rows are reused. A
+/// save writes it from the borrowed state ([`encode_manifest`]).
 struct Manifest {
     sources: Vec<SourceFile>,
     entries: Vec<ManifestEntry>,
     extract_env: Option<u64>,
-    prop_degr: Vec<Degradation>,
-    degradations: Vec<Degradation>,
+    /// The saved propagation raised no degradation, so every entry's rows
+    /// were extracted from a propagation of the saved local summaries.
+    healthy: bool,
 }
 
 impl Manifest {
@@ -230,8 +212,7 @@ impl Manifest {
                 1 => Some(r.fixed_u64()?),
                 t => return Err(Error::Format(format!("invalid extract_env tag {t}"))),
             },
-            prop_degr: Vec::load(r)?,
-            degradations: Vec::load(r)?,
+            healthy: r.bool()?,
         })
     }
 }
@@ -250,8 +231,7 @@ fn encode_manifest(state: &SessionState, entries: &[ManifestEntry]) -> Vec<u8> {
             w.fixed_u64(env);
         }
     }
-    w.seq(&state.prop_degr);
-    w.seq(&state.analysis.degradations);
+    w.bool(state.prop_degr.is_empty());
     w.into_bytes()
 }
 
@@ -259,11 +239,11 @@ fn encode_manifest(state: &SessionState, entries: &[ManifestEntry]) -> Vec<u8> {
 /// procedure that is cheaper to load than to recompute. The propagated
 /// summary is not stored; `load` re-derives it from the local summaries.
 /// A save writes it from the state ([`encode_entry`]).
-struct Entry {
-    local: ProcSummary,
-    rows: Vec<RgnRow>,
-    ipl_fail: Option<(String, String)>,
-    extract_fail: Option<String>,
+pub(super) struct Entry {
+    pub(super) local: ProcSummary,
+    pub(super) rows: Vec<RgnRow>,
+    pub(super) ipl_fail: Option<(String, String)>,
+    pub(super) extract_fail: Option<String>,
 }
 
 impl Entry {
@@ -626,6 +606,134 @@ impl SessionStore {
         );
         Ok(addrs)
     }
+
+    /// Reads the manifest and every entry it indexes under the lock, and
+    /// files each entry that validates and decodes in a [`DiskTier`]. A
+    /// rejected file is quarantined, and every failure is an incident.
+    /// Returns the manifest's sources with the tier; `None` when there is
+    /// no manifest, it was rejected, or the lock was not had.
+    fn read_tier(&self, incidents: &mut Vec<Degradation>) -> Option<(Vec<SourceFile>, DiskTier)> {
+        let _lock = match self.lock() {
+            Ok(l) => l,
+            Err(e) => {
+                incidents.push(cache_incident(format!("{e}; proceeding without cache")));
+                return None;
+            }
+        };
+        let mpath = self.dir.join(MANIFEST_FILE);
+        let bytes = match read_file_raw(&mpath) {
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return None,
+            Err(e) => {
+                incidents.push(cache_incident(format!("manifest unreadable: {e}")));
+                return None;
+            }
+            Ok(b) => b,
+        };
+        let manifest = read_container(&bytes, KIND_MANIFEST, self.fingerprint);
+        let manifest = match validated(manifest, Manifest::load) {
+            Ok(m) => m,
+            Err((e, suffix)) => {
+                let dest = quarantine_file(&mpath, suffix)
+                    .map(|p| p.display().to_string())
+                    .unwrap_or_else(|qe| format!("(quarantine failed: {qe})"));
+                incidents.push(cache_incident(format!(
+                    "manifest rejected ({e}); moved to {dest}; starting cold"
+                )));
+                return None;
+            }
+        };
+        let mut entries = BTreeMap::new();
+        for me in manifest.entries {
+            let name = me.proc;
+            // The span records only when the entry decodes; every failure
+            // cancels it, so a trace tells what primed from what did not.
+            let mut prime_span = support::obs::span_arg("store.prime", || name.clone());
+            let path = self.dir.join(entry_name(me.checksum));
+            let read = match read_file_raw(&path) {
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                    Err(format!("cache entry for `{name}` is missing; recomputing it"))
+                }
+                Err(e) => Err(format!("cache entry for `{name}` unreadable ({e}); recomputing it")),
+                // Bind the file to the manifest record, then validate and
+                // decode the container.
+                Ok(bytes) => {
+                    let entry =
+                        read_container_addressed(&bytes, KIND_ENTRY, self.fingerprint, me.checksum);
+                    match validated(entry, Entry::load) {
+                        Ok(entry) => {
+                            let addr = (me.checksum, bytes.len() as u64);
+                            Ok(Filed { fp: me.fp, addr, entry })
+                        }
+                        Err((e, suffix)) => {
+                            let dest = quarantine_file(&path, suffix)
+                                .map(|p| p.display().to_string())
+                                .unwrap_or_else(|qe| format!("(quarantine failed: {qe})"));
+                            Err(format!(
+                                "cache entry for `{name}` rejected ({e}); moved to {dest}; \
+                                 recomputing it"
+                            ))
+                        }
+                    }
+                }
+            };
+            let filed = read
+                .map_err(|detail| {
+                    prime_span.cancel();
+                    incidents.push(cache_incident(detail));
+                })
+                .ok();
+            entries.insert(name, filed);
+        }
+        let tier = DiskTier {
+            entries,
+            healthy: manifest.healthy,
+            extract_env: manifest.extract_env,
+            incidents: Vec::new(),
+        };
+        Some((manifest.sources, tier))
+    }
+}
+
+/// What a load hands `update`: the entries that validated, each filed under
+/// its procedure's name, and the manifest's facts about the saved state.
+pub(super) struct DiskTier {
+    /// By procedure name; `None` where reading the entry failed (its
+    /// incident is on record already).
+    entries: BTreeMap<String, Option<Filed>>,
+    /// The saved propagation raised no degradation.
+    pub(super) healthy: bool,
+    /// The saved extraction-environment hash.
+    pub(super) extract_env: Option<u64>,
+    /// Incidents of the procedures classification found no entry for.
+    incidents: Vec<Degradation>,
+}
+
+/// A validated entry with the fingerprint the manifest recorded for it and
+/// its address (content address and length).
+pub(super) struct Filed {
+    fp: u64,
+    pub(super) addr: (u64, u64),
+    pub(super) entry: Entry,
+}
+
+impl DiskTier {
+    /// The entry filed under `name`, when the manifest recorded it under
+    /// fingerprint `fp`. Each call counts once, as `store.primed` or
+    /// `store.rejected`, and a miss not reported yet records its incident.
+    pub(super) fn take(&mut self, name: &str, fp: u64) -> Option<Filed> {
+        let incident = match self.entries.remove(name) {
+            Some(Some(filed)) if filed.fp == fp => {
+                support::obs::incr(support::obs::Counter::StorePrimed);
+                return Some(filed);
+            }
+            Some(Some(_)) => Some(format!("cache entry for `{name}` is stale; recomputing it")),
+            Some(None) => None,
+            None => Some(format!("no cache entry for `{name}`; recomputing it")),
+        };
+        support::obs::incr(support::obs::Counter::StoreRejected);
+        self.incidents.extend(incident.map(cache_incident));
+        None
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -651,270 +759,58 @@ impl AnalysisSession {
     /// Cache incidents recorded by [`load`](Self::load) and
     /// [`persist`](Self::persist): quarantined files, lock timeouts, write
     /// failures. These are deliberately kept out of
-    /// [`Analysis::degradations`] — cache trouble never changes analysis
-    /// *results* (only how much had to be recomputed), so warm and cold
-    /// results stay comparable — but callers should surface them with the
-    /// same severity as degradations.
+    /// [`Analysis::degradations`](crate::Analysis::degradations) — cache
+    /// trouble never changes analysis *results* (only how much had to be
+    /// recomputed), so warm and cold results stay comparable — but callers
+    /// should surface them with the same severity as degradations.
     pub fn cache_incidents(&self) -> &[Degradation] {
         &self.cache_incidents
     }
 
     /// Warm-starts the session from the attached cache directory. Returns
-    /// `true` when a state was installed (possibly partial: procedures
-    /// whose entries failed validation are left cold and will be
-    /// recomputed by the next [`update`](Self::update)). Returns `false` —
-    /// never an error — when there is no store, no manifest, or the
-    /// manifest was rejected; rejected files are quarantined and recorded
-    /// in [`cache_incidents`](Self::cache_incidents).
+    /// `true` when a state was installed. Returns `false` — never an
+    /// error — when there is no store, no manifest, or the manifest was
+    /// rejected; rejected files are quarantined and recorded in
+    /// [`cache_incidents`](Self::cache_incidents).
     ///
-    /// Propagated summaries are not stored: the load re-derives them from
-    /// the cached local summaries (see the module docs for when it holds
-    /// the local summaries instead, and lists its own failed propagation
-    /// among the loaded degradations).
-    ///
-    /// Call [`update`](Self::update) with the current sources afterwards;
-    /// until then [`analysis`](Self::analysis) reflects the persisted
-    /// snapshot (and may be incomplete if entries were quarantined).
+    /// The installed state is what [`update`](Self::update) builds from
+    /// no state over the cached sources, with every validated entry
+    /// standing in for its procedure's IPL and, where they are this run's,
+    /// its rows (see the module docs). So [`analysis`](Self::analysis)
+    /// and [`rgn_document`](Self::rgn_document) equal a cold run of the
+    /// cached sources, also when entries were quarantined, and the next
+    /// `update` with the same sources is the identical-input fast path.
     pub fn load(&mut self) -> bool {
         let Some(store) = self.store.clone() else { return false };
-        let mut incidents = Vec::new();
-        let loaded = self.load_inner(&store, &mut incidents);
-        self.cache_incidents.extend(incidents);
-        loaded
-    }
-
-    fn load_inner(&mut self, store: &SessionStore, incidents: &mut Vec<Degradation>) -> bool {
         if !store.dir.exists() {
             return false;
         }
         let _span = support::obs::span("store.load");
-        let _lock = match store.lock() {
-            Ok(l) => l,
+        let Some((sources, mut tier)) = store.read_tier(&mut self.cache_incidents) else {
+            return false;
+        };
+        // The update starts from no state. A tainted state's parses may be
+        // budget-truncated, so they go with it, as in `update`.
+        let prev = self.state.take();
+        if prev.as_ref().is_some_and(|p| p.tainted) {
+            self.file_cache.clear();
+        }
+        let built = self.update_with(sources, Some(&mut tier));
+        self.cache_incidents.append(&mut tier.incidents);
+        match built {
+            Ok(_) => {
+                self.retire(prev);
+                true
+            }
+            // Toolchain drift should be caught by the fingerprint first.
             Err(e) => {
-                incidents.push(cache_incident(format!("{e}; proceeding without cache")));
-                return false;
-            }
-        };
-        let mpath = store.dir.join(MANIFEST_FILE);
-        let bytes = match read_file_raw(&mpath) {
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return false,
-            Err(e) => {
-                incidents.push(cache_incident(format!("manifest unreadable: {e}")));
-                return false;
-            }
-            Ok(b) => b,
-        };
-        let manifest = read_container(&bytes, KIND_MANIFEST, store.fingerprint);
-        let manifest = match validated(manifest, Manifest::load) {
-            Ok(m) => m,
-            Err((e, suffix)) => {
-                let dest = quarantine_file(&mpath, suffix)
-                    .map(|p| p.display().to_string())
-                    .unwrap_or_else(|qe| format!("(quarantine failed: {qe})"));
-                incidents.push(cache_incident(format!(
-                    "manifest rejected ({e}); moved to {dest}; starting cold"
+                self.state = prev;
+                self.cache_incidents.push(cache_incident(format!(
+                    "cached sources no longer assemble ({e}); starting cold"
                 )));
-                return false;
-            }
-        };
-
-        // Rebuild the program from the stored sources. Parsing and assembly
-        // are deterministic, so this is bit-identical to the program the
-        // cache was saved against; if it no longer assembles (toolchain
-        // drift should be caught by the fingerprint first), start cold.
-        let parsed: Vec<_> =
-            manifest.sources.iter().map(parse_source_with_recovery).collect();
-        let keys: Vec<u64> = manifest.sources.iter().map(file_key).collect();
-        let inputs: Vec<UnitInput<'_>> = parsed
-            .iter()
-            .zip(&keys)
-            .map(|(parse, &key)| UnitInput { parse, key, cached: false })
-            .collect();
-        let Assembly { program, units, .. } =
-            match frontend::assemble_units(&inputs, None, self.opts.layout_base) {
-                Ok(out) => out,
-                Err(e) => {
-                    incidents.push(cache_incident(format!(
-                        "cached sources no longer assemble ({e}); starting cold"
-                    )));
-                    return false;
-                }
-            };
-        drop(inputs);
-        let cg = CallGraph::build(&program);
-        let n = cg.size();
-        let fps: Vec<u64> = (0..n)
-            .map(|i| proc_fingerprint(&program, ProcId::from_usize(i), self.salt))
-            .collect();
-        let by_name: BTreeMap<&str, &ManifestEntry> =
-            manifest.entries.iter().map(|e| (e.proc.as_str(), e)).collect();
-
-        let mut local: Vec<ProcSummary> = (0..n).map(|_| ProcSummary::default()).collect();
-        let mut per_rows: Vec<Vec<RgnRow>> = (0..n).map(|_| Vec::new()).collect();
-        let mut ipl_fail: Vec<Option<(String, String)>> = (0..n).map(|_| None).collect();
-        let mut extract_fail: Vec<Option<String>> = (0..n).map(|_| None).collect();
-        let mut entry_addr: Vec<Option<(u64, u64)>> = vec![None; n];
-        for i in 0..n {
-            let name = raw_name(&program, ProcId::from_usize(i));
-            // The span records only when the procedure actually primes;
-            // every reject path cancels it and bumps the reject counter
-            // instead, so warm-from-disk traces distinguish the two.
-            let mut prime_span = support::obs::span_arg("store.prime", || name.clone());
-            let Some(me) = by_name.get(name.as_str()) else {
-                prime_span.cancel();
-                support::obs::incr(support::obs::Counter::StoreRejected);
-                incidents.push(cache_incident(format!(
-                    "no cache entry for `{name}`; recomputing it"
-                )));
-                continue;
-            };
-            if me.fp != fps[i] {
-                prime_span.cancel();
-                support::obs::incr(support::obs::Counter::StoreRejected);
-                incidents.push(cache_incident(format!(
-                    "cache entry for `{name}` is stale; recomputing it"
-                )));
-                continue;
-            }
-            let path = store.dir.join(entry_name(me.checksum));
-            let bytes = match read_file_raw(&path) {
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                    prime_span.cancel();
-                    support::obs::incr(support::obs::Counter::StoreRejected);
-                    incidents.push(cache_incident(format!(
-                        "cache entry for `{name}` is missing; recomputing it"
-                    )));
-                    continue;
-                }
-                Err(e) => {
-                    prime_span.cancel();
-                    support::obs::incr(support::obs::Counter::StoreRejected);
-                    incidents.push(cache_incident(format!(
-                        "cache entry for `{name}` unreadable ({e}); recomputing it"
-                    )));
-                    continue;
-                }
-                Ok(b) => b,
-            };
-            // Bind the file to the manifest record, then validate and
-            // decode the container.
-            let entry = read_container_addressed(
-                &bytes,
-                KIND_ENTRY,
-                store.fingerprint,
-                me.checksum,
-            );
-            match validated(entry, Entry::load) {
-                Ok(entry) => {
-                    local[i] = entry.local;
-                    per_rows[i] = entry.rows;
-                    ipl_fail[i] = entry.ipl_fail;
-                    extract_fail[i] = entry.extract_fail;
-                    entry_addr[i] = Some((me.checksum, bytes.len() as u64));
-                    support::obs::incr(support::obs::Counter::StorePrimed);
-                }
-                Err((e, suffix)) => {
-                    prime_span.cancel();
-                    support::obs::incr(support::obs::Counter::StoreRejected);
-                    let dest = quarantine_file(&path, suffix)
-                        .map(|p| p.display().to_string())
-                        .unwrap_or_else(|qe| format!("(quarantine failed: {qe})"));
-                    incidents.push(cache_incident(format!(
-                        "cache entry for `{name}` rejected ({e}); moved to {dest}; \
-                         recomputing it"
-                    )));
-                }
+                false
             }
         }
-
-        // Assemble the row table in emission (call-graph pre-)order.
-        let mut rows: Vec<RgnRow> = Vec::new();
-        let mut proc_rows: Vec<std::ops::Range<usize>> = vec![0..0; n];
-        for pid in cg.pre_order() {
-            let i = pid.as_usize();
-            let start = rows.len();
-            rows.append(&mut per_rows[i]);
-            proc_rows[i] = start..rows.len();
-        }
-        // Re-derive the propagated summaries from the locals, as a full
-        // update would. A rejected procedure holds an empty local summary,
-        // so its ancestors' results are wrong here, but the next update
-        // finds it dirty and re-propagates exactly those ancestors. Where
-        // the summaries the cache was saved from were not a function of the
-        // locals (a propagation degradation is on record), or this
-        // propagation raises one, hold the locals as a failed propagation
-        // does: the degradation stays on record, so the next update
-        // re-propagates everything.
-        let propagated = manifest.prop_degr.is_empty().then(|| {
-            propagate_contained(
-                &program,
-                &cg,
-                local.clone(),
-                &vec![true; n],
-                &[],
-                &local,
-                self.opts.budget,
-            )
-        });
-        let mut prop_degr = manifest.prop_degr;
-        let mut degradations = manifest.degradations;
-        let (ipa, mut slice_lens) = match propagated {
-            Some((ipa, Some(lens), None)) => (ipa, lens),
-            outcome => {
-                if let Some((_, _, Some(raised))) = outcome {
-                    degradations.push(raised.clone());
-                    prop_degr.push(raised);
-                }
-                (fallback_ipa(&cg, &local), vec![NO_SLICE; cg.site_count()])
-            }
-        };
-        // The loaded rows of a rejected procedure's ancestors were
-        // extracted from the propagated summaries the cache was saved from,
-        // not from this propagation's: their slice lengths do not locate
-        // those rows.
-        let rejected = (0..n).filter(|&i| entry_addr[i].is_none()).map(ProcId::from_usize);
-        for (i, &wrong) in cg.ancestor_closure(rejected).iter().enumerate() {
-            if wrong {
-                slice_lens[cg.site_range(ProcId::from_usize(i))].fill(NO_SLICE);
-            }
-        }
-        let all_valid = entry_addr.iter().all(Option::is_some);
-        let by_hash = (0..n)
-            .filter(|&i| entry_addr[i].is_some())
-            .map(|i| (fps[i], ProcId::from_usize(i)))
-            .collect();
-        // Prime the parse cache with the parses assembly borrowed: the next
-        // update reuses them, and the units lowered from them, for unchanged
-        // files.
-        self.file_cache.extend(keys.iter().copied().zip(parsed));
-        // Only a fully-validated state may satisfy the identical-input fast
-        // path; a partial one must force the next update through the full
-        // classify-and-recompute machinery.
-        let file_keys = if all_valid { keys } else { Vec::new() };
-        let state = SessionState {
-            analysis: Analysis { program, callgraph: cg, ipa, rows, degradations },
-            units,
-            local,
-            by_hash,
-            ipl_fail,
-            prop_degr,
-            fps,
-            proc_rows,
-            slice_lens,
-            extract_fail,
-            extract_env: manifest.extract_env,
-            file_keys,
-            sources: manifest.sources,
-            // A load keeps no widened result: a propagation that ran out of
-            // budget or time is replaced by the local summaries above, and
-            // tainted states are never persisted (see `persist`).
-            tainted: false,
-            entry_addr,
-            rgn: OnceLock::new(),
-        };
-        let old = self.state.replace(state);
-        self.retire(old);
-        true
     }
 
     /// Saves the current state to the attached cache directory. Returns
@@ -948,6 +844,7 @@ impl AnalysisSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::Analysis;
     use support::budget::BudgetConfig;
     use support::obs::{ClockKind, Collector, Counter};
     use support::testdir::TestDir;
@@ -1021,7 +918,8 @@ end
     /// address of re-encoding that procedure's current state, the store
     /// verifies clean with no orphans, `stats` counts one entry file per
     /// procedure and nothing quarantined, and a fresh load primes every
-    /// procedure and reproduces a cold run's rows. Returns the save's
+    /// procedure, holds a cold run's rows, and leaves the next update
+    /// nothing to recompute. Returns the save's
     /// `(store.encoded, store.carried)`.
     fn persist_and_check(s: &mut AnalysisSession, sources: &[SourceFile]) -> (u64, u64) {
         let c = Collector::new(ClockKind::Logical);
@@ -1057,9 +955,10 @@ end
         }
         assert!(fresh.cache_incidents().is_empty(), "{:?}", fresh.cache_incidents());
         assert_eq!(fresh_obs.counter(Counter::StorePrimed), n as u64, "every procedure primes");
+        let cold = Analysis::analyze(sources, *s.options()).expect("cold");
+        assert_eq!(fresh.analysis().expect("loaded").rows, cold.rows);
         let delta = fresh.update(sources).expect("warm update");
         assert_eq!(delta.summary_cache_misses, 0, "{delta:?}");
-        let cold = Analysis::analyze(sources, *s.options()).expect("cold");
         assert_eq!(fresh.analysis().expect("analysis").rows, cold.rows);
         (encoded, carried)
     }

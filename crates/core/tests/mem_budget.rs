@@ -122,6 +122,30 @@ fn ambient_exhaustion_degrades_and_is_never_reused() {
 }
 
 #[test]
+fn a_load_after_an_exhausted_update_equals_a_cold_run() {
+    let _serial = serial();
+    // A load starts from no state. The tainted state it replaces may hold
+    // budget-truncated parses of the very sources the cache stores, so
+    // they must not feed the load's update.
+    let sources = [fig10::source()];
+    let cold = Analysis::analyze(&sources, AnalysisOptions::default()).expect("cold");
+    let dir = support::testdir::TestDir::new("mem-load-after-taint");
+    let mut seed = AnalysisSession::with_cache_dir(AnalysisOptions::default(), dir.path());
+    seed.update(&sources).expect("seed update");
+    assert!(seed.persist(), "{:?}", seed.cache_incidents());
+
+    let mut session = AnalysisSession::with_cache_dir(AnalysisOptions::default(), dir.path());
+    {
+        let _scope = memory::enter(MemoryBudget::mb(0));
+        session.update(&sources).expect("update must succeed");
+    }
+    assert!(session.load(), "{:?}", session.cache_incidents());
+    let loaded = session.analysis().expect("loaded");
+    assert_eq!(loaded.rows, cold.rows);
+    assert_eq!(loaded.degradations, cold.degradations);
+}
+
+#[test]
 fn exhausted_failure_does_not_poison_the_parse_cache() {
     let _serial = serial();
     // A single-unit program whose parse is truncated by a 0 MiB budget can

@@ -150,9 +150,10 @@ fn seeded_cache_bytes() -> (Vec<u8>, Vec<u8>, String, Vec<araa::RgnRow>) {
     (manifest, bytes, name, oracle)
 }
 
-/// Loads a session over a cache dir holding `manifest` and `entry`, then
-/// updates and checks the rows against the oracle. The cache may be arbitrarily
-/// mangled; the *analysis* must come out right regardless.
+/// Loads a session over a cache dir holding `manifest` and `entry`, checks
+/// the loaded rows (when the load installed a state), then updates and
+/// checks the rows again. The cache may be arbitrarily mangled; the
+/// *analysis* must come out right regardless.
 fn load_update_and_check(
     manifest: &[u8],
     entry: &[u8],
@@ -163,7 +164,9 @@ fn load_update_and_check(
     std::fs::write(dir.join("manifest.araa"), manifest).expect("write manifest");
     std::fs::write(dir.join(entry_name), entry).expect("write entry");
     let mut s = AnalysisSession::with_cache_dir(AnalysisOptions::default(), dir.path());
-    s.load();
+    if s.load() {
+        assert_eq!(s.analysis().expect("loaded").rows, oracle);
+    }
     s.update(&sources()).expect("update");
     assert_eq!(s.analysis().expect("analysis").rows, oracle);
 }

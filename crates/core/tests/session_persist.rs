@@ -119,6 +119,38 @@ fn flip_byte(path: &std::path::Path, offset_from_mid: i64) {
     std::fs::write(path, bytes).expect("writable");
 }
 
+/// Loads a fresh session over `dir` under a collector. Returns the session,
+/// what `load` returned, and the procedures whose IPL the load recomputed
+/// and whose rows it extracted, read from its `ipa.ipl` and `extract.rows`
+/// spans, each sorted.
+fn load_traced(dir: &std::path::Path) -> (AnalysisSession, bool, Vec<String>, Vec<String>) {
+    let c = Collector::new(ClockKind::Logical);
+    let mut s = AnalysisSession::with_cache_dir(AnalysisOptions::default(), dir);
+    let loaded = {
+        let _g = obs::attach(c.clone());
+        s.load()
+    };
+    let procs = |span: &str| {
+        let mut names: Vec<String> =
+            c.events().into_iter().filter(|e| e.name == span).filter_map(|e| e.arg).collect();
+        names.sort();
+        names
+    };
+    (s, loaded, procs("ipa.ipl"), procs("extract.rows"))
+}
+
+/// The procedure a single rejected-entry incident names.
+fn rejected_proc(incidents: &[araa::Degradation]) -> String {
+    let named: Vec<&str> = incidents
+        .iter()
+        .filter_map(|d| d.detail.strip_prefix("cache entry for `"))
+        .filter_map(|rest| rest.split_once("` rejected"))
+        .map(|(proc, _)| proc)
+        .collect();
+    assert_eq!(named.len(), 1, "one rejected entry: {incidents:?}");
+    named[0].to_string()
+}
+
 fn seed(dir: &std::path::Path, sources: &[GenSource]) -> Analysis {
     let mut s = AnalysisSession::with_cache_dir(AnalysisOptions::default(), dir);
     s.update(sources).expect("seed update");
@@ -264,8 +296,8 @@ fn corrupt_entry_is_quarantined_and_recomputed() {
     assert_eq!(entries.len(), 3, "one entry per procedure");
     flip_byte(&entries[1], 0);
 
-    let mut warm = AnalysisSession::with_cache_dir(AnalysisOptions::default(), dir.path());
-    assert!(warm.load(), "partial load still succeeds");
+    let (mut warm, loaded, ipl, _) = load_traced(dir.path());
+    assert!(loaded, "partial load still succeeds");
     assert!(
         !warm.cache_incidents().is_empty(),
         "corruption must be reported"
@@ -283,14 +315,14 @@ fn corrupt_entry_is_quarantined_and_recomputed() {
         .flatten()
         .collect();
     assert_eq!(quarantined.len(), 1, "the evidence is preserved");
+    assert_eq!(ipl, [rejected_proc(warm.cache_incidents())], "exactly the corrupt procedure");
 
-    let delta = warm.update(&sources).expect("warm update");
-    assert_eq!(delta.summary_cache_misses, 1, "exactly the corrupt procedure: {delta:?}");
-    assert_eq!(delta.summary_cache_hits, 2, "{delta:?}");
+    // The load itself is the cold run; the next update recomputes nothing.
     let oracle = cold(&sources);
-    let a = warm.analysis().expect("analysis");
-    assert_eq!(a.rows, oracle.rows);
-    assert_eq!(a.degradations, oracle.degradations);
+    assert_equals_cold(warm.analysis().expect("loaded"), &oracle);
+    let delta = warm.update(&sources).expect("warm update");
+    assert_eq!(delta.summary_cache_misses, 0, "{delta:?}");
+    assert_equals_cold(warm.analysis().expect("analysis"), &oracle);
 }
 
 #[test]
@@ -551,19 +583,22 @@ fn a_rejected_entry_re_propagates_its_ancestor_chain() {
         .expect("entries");
     flip_byte(&leaf_entry, 0);
 
-    let mut warm = AnalysisSession::with_cache_dir(AnalysisOptions::default(), dir.path());
-    assert!(warm.load(), "partial load still succeeds");
+    let (mut warm, loaded, ipl, extracted) = load_traced(dir.path());
+    assert!(loaded, "partial load still succeeds");
     assert!(
         warm.cache_incidents().iter().any(|d| d.detail.contains("`leaf` rejected")),
         "{:?}",
         warm.cache_incidents()
     );
+    // The load recomputes `leaf` and re-extracts its ancestor chain's rows.
+    assert_eq!(ipl, ["leaf"]);
+    assert_eq!(extracted, ["leaf", "main", "mid"]);
+    let oracle = cold(&sources);
+    assert_equals_cold(warm.analysis().expect("loaded"), &oracle);
     let delta = warm.update(&sources).expect("warm update");
-    assert_eq!(delta.summaries_recomputed, vec!["leaf".to_string()], "{delta:?}");
-    let mut prop = delta.propagation_recomputed.clone();
-    prop.sort();
-    assert_eq!(prop, ["leaf", "main", "mid"], "{delta:?}");
-    assert_equals_cold(warm.analysis().expect("analysis"), &cold(&sources));
+    assert!(delta.summaries_recomputed.is_empty(), "{delta:?}");
+    assert!(delta.propagation_recomputed.is_empty(), "{delta:?}");
+    assert_equals_cold(warm.analysis().expect("analysis"), &oracle);
 }
 
 #[test]
@@ -588,9 +623,9 @@ fn a_loaded_state_splices() {
 #[test]
 fn a_rejected_entry_unsplices_its_ancestors() {
     // `main` calls `leaf`, `other`, `leaf`. With `leaf`'s entry rejected,
-    // the load propagates an empty `leaf` into `main`, so its slice
-    // lengths no longer locate `main`'s loaded rows, which were extracted
-    // from the real ones: the next update must not splice `main`.
+    // the load recomputes `leaf`, so `main`'s saved rows are not known to
+    // be this propagation's: they are extracted again, while `other`, which
+    // reaches no recomputed procedure, keeps the rows of its entry.
     let _serial = serial();
     let dir = TestDir::new("persist-unsplice");
     let shared = "  real a(20)\n  real b(30)\n  common /g/ a, b\n";
@@ -616,15 +651,20 @@ fn a_rejected_entry_unsplices_its_ancestors() {
         .expect("entries");
     flip_byte(&leaf_entry, 0);
 
-    let mut warm = AnalysisSession::with_cache_dir(AnalysisOptions::default(), dir.path());
-    assert!(warm.load(), "partial load still succeeds");
+    let (mut warm, loaded, ipl, extracted) = load_traced(dir.path());
+    assert!(loaded, "partial load still succeeds");
     assert!(
         warm.cache_incidents().iter().any(|d| d.detail.contains("`leaf` rejected")),
         "{:?}",
         warm.cache_incidents()
     );
-    warm.update(&sources).expect("warm update");
-    assert_equals_cold(warm.analysis().expect("analysis"), &cold(&sources));
+    assert_eq!(ipl, ["leaf"]);
+    assert_eq!(extracted, ["leaf", "main"]);
+    let oracle = cold(&sources);
+    assert_equals_cold(warm.analysis().expect("loaded"), &oracle);
+    let delta = warm.update(&sources).expect("warm update");
+    assert_eq!(delta.rows_recomputed, 0, "{delta:?}");
+    assert_equals_cold(warm.analysis().expect("analysis"), &oracle);
 }
 
 // ---------------------------------------------------------------------------
@@ -809,21 +849,23 @@ mod crashes {
         assert!(degradations.iter().any(|d| d.proc == "(propagation)"), "{degradations:?}");
         assert!(s.persist(), "{:?}", s.cache_incidents());
 
-        // The cache must hold those summaries, not the entries saved before.
+        // The cache holds the edited program's entries, not the ones saved
+        // before, so every procedure primes. The degradation does not
+        // outlive itself: the load re-propagates from the cached local
+        // summaries, re-extracts every row, and equals a cold run.
+        let c = Collector::new(ClockKind::Logical);
         let mut r = AnalysisSession::with_cache_dir(AnalysisOptions::default(), dir.path());
-        assert!(r.load());
-        assert_eq!(
-            encoded_summaries(r.analysis().expect("loaded")),
-            encoded_summaries(s.analysis().expect("analysis"))
-        );
-
-        // The degradation does not outlive itself: the same sources, with
-        // no fault armed, re-propagate from the cached local summaries and
-        // equal a cold run.
+        {
+            let _g = obs::attach(c.clone());
+            assert!(r.load());
+        }
+        assert_eq!(c.counter(Counter::StoreRejected), 0, "{:?}", r.cache_incidents());
         let sources = with_leaf(LEAF_F_EDITED);
-        let delta = r.update(&sources).expect("update after the degraded load");
+        let oracle = cold(&sources);
+        assert_equals_cold(r.analysis().expect("loaded"), &oracle);
+        let delta = r.update(&sources).expect("update after the load");
         assert_eq!(delta.summary_cache_misses, 0, "{delta:?}");
-        assert_equals_cold(r.analysis().expect("analysis"), &cold(&sources));
+        assert_equals_cold(r.analysis().expect("analysis"), &oracle);
     }
 
     #[test]
@@ -862,15 +904,21 @@ mod crashes {
         let degradations = &r.analysis().expect("loaded").degradations;
         assert!(degradations.iter().any(is_panic), "{degradations:?}");
 
-        // Saved as loaded, the record survives into the next session too.
+        // Saved as loaded, the panic does not survive into the next
+        // session: its load primes every procedure, propagates afresh and
+        // equals a cold run.
         assert!(r.persist(), "{:?}", r.cache_incidents());
+        let c = Collector::new(ClockKind::Logical);
         let mut again = AnalysisSession::with_cache_dir(AnalysisOptions::default(), dir.path());
-        assert!(again.load());
-        let degradations = &again.analysis().expect("loaded").degradations;
-        assert!(degradations.iter().any(is_panic), "{degradations:?}");
-
-        // Either session's next update re-propagates and equals a cold run.
+        {
+            let _g = obs::attach(c.clone());
+            assert!(again.load());
+        }
+        assert_eq!(c.counter(Counter::StoreRejected), 0, "{:?}", again.cache_incidents());
         let oracle = cold(&sources);
+        assert_equals_cold(again.analysis().expect("loaded"), &oracle);
+
+        // Either session's next update equals a cold run.
         for s in [&mut r, &mut again] {
             let delta = s.update(&sources).expect("update after the load");
             assert_eq!(delta.summary_cache_misses, 0, "{delta:?}");
@@ -897,13 +945,12 @@ mod crashes {
             s.update(&sources).expect("cold update");
             assert_eq!(s.analysis().expect("analysis").rows, oracle.rows, "{point}");
 
-            // Fault an entry read: that procedure recomputes, rest hit.
+            // Fault an entry read: the load recomputes that procedure and
+            // primes the rest.
             let dir = TestDir::new("readfault-entry");
             seed(dir.path(), &sources);
             faultpoint::arm(point, 2);
-            let mut s =
-                AnalysisSession::with_cache_dir(AnalysisOptions::default(), dir.path());
-            let loaded = s.load();
+            let (mut s, loaded, ipl, _) = load_traced(dir.path());
             faultpoint::disarm_all();
             assert!(loaded, "{point}: one bad entry must not sink the load");
             assert!(
@@ -911,8 +958,10 @@ mod crashes {
                 "{point}: {:?}",
                 s.cache_incidents()
             );
+            assert_eq!(ipl, [rejected_proc(s.cache_incidents())], "{point}");
+            assert_equals_cold(s.analysis().expect("loaded"), &oracle);
             let delta = s.update(&sources).expect("warm update");
-            assert_eq!(delta.summary_cache_misses, 1, "{point}: {delta:?}");
+            assert_eq!(delta.summary_cache_misses, 0, "{point}: {delta:?}");
             assert_eq!(s.analysis().expect("analysis").rows, oracle.rows, "{point}");
         }
     }

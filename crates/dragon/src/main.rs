@@ -530,12 +530,13 @@ fn main() {
             Some("logical") => ClockKind::Logical,
             _ => ClockKind::Monotonic,
         };
-        let c = Collector::new(clock);
-        obs::install_global(c.clone());
-        Some(c)
+        Some(Collector::new(clock))
     } else {
         None
     };
+    // Attached to the main thread for the whole run; every thread that
+    // records (parallel workers, serve's threads) attaches it in turn.
+    let _obs = collector.clone().map(obs::attach);
 
     // `--timeout` installs a wall-clock deadline for the whole command.
     // Budget checkpoints observe it (worker threads inherit it), so a

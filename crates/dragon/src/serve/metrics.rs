@@ -24,10 +24,9 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
-use std::time::Instant;
 
 use support::json::{obj, Value};
-use support::obs::{self, hist, ClockKind, SpanEvent};
+use support::obs::{self, hist, Clock, ClockKind, SpanEvent, PROC_SPANS};
 
 use super::proto::Op;
 
@@ -229,9 +228,7 @@ struct ProfileState {
 /// record every request), the workers (which keep the session level) and
 /// the periodic snapshot thread.
 pub struct ServeMetrics {
-    clock: ClockKind,
-    origin: Instant,
-    tick: AtomicU64,
+    clock: Clock,
     trace_seq: AtomicU64,
     /// One cell per [`Tally`].
     tallies: [AtomicU64; Tally::COUNT],
@@ -264,9 +261,7 @@ impl ServeMetrics {
             ClockKind::Logical => slow_threshold_ms,
         };
         ServeMetrics {
-            clock,
-            origin: Instant::now(),
-            tick: AtomicU64::new(0),
+            clock: Clock::new(clock),
             trace_seq: AtomicU64::new(0),
             tallies: Default::default(),
             shard_seq: AtomicUsize::new(0),
@@ -289,18 +284,12 @@ impl ServeMetrics {
 
     /// The clock kind latencies are measured in.
     pub fn clock(&self) -> ClockKind {
-        self.clock
+        self.clock.kind()
     }
 
     /// Current timestamp in clock units (a tick under the logical clock).
     pub fn now_units(&self) -> u64 {
-        match self.clock {
-            ClockKind::Monotonic => {
-                let d = self.origin.elapsed();
-                d.as_secs().saturating_mul(1_000_000_000).saturating_add(u64::from(d.subsec_nanos()))
-            }
-            ClockKind::Logical => self.tick.fetch_add(1, Ordering::Relaxed),
-        }
+        self.clock.now()
     }
 
     /// The request's trace id: the client's own (validated upstream) or a
@@ -359,7 +348,7 @@ impl ServeMetrics {
     /// clock the entry's `mem_bytes` is forced to 0 to keep `query-log`
     /// output deterministic.
     pub fn push_log(&self, mut entry: LogEntry) -> u64 {
-        if self.clock == ClockKind::Logical {
+        if self.clock.kind() == ClockKind::Logical {
             entry.mem_bytes = 0;
         }
         let mut log = lock(&self.log);
@@ -396,15 +385,14 @@ impl ServeMetrics {
     }
 
     /// Aggregates a sampled span tree into the per-project hot-procedure
-    /// ranking. Only genuinely per-procedure spans count (mirrors
-    /// `Collector::snapshot`).
+    /// ranking. Only the spans of [`PROC_SPANS`] count, as in
+    /// `Collector::snapshot`.
     pub fn record_profile(&self, project: &str, events: &[SpanEvent]) {
         let mut prof = lock(&self.profile);
         *prof.samples.entry(project.to_string()).or_insert(0) += 1;
         let by_proc = prof.procs.entry(project.to_string()).or_default();
         for e in events {
-            let per_proc = matches!(e.name, "ipa.ipl" | "store.prime" | "extract.rows");
-            if let (Some(arg), true) = (&e.arg, per_proc) {
+            if let (Some(arg), true) = (&e.arg, PROC_SPANS.contains(&e.name)) {
                 let agg = by_proc.entry(arg.clone()).or_default();
                 agg.total_units += e.dur;
                 agg.spans += 1;
@@ -456,7 +444,7 @@ impl ServeMetrics {
     /// `v`, or 0 under the logical clock — wall-clock and memory-derived
     /// fields are zeroed there so snapshots stay byte-deterministic.
     fn det(&self, v: u64) -> u64 {
-        match self.clock {
+        match self.clock.kind() {
             ClockKind::Monotonic => v,
             ClockKind::Logical => 0,
         }
@@ -541,7 +529,7 @@ impl ServeMetrics {
         let log = lock(&self.log);
         obj([
             ("schema", num(1)),
-            ("clock", Value::str(self.clock.name())),
+            ("clock", Value::str(self.clock.kind().name())),
             ("uptime_ms", num(self.det(ctx.uptime_ms))),
             ("workers", num(ctx.workers)),
             ("sessions", num(self.tally(Tally::Sessions))),

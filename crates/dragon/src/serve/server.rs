@@ -64,9 +64,11 @@
 //!   recording it, so a request the dispatcher abandoned, or one a
 //!   replaced worker answered late, still counts exactly once.
 //!
-//! With `ARAA_SERVE_CHAOS_ABORT=1` an injected-fault panic aborts the
-//! process *before unwinding* — a faithful crash at exactly the armed
-//! faultpoint, used by the chaos tests to prove the recovery path.
+//! In a `fault-injection` build, `ARAA_SERVE_CHAOS_ABORT=1` makes an
+//! injected-fault panic abort the process *before unwinding* — a faithful
+//! crash at exactly the armed faultpoint, used by the chaos tests to prove
+//! the recovery path. Other builds contain neither the hook nor the
+//! per-request chaos faultpoints.
 
 use super::metrics::{LogEntry, Outcome, ServeMetrics, SnapshotCtx, Tally};
 use super::proto::{self, ErrorKind, Op, Request};
@@ -219,6 +221,7 @@ fn install_signal_handlers() {
 /// Under `ARAA_SERVE_CHAOS_ABORT=1`, die *at* an injected fault instead of
 /// unwinding into the worker's `catch_unwind` — no `Drop`s run, so lock
 /// files and temp litter survive exactly as in a real crash.
+#[cfg(feature = "fault-injection")]
 fn install_chaos_abort_hook() {
     if std::env::var("ARAA_SERVE_CHAOS_ABORT").as_deref() != Ok("1") {
         return;
@@ -379,6 +382,7 @@ fn lock_handles(handles: &WorkerHandles) -> std::sync::MutexGuard<'_, Vec<Option
 /// thread; returns once every session has drained and persisted.
 pub fn run(opts: ServeOptions) -> support::Result<()> {
     install_signal_handlers();
+    #[cfg(feature = "fault-injection")]
     install_chaos_abort_hook();
     let ctx = Arc::new(Daemon::new(opts));
     let workers = ctx.opts.workers;
@@ -445,9 +449,11 @@ pub fn run(opts: ServeOptions) -> support::Result<()> {
                         let generation = ctx.sup.declare_wedged(idx);
                         let rx = Arc::clone(worker_rx);
                         let worker_ctx = Arc::clone(&ctx);
+                        let obs_ctx = obs::current();
                         let spawned = std::thread::Builder::new()
                             .name(format!("serve-worker-{idx}-g{generation}"))
                             .spawn(move || {
+                                let _obs = obs_ctx.map(obs::attach);
                                 worker_main(&worker_ctx, &rx, idx, generation, Vec::new());
                             });
                         if let Ok(handle) = spawned {
@@ -1359,10 +1365,13 @@ fn handle_request(shard: &mut Shard<'_>, req: &Request) -> HandlerResult {
     // `serve::project::<name>:always` to make one project toxic while
     // others stay healthy) and a wedge point that sticks this worker
     // somewhere no checkpoint runs, exercising supervisor replacement.
-    support::faultpoint::hit(&format!("serve::project::{}", req.project));
-    if support::faultpoint::fires("serve::wedge") {
-        loop {
-            std::thread::sleep(Duration::from_millis(25));
+    #[cfg(feature = "fault-injection")]
+    {
+        support::faultpoint::hit(&format!("serve::project::{}", req.project));
+        if support::faultpoint::fires("serve::wedge") {
+            loop {
+                std::thread::sleep(Duration::from_millis(25));
+            }
         }
     }
     match req.op {

@@ -80,14 +80,6 @@ fn reads_follow_every_write_and_nothing_else() {
     let dir = TestDir::new("serve-reads");
     let mut d = Daemon::start(dir.join("d.sock"), &[], &[]);
     let o = copts(&d.socket);
-    let cold = |sources: &[(&str, &str)]| {
-        let files = sources
-            .iter()
-            .map(|&(name, text)| frontend::SourceFile::new(name, text, whirl::Lang::Fortran));
-        araa::Analysis::analyze(files, araa::AnalysisOptions::default())
-            .expect("cold run")
-            .rgn_document()
-    };
     let read = |id| {
         let r = call_ok(&o, &plain_req(id, "query-rgn", "p"));
         r.get("rgn").and_then(Value::as_str).expect("rgn string").to_string()
@@ -95,12 +87,12 @@ fn reads_follow_every_write_and_nothing_else() {
 
     call_ok(&o, &analyze_req(1, "analyze", "p", &sources_v1(), None));
     let first = read(2);
-    assert_eq!(first, cold(&sources_v1()));
+    assert_eq!(first, cold_rgn(&sources_v1()));
     assert_eq!(read(3), first);
 
     call_ok(&o, &analyze_req(4, "reanalyze", "p", &sources_v2(), None));
     let edited = read(5);
-    assert_eq!(edited, cold(&sources_v2()));
+    assert_eq!(edited, cold_rgn(&sources_v2()));
     assert_ne!(edited, first);
 
     // A source set with no procedure fails in assembly, before the
@@ -147,6 +139,59 @@ fn restart_recovers_sessions_and_serves_identical_bytes() {
     assert!(result_u64(&r, "sessions") >= 1, "{}", r.render());
     call_ok(&o, &plain_req(12, "shutdown", "beta"));
     assert!(d.wait_exit(Duration::from_secs(30)).success());
+}
+
+/// A restart over a cache in which one entry has a flipped byte serves a
+/// cold run's `.rgn` on its very first read: the startup load quarantines
+/// the entry and recomputes that procedure before it installs the state.
+#[test]
+fn restart_over_a_damaged_entry_serves_the_cold_document() {
+    let dir = TestDir::new("serve-recover-damaged");
+    let cache = dir.join("cache");
+    let cache_str = cache.to_str().expect("utf8").to_string();
+    let cache_args = ["--cache-dir", cache_str.as_str()];
+    {
+        let mut d = Daemon::start(dir.join("d.sock"), &cache_args, &[]);
+        let o = copts(&d.socket);
+        call_ok(&o, &analyze_req(1, "analyze", "beta", &sources_v1(), None));
+        call_ok(&o, &plain_req(2, "shutdown", "beta"));
+        assert!(d.wait_exit(Duration::from_secs(30)).success());
+    }
+
+    // `leaf` has the fewest records and rows, so the smallest entry.
+    let pdir = cache.join(format!("p{:016x}", support::hash::fnv1a(b"beta")));
+    let smallest = std::fs::read_dir(&pdir)
+        .expect("project dir")
+        .flatten()
+        .map(|e| e.path())
+        .filter(|p| {
+            let name = p.file_name().and_then(|n| n.to_str()).unwrap_or_default();
+            name.len() == 22 && name.starts_with('e') && name.ends_with(".araa")
+        })
+        .min_by_key(|p| std::fs::metadata(p).expect("entry").len())
+        .expect("entry files");
+    let mut bytes = std::fs::read(&smallest).expect("entry");
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x20;
+    std::fs::write(&smallest, bytes).expect("entry");
+
+    let mut d = Daemon::start(dir.join("d.sock"), &cache_args, &[]);
+    let o = copts(&d.socket);
+    let r = call_ok(&o, &plain_req(10, "query-rgn", "beta"));
+    let rgn = r.get("rgn").and_then(Value::as_str).expect("rgn");
+    assert_eq!(rgn, cold_rgn(&sources_v1()), "the first read after a damaged restart");
+    assert!(pdir.join("quarantine").exists(), "the damaged entry is moved aside");
+    call_ok(&o, &plain_req(11, "shutdown", "beta"));
+    assert!(d.wait_exit(Duration::from_secs(30)).success());
+}
+
+fn cold_rgn(sources: &[(&str, &str)]) -> String {
+    let files = sources
+        .iter()
+        .map(|&(name, text)| frontend::SourceFile::new(name, text, whirl::Lang::Fortran));
+    araa::Analysis::analyze(files, araa::AnalysisOptions::default())
+        .expect("cold run")
+        .rgn_document()
 }
 
 // ---------------------------------------------------------------------------

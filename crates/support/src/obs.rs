@@ -17,16 +17,15 @@
 //! [`add`], [`incr`], [`set_gauge`]), which resolve the *current*
 //! collector:
 //!
-//! 1. the innermost collector [`attach`]ed to this thread, else
-//! 2. the process-global collector installed by [`install_global`]
-//!    (what the `dragon` binary uses), else
-//! 3. none — every call is a no-op costing one relaxed atomic load.
+//! the innermost collector [`attach`]ed to this thread, or none — then
+//! every call is a no-op costing one relaxed atomic load.
 //!
-//! Thread-scoped attachment (rather than a single global) keeps parallel
-//! test binaries honest: each test observes only its own session. Worker
-//! pools must re-attach the spawning thread's collector inside each worker
-//! (as [`crate::par::map`] does), mirroring how budget scopes are
-//! thread-local.
+//! There is no process-global collector: the `dragon` binary attaches its
+//! one to the main thread for the whole run. Thread-scoped attachment
+//! keeps parallel test binaries honest: each test observes only its own
+//! session. Worker pools must re-attach the spawning thread's collector
+//! inside each worker (as [`crate::par::map`] does), mirroring how budget
+//! scopes are thread-local.
 //!
 //! # Determinism
 //!
@@ -51,7 +50,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 // ---------------------------------------------------------------------------
@@ -225,6 +224,45 @@ impl ClockKind {
     }
 }
 
+/// A clock of one [`ClockKind`], read in its units: nanoseconds since the
+/// clock was made, or the next tick under the logical clock. Collectors
+/// and `dragon serve`'s metrics registry both stamp with one.
+#[derive(Debug)]
+pub struct Clock {
+    kind: ClockKind,
+    origin: Instant,
+    tick: AtomicU64,
+}
+
+impl Clock {
+    /// A clock of `kind`, starting now (or at tick 0).
+    pub fn new(kind: ClockKind) -> Clock {
+        Clock { kind, origin: Instant::now(), tick: AtomicU64::new(0) }
+    }
+
+    /// The kind of this clock.
+    pub fn kind(&self) -> ClockKind {
+        self.kind
+    }
+
+    /// The current reading, in clock units.
+    pub fn now(&self) -> u64 {
+        match self.kind {
+            ClockKind::Monotonic => {
+                let d = self.origin.elapsed();
+                d.as_secs().saturating_mul(1_000_000_000).saturating_add(u64::from(d.subsec_nanos()))
+            }
+            ClockKind::Logical => self.tick.fetch_add(1, Ordering::Relaxed),
+        }
+    }
+}
+
+/// The spans that carry a procedure's name as their argument: IPL, a
+/// cache entry's priming and row extraction. Only these feed a profile's
+/// per-procedure rows; other arg-carrying spans (per-file parses) would
+/// collide with procedure names and muddle the ranking.
+pub const PROC_SPANS: [&str; 3] = ["ipa.ipl", "store.prime", "extract.rows"];
+
 // ---------------------------------------------------------------------------
 // Collector
 // ---------------------------------------------------------------------------
@@ -254,16 +292,14 @@ struct CollectorState {
     gauges: BTreeMap<&'static str, u64>,
 }
 
-/// Sink for one observed run. Create one, [`attach`] it (or
-/// [`install_global`] it), run the work, then export via
+/// Sink for one observed run. Create one, [`attach`] it, run the work,
+/// then export via
 /// [`chrome_trace_json`](Collector::chrome_trace_json) /
 /// [`metrics_jsonl`](Collector::metrics_jsonl) /
 /// [`snapshot`](Collector::snapshot).
 pub struct Collector {
     id: u64,
-    clock: ClockKind,
-    origin: Instant,
-    tick: AtomicU64,
+    clock: Clock,
     seq: AtomicU64,
     next_tid: AtomicU32,
     counters: [AtomicU64; Counter::ALL.len()],
@@ -272,17 +308,16 @@ pub struct Collector {
 
 impl std::fmt::Debug for Collector {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Collector").field("id", &self.id).field("clock", &self.clock).finish()
+        f.debug_struct("Collector").field("id", &self.id).field("clock", &self.clock.kind).finish()
     }
 }
 
 static COLLECTOR_IDS: AtomicU64 = AtomicU64::new(1);
 
-/// Fast gate: true while any collector is attached anywhere or a global
-/// one is installed. Lets the disabled path cost one relaxed load.
+/// Fast gate: true while any collector is attached anywhere. Lets the
+/// disabled path cost one relaxed load.
 static ANY_ACTIVE: AtomicBool = AtomicBool::new(false);
 static ATTACH_COUNT: AtomicU64 = AtomicU64::new(0);
-static GLOBAL: OnceLock<Arc<Collector>> = OnceLock::new();
 
 thread_local! {
     /// Innermost-wins stack of collectors attached to this thread.
@@ -302,9 +337,7 @@ impl Collector {
     pub fn new(clock: ClockKind) -> Arc<Collector> {
         Arc::new(Collector {
             id: COLLECTOR_IDS.fetch_add(1, Ordering::Relaxed),
-            clock,
-            origin: Instant::now(),
-            tick: AtomicU64::new(0),
+            clock: Clock::new(clock),
             seq: AtomicU64::new(0),
             next_tid: AtomicU32::new(0),
             counters: std::array::from_fn(|_| AtomicU64::new(0)),
@@ -317,17 +350,7 @@ impl Collector {
 
     /// The clock this collector stamps events with.
     pub fn clock(&self) -> ClockKind {
-        self.clock
-    }
-
-    fn now(&self) -> u64 {
-        match self.clock {
-            ClockKind::Monotonic => {
-                let d = self.origin.elapsed();
-                d.as_secs().saturating_mul(1_000_000_000).saturating_add(u64::from(d.subsec_nanos()))
-            }
-            ClockKind::Logical => self.tick.fetch_add(1, Ordering::Relaxed),
-        }
+        self.clock.kind
     }
 
     fn tid(self: &Arc<Self>) -> u32 {
@@ -375,11 +398,7 @@ impl Collector {
             agg.count += 1;
             agg.total += e.dur;
             agg.alloc += e.alloc;
-            // Only genuinely per-procedure spans feed the procedure
-            // profile — other arg-carrying spans (per-file parses) would
-            // collide with procedure names and muddle the ranking.
-            let per_proc = matches!(e.name, "ipa.ipl" | "store.prime" | "extract.rows");
-            if let (Some(arg), true) = (&e.arg, per_proc) {
+            if let (Some(arg), true) = (&e.arg, PROC_SPANS.contains(&e.name)) {
                 let p = procs.entry(arg.clone()).or_insert_with(|| ProcProfile {
                     proc: arg.clone(),
                     total: 0,
@@ -402,7 +421,7 @@ impl Collector {
         // Ranked by time, heaviest first; name breaks ties deterministically.
         procs.sort_by(|a, b| b.total.cmp(&a.total).then_with(|| a.proc.cmp(&b.proc)));
         Snapshot {
-            clock: self.clock,
+            clock: self.clock.kind,
             counters: Counter::ALL.iter().map(|&c| (c.name(), self.counter(c))).collect(),
             gauges: lock_state(self).gauges.iter().map(|(k, v)| (*k, *v)).collect(),
             spans: spans.into_values().collect(),
@@ -427,8 +446,8 @@ impl Collector {
                 "{{\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{},\"dur\":{},\
                  \"name\":\"{}\",\"cat\":\"araa\"",
                 e.tid,
-                clock_units_to_us(self.clock, e.start),
-                clock_units_to_us(self.clock, e.dur).max(1),
+                clock_units_to_us(self.clock.kind, e.start),
+                clock_units_to_us(self.clock.kind, e.dur).max(1),
                 json_escape(e.name),
             ));
             out.push_str(",\"args\":{");
@@ -440,7 +459,7 @@ impl Collector {
         out.push_str("\n],\"displayTimeUnit\":\"ms\",\"otherData\":{");
         out.push_str(&format!(
             "\"tool\":\"araa\",\"schema\":1,\"clock\":\"{}\"}}}}\n",
-            self.clock.name()
+            self.clock.kind.name()
         ));
         crate::persist::append_text_checksum(&mut out);
         out
@@ -809,7 +828,7 @@ impl Drop for AttachGuard {
         CURRENT.with(|c| {
             c.borrow_mut().pop();
         });
-        if ATTACH_COUNT.fetch_sub(1, Ordering::Relaxed) == 1 && GLOBAL.get().is_none() {
+        if ATTACH_COUNT.fetch_sub(1, Ordering::Relaxed) == 1 {
             ANY_ACTIVE.store(false, Ordering::Relaxed);
         }
     }
@@ -825,30 +844,12 @@ pub fn attach(collector: Arc<Collector>) -> AttachGuard {
     AttachGuard { _private: () }
 }
 
-/// Installs the process-global fallback collector (what the `dragon`
-/// binary does once, before analyzing). Returns `false` if one was
-/// already installed — the first installation wins, matching `OnceLock`.
-pub fn install_global(collector: Arc<Collector>) -> bool {
-    let installed = GLOBAL.set(collector).is_ok();
-    if installed {
-        ANY_ACTIVE.store(true, Ordering::Relaxed);
-    }
-    installed
-}
-
-/// The process-global collector, if one was installed.
-pub fn global() -> Option<Arc<Collector>> {
-    GLOBAL.get().cloned()
-}
-
 /// The collector observation on this thread resolves to, if any.
 pub fn current() -> Option<Arc<Collector>> {
     if !ANY_ACTIVE.load(Ordering::Relaxed) {
         return None;
     }
-    CURRENT
-        .with(|c| c.borrow().last().cloned())
-        .or_else(|| GLOBAL.get().cloned())
+    CURRENT.with(|c| c.borrow().last().cloned())
 }
 
 /// Adds `n` to a counter on the current collector (no-op when none).
@@ -907,11 +908,11 @@ struct OpenSpan {
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         let Some(open) = self.rec.take() else { return };
-        let end = open.collector.now();
+        let end = open.collector.clock.now();
         // Under the logical clock, exports promise byte-determinism;
         // allocation totals depend on the ambient process (other threads,
         // allocator internals), so they are forced to zero there.
-        let alloc = match open.collector.clock {
+        let alloc = match open.collector.clock.kind {
             ClockKind::Logical => 0,
             ClockKind::Monotonic => {
                 alloc::allocated_bytes().saturating_sub(open.alloc_start)
@@ -961,7 +962,7 @@ fn open_span(name: &'static str, arg: Option<String>) -> SpanGuard {
     let Some(collector) = current() else {
         return SpanGuard { rec: None };
     };
-    let start = collector.now();
+    let start = collector.clock.now();
     let alloc_start = alloc::allocated_bytes();
     SpanGuard {
         rec: Some(OpenSpan { collector, name, arg, start, alloc_start }),
@@ -1044,7 +1045,7 @@ mod tests {
         let _s = span("tests.noop");
         add(Counter::CacheHits, 5);
         set_gauge(Gauge::SessionRows, 9);
-        assert!(current().is_none() || global().is_some());
+        assert!(current().is_none());
     }
 
     #[test]
@@ -1166,9 +1167,7 @@ mod tests {
                 String::new()
             });
         }
-        // With no collector on this thread the closure must not run…
-        // unless another test on another thread has a global installed —
-        // there is none in this binary.
+        // With no collector on this thread the closure must not run.
         assert!(!ran.get());
     }
 

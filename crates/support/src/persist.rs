@@ -64,7 +64,9 @@ pub const MAGIC: &[u8; 8] = b"ARAAPRS\0";
 /// Version 6: payload lengths and integers are varints, and the footer
 /// checksum and content address come from the word-at-a-time
 /// [`StableHasher`] instead of byte-serial FNV-1a.
-pub const FORMAT_VERSION: u32 = 6;
+/// Version 7: the session manifest keeps one bit for whether the saved
+/// propagation was healthy in place of the saved degradation lists.
+pub const FORMAT_VERSION: u32 = 7;
 
 /// Write-path faultpoints registered inside [`atomic_write`] and the
 /// store layers above it, in the order they fire. CI arms each one in turn

@@ -167,8 +167,8 @@ const PINNED: &[(&str, u64)] = &[
     ("irregular_corpus/ss_inj_oob.f.dgn", 0x9b4de07a70938012),
     ("irregular_corpus/ss_inj_oob.f.cfg", 0x64129d240be9e397),
     ("irregular_corpus/ss_inj_oob.f.sarif", 0x8156e3c3a477531d),
-    ("cache/mini_lu", 0x2b9485b245617abb),
-    ("cache/irregular_corpus", 0xfc070e84827b38cc),
+    ("cache/mini_lu", 0x7558701ea3a0f617),
+    ("cache/irregular_corpus", 0x0179d60d53c7f72d),
 ];
 
 fn corpus(dir: &str) -> Vec<(String, Vec<GenSource>)> {

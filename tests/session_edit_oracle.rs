@@ -22,7 +22,8 @@
 //! a worker (an out-of-bounds store to a shared array, which its callers
 //! report too, and a dead store to a local array), and persists the
 //! session and reloads it into a fresh one, with one entry file flipped or
-//! deleted in between or none. Every save encodes or carries each procedure once
+//! deleted in between or none; the reloaded session is checked as loaded,
+//! before any update. Every save encodes or carries each procedure once
 //! and leaves a directory that verifies clean.
 //!
 //! The case count defaults to a few seconds' worth; set `PROPTEST_CASES`
@@ -536,8 +537,10 @@ enum Damage {
 
 /// Persists `s`, applies `damage` to its cache, and replaces `s` with a
 /// fresh session loaded from it. The load reports no incident, or exactly
-/// one naming the damaged entry's procedure, which the next update alone
-/// recomputes (`sources` is what the session was last updated with).
+/// one naming the damaged entry's procedure, whose IPL alone the load
+/// recomputes (read from its `ipa.ipl` spans). The loaded session equals a
+/// cold run of `sources` (what the session was last updated with), and the
+/// next update with them recomputes nothing.
 fn persist_and_reload(
     s: &mut AnalysisSession,
     cache: &mut LintCache,
@@ -560,13 +563,19 @@ fn persist_and_reload(
         }
         Damage::Delete(n) => std::fs::remove_file(&entries[n % entries.len()]).expect("entry"),
     }
+    let c = Collector::new(ClockKind::Logical);
     let mut fresh = AnalysisSession::with_cache_dir(opts(threads), dir.path());
-    assert!(fresh.load(), "{at}: load failed: {:?}", fresh.cache_incidents());
+    let loaded = {
+        let _g = obs::attach(c.clone());
+        fresh.load()
+    };
+    assert!(loaded, "{at}: load failed: {:?}", fresh.cache_incidents());
     let incidents = fresh.cache_incidents().to_vec();
-    let delta = fresh.update(sources).unwrap_or_else(|e| panic!("{at}: update failed: {e}"));
+    let recomputed: Vec<String> =
+        c.events().into_iter().filter(|e| e.name == "ipa.ipl").filter_map(|e| e.arg).collect();
     if let Damage::None = damage {
         assert!(incidents.is_empty(), "{at}: {incidents:?}");
-        assert!(delta.summaries_recomputed.is_empty(), "{at}: {delta:?}");
+        assert!(recomputed.is_empty(), "{at}: {recomputed:?}");
     } else {
         let word = if let Damage::Flip(_) = damage { "rejected" } else { "missing" };
         assert_eq!(incidents.len(), 1, "{at}: one damaged entry, one incident: {incidents:?}");
@@ -577,12 +586,16 @@ fn persist_and_reload(
             .filter(|(_, rest)| rest.contains(word))
             .map(|(proc, _)| proc.to_string())
             .unwrap_or_else(|| panic!("{at}: not an entry incident: {incidents:?}"));
-        assert_eq!(delta.summaries_recomputed, vec![proc], "{at}: {delta:?}");
+        assert_eq!(recomputed, vec![proc], "{at}: the load recomputes the damaged procedure");
     }
     // Revisions are never persisted: the loaded session shares none with
     // the carried cache.
     let report = assert_matches_cold(&fresh, cache, sources, threads, at);
     assert_eq!(report.procs_cached, 0, "{at}: a reloaded session relints everything");
+    let delta = fresh.update(sources).unwrap_or_else(|e| panic!("{at}: update failed: {e}"));
+    assert!(delta.summaries_recomputed.is_empty(), "{at}: {delta:?}");
+    assert!(delta.propagation_recomputed.is_empty(), "{at}: {delta:?}");
+    assert_eq!(delta.rows_recomputed, 0, "{at}: {delta:?}");
     *s = fresh;
 }
 
